@@ -1,8 +1,8 @@
 """Minimal ELF64 little-endian introspection.
 
-Only what the metrics need: executable PT_LOAD segments (for gadget
-scanning) and DT_NEEDED entries of the dynamic section (for linked-library
-accounting).
+Only what the metrics need: executable PT_LOAD segments of x86-64 files
+(for gadget scanning) and DT_NEEDED entries of the dynamic section (for
+linked-library accounting, on any machine).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 ELF_MAGIC = b"\x7fELF"
 ELFCLASS64 = 2
 ELFDATA2LSB = 1
+EM_X86_64 = 62
 
 PT_LOAD = 1
 PT_DYNAMIC = 2
@@ -76,10 +77,16 @@ def program_headers(path: Path) -> list[ProgramHeader]:
 
 
 def executable_segments(path: Path) -> list[tuple[int, bytes]]:
-    """(vaddr, file bytes) of every executable PT_LOAD segment."""
+    """(vaddr, file bytes) of every executable PT_LOAD segment of an x86-64 ELF."""
     data = path.read_bytes()
+    headers = _read_headers(data, str(path))
+    machine = _EHDR.unpack_from(data)[2]
+    if machine != EM_X86_64:
+        raise ElfParseError(
+            f"{path}: e_machine {machine} is not x86-64 ({EM_X86_64}); its code cannot be scanned"
+        )
     out = []
-    for ph in _read_headers(data, str(path)):
+    for ph in headers:
         if ph.p_type == PT_LOAD and ph.p_flags & PF_X and ph.p_filesz > 0:
             out.append((ph.p_vaddr, data[ph.p_offset : ph.p_offset + ph.p_filesz]))
     return out

@@ -16,6 +16,8 @@ reports produced by it.
 from __future__ import annotations
 
 import enum
+import functools
+import re
 import statistics
 from dataclasses import dataclass
 
@@ -115,59 +117,73 @@ class SecurityDelta:
 
 # --- Discovery ---------------------------------------------------------
 
-def scan_gadgets(region: CodeRegion) -> set[Gadget]:
+def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
     """All gadgets in the region, one per start address.
 
     A start address yields the gadget that ends at the first terminator
-    its decode chain reaches within MAX_GADGET_LEN instructions.
+    its decode chain reaches within MAX_GADGET_LEN instructions. The scan
+    searches backward from terminators, as Shacham's Galileo algorithm
+    does: one regex pass finds the terminator opcode bytes, and only the
+    offsets that can precede a live chain head are decoded, each at most
+    once. The result is cached per (base address, bytes), so a library
+    shared by the original and its variants is scanned once per process.
     """
-    data = region.data
-    n = len(data)
-    decode_at: list[DecodedInstruction | None] = [decode(data, off) for off in range(n)]
+    return _scan(region.base_address, region.data)
 
-    # Backward chaining from each terminator through non-terminator
-    # instructions; the chain from any start is unique because decoding at
-    # an offset is a function, so each start maps to exactly one gadget.
-    depth: dict[int, int] = {}
+
+_TERMINATOR_OPCODE = re.compile(rb"[\xc2\xc3\xcd\xff\x0f]")  # ret, ret imm16, int, FF, 0F 05
+
+
+class _DecodeMemo(dict):
+    """Offset -> decode(data, offset), computed on first lookup."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def __missing__(self, off: int) -> DecodedInstruction | None:
+        ins = self[off] = decode(self.data, off)
+        return ins
+
+
+@functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets
+def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
+    n = len(data)
+    decoded = _DecodeMemo(data)
+
+    # Breadth-first backward chaining from each terminator through
+    # non-terminator instructions; the chain from any start is unique
+    # because decoding at an offset is a function, so each start maps to
+    # exactly one gadget. `order` grows while it is iterated.
+    chains: dict[int, tuple[DecodedInstruction, ...]] = {}
     order: list[int] = []
-    for t, ins in enumerate(decode_at):
-        if ins is not None and ins.terminator is not None and t + ins.length <= n:
-            depth[t] = 1
-            order.append(t)
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
-        d = depth[s]
-        if d >= MAX_GADGET_LEN:
+    for match in _TERMINATOR_OPCODE.finditer(data):
+        p = match.start()
+        for t in (p - 1, p) if p and 0x40 <= data[p - 1] <= 0x4F else (p,):  # REX prefix
+            ins = decoded[t]
+            if ins is not None and ins.terminator is not None and t + ins.length <= n:
+                chains[t] = (ins,)
+                order.append(t)
+    for s in order:
+        chain = chains[s]
+        if len(chain) >= MAX_GADGET_LEN:
             continue
         for prev in range(max(0, s - _MAX_INSTR_BYTES), s):
-            if prev in depth:
+            if prev in chains:
                 continue
-            ins = decode_at[prev]
+            ins = decoded[prev]
             if ins is not None and ins.terminator is None and prev + ins.length == s:
-                depth[prev] = d + 1
+                chains[prev] = (ins, *chain)
                 order.append(prev)
 
-    gadgets: set[Gadget] = set()
-    for start in depth:
-        instructions = []
-        off = start
-        while True:
-            ins = decode_at[off]
-            instructions.append(ins)
-            off += ins.length
-            if ins.terminator is not None:
-                break
-        gadgets.add(
-            Gadget(
-                address=region.base_address + start,
-                raw_bytes=data[start:off],
-                instructions=tuple(instructions),
-                terminator=instructions[-1].terminator,
-            )
+    return frozenset(
+        Gadget(
+            address=base_address + start,
+            raw_bytes=data[start : chain[-1].offset + chain[-1].length],
+            instructions=chain,
+            terminator=chain[-1].terminator,
         )
-    return gadgets
+        for start, chain in chains.items()
+    )
 
 
 def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:

@@ -3,14 +3,14 @@
 Covers the instruction forms that matter for code-reuse gadget semantics:
 register moves, push/pop, add/sub/logic/compare, memory loads and stores,
 lea, leave, ret/ret-imm16, indirect jmp/call through ModRM, syscall,
-int 0x80, and short/near conditional branches. Bytes that do not decode
-under this subset terminate a scan window. One optional REX prefix is
-recognized; other prefixes are treated as undecodable.
+int 0x80, and short/near conditional branches. An offset whose bytes do
+not decode under this subset cannot be part of a gadget. One optional REX
+prefix is recognized; other prefixes are treated as undecodable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 REGS = (
     "rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi",
@@ -26,8 +26,7 @@ SYSCALL = "syscall"
 _CC_NAMES = ("o", "no", "b", "ae", "e", "ne", "be", "a", "s", "ns", "p", "np", "l", "ge", "le", "g")
 
 
-@dataclass(frozen=True)
-class DecodedInstruction:
+class DecodedInstruction(NamedTuple):
     offset: int
     length: int
     mnemonic: str
@@ -45,8 +44,7 @@ class DecodedInstruction:
     is_cond_branch: bool = False
 
 
-@dataclass(frozen=True)
-class _ModRM:
+class _ModRM(NamedTuple):
     reg: int            # extended reg field
     is_mem: bool
     rm_reg: str | None  # register name for register-direct rm

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import shutil
+import struct
 import subprocess
 from pathlib import Path
 
@@ -55,6 +56,18 @@ def test_executable_segment_extraction(tmp_path):
     vaddr, data = segments[0]
     assert vaddr == 0x400000
     assert data.endswith(code)
+
+
+def test_executable_segments_rejects_other_machines(tmp_path):
+    image = bytearray(build_elf(b"\x5f\xc3", needed=["libc.so.6"]))
+    struct.pack_into("<H", image, 18, 183)  # e_machine = EM_AARCH64
+    path = tmp_path / "arm64-prog"
+    path.write_bytes(image)
+    with pytest.raises(ElfParseError, match=re.escape(str(path))):
+        executable_segments(path)
+    # Headers and linked libraries do not depend on the machine.
+    assert len(program_headers(path)) == 3
+    assert needed_libraries(path) == ["libc.so.6"]
 
 
 def test_dynamic_elf_lists_needed_in_order(tmp_path):

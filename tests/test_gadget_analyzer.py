@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debloateval.elf import executable_segments
 from debloateval.gadget_analyzer import (
     CodeRegion,
     EXPRESSIVITY_CLASSES,
@@ -152,6 +154,14 @@ def test_scan_regions_merges():
     assert {g.address for g in found} == {0x1000, 0x2000, 0x2001}
 
 
+def test_scan_result_cannot_be_changed_by_a_caller():
+    # Results are cached per region, so each caller must get an immutable set.
+    region = CodeRegion(0x1000, b"\x5f\x5e\xc3", "t")
+    with pytest.raises(AttributeError):
+        scan_gadgets(region).clear()
+    assert len(scan_gadgets(region)) == 3
+
+
 # --- Oracle equivalence -------------------------------------------------
 
 def test_scan_matches_brute_force_on_fixed_corpus():
@@ -183,6 +193,15 @@ def test_scan_matches_brute_force_on_gadget_dense_buffers():
     )
     region = CodeRegion(0, dense, "t")
     assert scan_gadgets(region) == brute_force_scan(region)
+
+
+@pytest.mark.parametrize("path", ["/usr/bin/gzip", "/bin/ls"])
+def test_scan_matches_brute_force_on_system_binaries(path):
+    if not Path(path).exists():
+        pytest.skip(f"{path} unavailable")
+    for vaddr, data in executable_segments(Path(path)):
+        region = CodeRegion(vaddr, data, path)
+        assert scan_gadgets(region) == brute_force_scan(region)
 
 
 # --- Expressivity -------------------------------------------------------
@@ -338,6 +357,7 @@ def test_all_special_types_are_reachable():
 def test_locality_identical_sets_is_100():
     original = scan_gadgets(CodeRegion(0x1000, b"\x5f\x5e\xc3", "o"))
     variant = scan_gadgets(CodeRegion(0x1000, b"\x5f\x5e\xc3", "v"))
+    assert original == variant  # the label plays no part in the scan
     assert locality(original, variant) == 100.0
 
 
@@ -349,6 +369,7 @@ def test_locality_empty_variant_is_zero():
 def test_locality_counts_address_and_bytes():
     original = scan_gadgets(CodeRegion(0x1000, b"\x5f\x5e\xc3", "o"))  # 3 gadgets
     moved = scan_gadgets(CodeRegion(0x2000, b"\x5f\x5e\xc3", "v"))
+    assert {g.address for g in moved} == {0x2000, 0x2001, 0x2002}  # same bytes, new base
     assert locality(original, moved) == 0.0
     partial = scan_gadgets(CodeRegion(0x1000, b"\x5a\x5e\xc3", "v"))
     # pop rsi; ret and ret survive at the same addresses; pop rdx differs.
