@@ -9,9 +9,11 @@ summary.json, metrics.json, and report.md. Exit codes: 0 all pass,
 from __future__ import annotations
 
 import datetime
+import functools
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
@@ -21,8 +23,11 @@ from .elf import ElfParseError
 from .exec_harness import (
     ExecRequest,
     NotComparableError,
+    SandboxError,
     SpawnError,
     TerminationKind,
+    TrialSummary,
+    perf_delta,
     run_once,
     run_trials,
 )
@@ -31,14 +36,17 @@ from .spec_model import (
     BenchmarkSpec,
     BinaryRef,
     Disposition,
+    NoAnchorError,
     SpecError,
     parse_spec,
+    serialize_spec,
     validate_spec_against_binaries,
     winnow_to_aggressive,
 )
 from .verdict_engine import (
     Budget,
     CampaignAborted,
+    exec_request,
     report_to_jsonl,
     run_campaign,
     summary_to_json,
@@ -47,6 +55,27 @@ from .verdict_engine import (
 EXIT_OK = 0
 EXIT_ANOMALIES = 1
 EXIT_ERROR = 2
+
+# Bad input or an unusable environment: exit 2 with the message, which names
+# the offending path, instead of a traceback.
+_INPUT_ERRORS = (
+    OSError, SpecError, NoAnchorError, ElfParseError, CampaignAborted, SandboxError, SpawnError
+)
+
+
+def _exits(command):
+    """Wrap a click callback that returns an exit code; bad input exits 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            code = command(*args, **kwargs)
+        except _INPUT_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = EXIT_ERROR
+        sys.exit(code)
+
+    return run
 
 
 def _load_spec(spec_path: Path) -> BenchmarkSpec:
@@ -71,19 +100,10 @@ def cmd_differ(
     out_dir: Path,
     aggressive: bool = False,
 ) -> int:
-    try:
-        spec = _load_spec(spec_path)
-    except (OSError, SpecError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ERROR
+    spec = _load_spec(spec_path)
     if aggressive:
         spec = winnow_to_aggressive(spec)
-    plan = MutationPlan(seed=seed, count=0)
-    try:
-        report = run_campaign(spec, plan, budget, jobs=jobs)
-    except CampaignAborted as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ERROR
+    report = run_campaign(spec, MutationPlan(seed=seed), budget, jobs=jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "verdicts.jsonl").write_bytes(report_to_jsonl(report))
@@ -116,30 +136,24 @@ class _VariantMetrics:
 
 
 def _seed_requests(spec: BenchmarkSpec, exe_path: Path, seed: int) -> list[ExecRequest]:
-    requests = []
-    plan = MutationPlan(seed=seed, count=0)
-    for feature in spec.features:
-        if feature.disposition is not Disposition.RETAIN:
-            continue
-        for ci, cmd in enumerate(feature.commands):
-            inp = derive_commands(cmd, plan, feature.name, ci)[0]
-            requests.append(
-                ExecRequest(
-                    exe_path=exe_path,
-                    argv=list(inp.argv),
-                    stdin=inp.stdin,
-                    env=dict(spec.env),
-                    timeout_seconds=spec.timeout_seconds,
-                    capture_files=list(cmd.expected_output_files),
-                )
-            )
-    return requests
+    plan = MutationPlan(seed=seed)
+    return [
+        exec_request(spec, exe_path, derive_commands(cmd, plan, feature.name, ci)[0], cmd)
+        for feature in spec.features
+        if feature.disposition is Disposition.RETAIN
+        for ci, cmd in enumerate(feature.commands)
+    ]
 
 
-def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> tuple[float, float] | None:
-    """(total mean CPU seconds, max mean peak RSS) over retained seed commands."""
+def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> TrialSummary | None:
+    """All trials of the retained seed commands as one summary.
+
+    Its mean CPU is the sum of the per-command means and its mean peak RSS
+    the largest per-command mean; its standard deviations are left at 0.
+    """
     total_cpu = 0.0
     max_rss = 0.0
+    outcomes = []
     requests = _seed_requests(spec, exe_path, seed)
     if not requests:
         return None
@@ -150,15 +164,26 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> tuple[float,
                 return None
             total_cpu += summary.mean_cpu_seconds
             max_rss = max(max_rss, summary.mean_peak_rss_bytes)
+            outcomes += summary.outcomes
     except SpawnError:
         return None
-    return total_cpu, max_rss
+    return TrialSummary(len(outcomes), total_cpu, max_rss, 0.0, 0.0, outcomes)
 
 
 def _gadget_report(ref: BinaryRef, aggregate_libs: bool):
     regions = gadget_analyzer.extract_code_regions(ref, aggregate_libs)
     gadgets = gadget_analyzer.scan_regions(regions)
     return gadget_analyzer.build_report(gadgets), gadgets
+
+
+def _gadget_summary(report: gadget_analyzer.GadgetSetReport, gadgets) -> dict:
+    return {
+        "gadgets": len(gadgets),
+        "expressivity": report.expressivity.count,
+        "mean_quality": report.mean_quality,
+        "special_types": sorted(report.special_types),
+        "syscall_gadgets": report.syscall_gadget_count,
+    }
 
 
 def cmd_metrics(
@@ -168,12 +193,7 @@ def cmd_metrics(
     aggregate_libs: bool = False,
     with_perf: bool = True,
 ) -> int:
-    try:
-        spec = _load_spec(spec_path)
-    except (OSError, SpecError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ERROR
-
+    spec = _load_spec(spec_path)
     original_perf = _perf_totals(spec, spec.original.exe_path, seed) if with_perf else None
     try:
         original_gadget_report, original_gadgets = _gadget_report(spec.original, aggregate_libs)
@@ -195,11 +215,13 @@ def cmd_metrics(
             row.libs_eliminated = sorted(libs.eliminated)
         except ElfParseError:
             pass
-        if original_perf is not None:
-            variant_perf = _perf_totals(spec, variant.exe_path, seed)
-            if variant_perf is not None and original_perf[0] > 0 and original_perf[1] > 0:
-                row.runtime_pct = 100.0 * variant_perf[0] / original_perf[0]
-                row.memory_pct = 100.0 * variant_perf[1] / original_perf[1]
+        variant_perf = _perf_totals(spec, variant.exe_path, seed) if original_perf is not None else None
+        if variant_perf is not None:
+            try:
+                perf = perf_delta(original_perf, variant_perf)
+                row.runtime_pct, row.memory_pct = perf.runtime_pct, perf.memory_pct
+            except NotComparableError:
+                pass
         if original_gadget_report is not None:
             try:
                 variant_report, variant_gadgets = _gadget_report(variant, aggregate_libs)
@@ -220,23 +242,7 @@ def cmd_metrics(
         "toolkit_version": __version__,
         "seed": seed,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "variants": {
-            label: {
-                "size_pct": row.size_pct,
-                "size_aggregate": row.size_aggregate,
-                "libs_introduced": row.libs_introduced,
-                "libs_eliminated": row.libs_eliminated,
-                "runtime_pct": row.runtime_pct,
-                "memory_pct": row.memory_pct,
-                "expressivity_delta": row.expressivity_delta,
-                "quality_delta": row.quality_delta,
-                "quality_significant": row.quality_significant,
-                "sp_types_delta": row.sp_types_delta,
-                "syscall_event": row.syscall_event,
-                "locality_pct": row.locality_pct,
-            }
-            for label, row in rows.items()
-        },
+        "variants": {label: asdict(row) for label, row in rows.items()},
     }
     (out_dir / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     render_report(out_dir)
@@ -259,17 +265,13 @@ def cmd_tool_wrap(
     output_path: Path,
     out_dir: Path,
     max_seconds: float = 48 * 3600.0,
-) -> tuple[int, ToolPerfRecord | None]:
+) -> int:
     """Run an external debloater under resource accounting.
 
     Failures are still timed and recorded; a produced output binary is
     registered as a new variant in an updated copy of the spec.
     """
-    try:
-        spec = _load_spec(spec_path)
-    except (OSError, SpecError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ERROR, None
+    spec = _load_spec(spec_path)
     # The tool runs in an empty sandbox directory, so it must address the
     # target program and its output via absolute paths.
     req = ExecRequest(
@@ -277,12 +279,7 @@ def cmd_tool_wrap(
         argv=tool_cmdline[1:],
         timeout_seconds=max_seconds,
     )
-    try:
-        outcome = run_once(req)
-    except SpawnError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ERROR, None
-
+    outcome = run_once(req)
     exited_ok = (
         outcome.termination.kind is TerminationKind.EXITED and outcome.termination.code == 0
     )
@@ -294,29 +291,18 @@ def cmd_tool_wrap(
         termination=outcome.termination.describe(),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tool_perf.json").write_text(
-        json.dumps(
-            {
-                "cpu_minutes": record.cpu_minutes,
-                "peak_mb": record.peak_mb,
-                "succeeded": record.succeeded,
-                "termination": record.termination,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    (out_dir / "tool_perf.json").write_text(json.dumps(asdict(record), indent=2, sort_keys=True) + "\n")
     if produced:
-        from .spec_model import serialize_spec
-        from dataclasses import replace
-
         label = f"tool-wrap-{output_path.name}"
         updated = replace(
             spec, variants=spec.variants + (BinaryRef(label, output_path),)
         )
         (out_dir / "spec.updated.json").write_bytes(serialize_spec(updated))
-    return EXIT_OK, record
+    click.echo(
+        f"succeeded={record.succeeded} cpu_minutes={record.cpu_minutes:.3f} "
+        f"peak_mb={record.peak_mb:.1f} termination={record.termination}"
+    )
+    return EXIT_OK
 
 
 # --- report rendering --------------------------------------------------
@@ -412,18 +398,15 @@ _out_opt = click.option(
 
 @main.command()
 @_spec_opt
+@_exits
 def validate(spec_path: Path):
     """Parse a spec and check its binaries on disk."""
-    try:
-        spec = _load_spec(spec_path)
-    except (OSError, SpecError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    spec = _load_spec(spec_path)
     warnings = validate_spec_against_binaries(spec)
     for w in warnings:
         click.echo(f"warning: {w}")
     click.echo(f"spec {spec.id!r}: {len(spec.variants)} variant(s), {len(spec.features)} feature(s)")
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command()
@@ -434,13 +417,12 @@ def validate(spec_path: Path):
 @click.option("--max-seconds", type=float, default=None, help="Fuzzing wall-clock budget.")
 @click.option("--max-mutants", type=int, default=None, help="Total fuzzed-input budget.")
 @click.option("--aggressive", is_flag=True, help="Winnow the spec to its aggressive form first.")
+@_exits
 def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive):
     """Run the differential campaign for every variant."""
-    import os
-
     jobs = jobs or os.cpu_count() or 1
     budget = Budget(max_seconds=max_seconds, max_mutants=max_mutants)
-    sys.exit(cmd_differ(spec_path, seed, budget, jobs, out_dir, aggressive))
+    return cmd_differ(spec_path, seed, budget, jobs, out_dir, aggressive)
 
 
 @main.command()
@@ -449,9 +431,10 @@ def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive)
 @_out_opt
 @click.option("--aggregate-libs", is_flag=True, help="Include libraries in gadget comparisons.")
 @click.option("--no-perf", is_flag=True, help="Skip run-time/memory trials.")
+@_exits
 def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
     """Compute size, library, performance, and security metrics."""
-    sys.exit(cmd_metrics(spec_path, seed, out_dir, aggregate_libs, with_perf=not no_perf))
+    return cmd_metrics(spec_path, seed, out_dir, aggregate_libs, with_perf=not no_perf)
 
 
 @main.group()
@@ -463,46 +446,26 @@ def gadgets():
 @click.option("--original", "original_path", type=click.Path(path_type=Path), required=True)
 @click.option("--variant", "variant_path", type=click.Path(path_type=Path), required=True)
 @click.option("--aggregate-libs", is_flag=True)
+@_exits
 def gadgets_compare(original_path: Path, variant_path: Path, aggregate_libs: bool):
     """Compare the gadget sets of two binaries."""
-    try:
-        orig_report, orig_gadgets = _gadget_report(BinaryRef("original", original_path), aggregate_libs)
-        var_report, var_gadgets = _gadget_report(BinaryRef("variant", variant_path), aggregate_libs)
-    except (ElfParseError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    orig_report, orig_gadgets = _gadget_report(BinaryRef("original", original_path), aggregate_libs)
+    var_report, var_gadgets = _gadget_report(BinaryRef("variant", variant_path), aggregate_libs)
     delta = gadget_analyzer.compare_sets(orig_report, var_report)
-    click.echo(
-        json.dumps(
-            {
-                "original": {
-                    "gadgets": len(orig_gadgets),
-                    "expressivity": orig_report.expressivity.count,
-                    "mean_quality": orig_report.mean_quality,
-                    "special_types": sorted(orig_report.special_types),
-                    "syscall_gadgets": orig_report.syscall_gadget_count,
-                },
-                "variant": {
-                    "gadgets": len(var_gadgets),
-                    "expressivity": var_report.expressivity.count,
-                    "mean_quality": var_report.mean_quality,
-                    "special_types": sorted(var_report.special_types),
-                    "syscall_gadgets": var_report.syscall_gadget_count,
-                },
-                "delta": {
-                    "expressivity": delta.expressivity_delta,
-                    "quality": delta.quality_delta,
-                    "quality_significant": delta.quality_significant,
-                    "sp_types": delta.sp_types_delta,
-                    "syscall_event": delta.syscall_event.value,
-                    "locality_pct": gadget_analyzer.locality(orig_gadgets, var_gadgets),
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    sys.exit(EXIT_OK)
+    doc = {
+        "original": _gadget_summary(orig_report, orig_gadgets),
+        "variant": _gadget_summary(var_report, var_gadgets),
+        "delta": {
+            "expressivity": delta.expressivity_delta,
+            "quality": delta.quality_delta,
+            "quality_significant": delta.quality_significant,
+            "sp_types": delta.sp_types_delta,
+            "syscall_event": delta.syscall_event.value,
+            "locality_pct": gadget_analyzer.locality(orig_gadgets, var_gadgets),
+        },
+    }
+    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 @main.command("tool-wrap")
@@ -512,27 +475,21 @@ def gadgets_compare(original_path: Path, variant_path: Path, aggregate_libs: boo
               help="Path where the tool is expected to produce the variant.")
 @click.option("--max-seconds", type=float, default=48 * 3600.0, show_default=True)
 @click.argument("tool_cmdline", nargs=-1, required=True)
+@_exits
 def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     """Run a debloating tool under CPU/memory accounting."""
-    code, record = cmd_tool_wrap(list(tool_cmdline), spec_path, output_path, out_dir, max_seconds)
-    if record is not None:
-        click.echo(
-            f"succeeded={record.succeeded} cpu_minutes={record.cpu_minutes:.3f} "
-            f"peak_mb={record.peak_mb:.1f} termination={record.termination}"
-        )
-    sys.exit(code)
+    return cmd_tool_wrap(list(tool_cmdline), spec_path, output_path, out_dir, max_seconds)
 
 
 @main.command()
 @_out_opt
+@_exits
 def report(out_dir: Path):
     """Re-render report.md from artifacts already in the output directory."""
     if not out_dir.is_dir():
-        click.echo(f"error: {out_dir} is not a directory", err=True)
-        sys.exit(EXIT_ERROR)
-    path = render_report(out_dir)
-    click.echo(str(path))
-    sys.exit(EXIT_OK)
+        raise NotADirectoryError(f"{out_dir} is not a directory")
+    click.echo(str(render_report(out_dir)))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Controlled execution of candidate binaries with behavior and resource capture.
 
-Every run happens inside a fresh private copy of the requested working
-directory (the sandbox), so concurrent or repeated runs never observe each
-other's file artifacts. Resource accounting (CPU time, peak RSS) comes from
+Every run happens inside a fresh, empty private working directory (the
+sandbox), so concurrent or repeated runs never observe each other's file
+artifacts. Resource accounting (CPU time, peak RSS) comes from
 the child's rusage at reap time via ``os.wait4``.
 """
 
@@ -38,7 +38,7 @@ class SpawnError(Exception):
 
 
 class SandboxError(Exception):
-    """The private sandbox copy of the working directory could not be made."""
+    """The private sandbox directory could not be made."""
 
 
 class NotComparableError(Exception):
@@ -90,7 +90,6 @@ class ExecRequest:
     argv: list[str]
     stdin: bytes = b""
     env: dict[str, str] = field(default_factory=dict)
-    workdir: Path | None = None
     timeout_seconds: float = 30.0
     capture_files: list[str] = field(default_factory=list)
 
@@ -190,8 +189,6 @@ def run_once(req: ExecRequest) -> ExecOutcome:
     sandbox = root / f"dv-sandbox-{uuid.uuid4().hex}"
     try:
         sandbox.mkdir(parents=True)
-        if req.workdir is not None:
-            shutil.copytree(req.workdir, sandbox, dirs_exist_ok=True)
     except OSError as exc:
         raise SandboxError(f"cannot prepare sandbox under {root}: {exc}") from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .spec_model import TestCommand
@@ -221,7 +222,7 @@ def check_bounds(template: Template, values: list[bytes]) -> None:
                 raise BoundsError(f"hole {idx}: non-printable byte in ascii hole")
 
 
-def render(template: Template, values: list[bytes]) -> bytes:
+def render(template: Template, values: Iterable[bytes]) -> bytes:
     out = []
     it = iter(values)
     for token in template.tokens:
@@ -357,41 +358,23 @@ def derive_commands(
     Holes may appear in any argv element and in stdin; each mutant mutates
     the command as a whole so cross-argument holes share one RNG stream.
     """
-    argv_templates = [parse_template(a) for a in cmd.argv_template]
-    stdin_template = parse_template(cmd.stdin) if cmd.stdin is not None else None
+    argv_count = len(cmd.argv_template)
+    templates = [parse_template(a) for a in cmd.argv_template]
+    if cmd.stdin is not None:
+        templates.append(parse_template(cmd.stdin))
+    # Every hole of the command in one flat list: argv holes, then stdin's.
+    holes = tuple(h for t in templates for h in t.holes)
+    seed_values = [v for t in templates for v in default_seed_values(t)]
 
-    templates = list(argv_templates)
-    if stdin_template is not None:
-        templates.append(stdin_template)
-    seed_values = [default_seed_values(t) for t in templates]
-
-    def materialize(values: list[list[bytes]], fuzzed: bool, index: int) -> DerivedInput:
-        argv = tuple(
-            render(t, v).decode("utf-8", "surrogateescape")
-            for t, v in zip(argv_templates, values[: len(argv_templates)])
-        )
-        stdin = render(stdin_template, values[-1]) if stdin_template is not None else b""
-        return DerivedInput(argv, stdin, fuzzed, index)
-
-    inputs = [materialize(seed_values, False, 0)]
-    if cmd.fuzz_count == 0:
-        return inputs
+    def materialize(values: list[bytes], index: int) -> DerivedInput:
+        it = iter(values)  # each render takes one value per hole of its template
+        rendered = [render(t, it) for t in templates]
+        argv = tuple(r.decode("utf-8", "surrogateescape") for r in rendered[:argv_count])
+        stdin = rendered[-1] if cmd.stdin is not None else b""
+        return DerivedInput(argv, stdin, index > 0, index)
 
     rng = SplitMix64(stream_seed(plan.seed, feature_name, command_index))
-    # Flat view of every hole in the command, tagged with its template.
-    flat: list[tuple[int, int]] = [
-        (ti, hi) for ti, t in enumerate(templates) for hi in range(len(t.holes))
+    return [materialize(seed_values, 0)] + [
+        materialize(_mutate_values(rng, holes, seed_values, plan.operators), index)
+        for index in range(1, cmd.fuzz_count + 1)
     ]
-    mutable = [
-        (ti, hi) for ti, hi in flat if _mutable_ops(templates[ti].holes[hi], plan.operators)
-    ]
-    for mutant_index in range(1, cmd.fuzz_count + 1):
-        values = [list(v) for v in seed_values]
-        if mutable:
-            for _ in range(1 + rng.below(_MAX_OPS_PER_MUTANT)):
-                ti, hi = rng.choice(mutable)
-                hole = templates[ti].holes[hi]
-                op = rng.choice(_mutable_ops(hole, plan.operators))
-                values[ti][hi] = _mutate_value(rng, hole, values[ti][hi], op)
-        inputs.append(materialize(values, True, mutant_index))
-    return inputs

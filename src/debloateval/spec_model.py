@@ -45,10 +45,6 @@ class NoAnchorError(Exception):
     pass
 
 
-class MultiAnchorError(Exception):
-    pass
-
-
 class Disposition(enum.Enum):
     RETAIN = "retain"
     DEBLOAT = "debloat"
@@ -109,24 +105,27 @@ class BenchmarkSpec:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("spec id must be non-empty")
-        if not self.variants:
-            raise ValueError("spec needs at least one variant")
-        if not self.features:
-            raise ValueError("spec needs at least one feature")
-        names = [f.name for f in self.features]
-        if len(names) != len(set(names)):
-            raise ValueError("feature names must be unique")
+        """Check the cross-field invariants; errors name the offending path."""
         if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be > 0")
+            raise SchemaError("timeout_seconds", "must be > 0")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        anchors = [f for f in self.features if f.aggressive_anchor]
+            raise SchemaError("trials", "must be >= 1")
+        names_seen: set[str] = set()
+        for i, f in enumerate(self.features):
+            if f.name in names_seen:
+                raise InvariantError(f"features[{i}].name", f"duplicate feature name {f.name!r}")
+            names_seen.add(f.name)
+        anchors = [i for i, f in enumerate(self.features) if f.aggressive_anchor]
         if len(anchors) > 1:
-            raise ValueError("at most one feature may be the aggressive anchor")
-        if anchors and anchors[0].disposition is not Disposition.RETAIN:
-            raise ValueError("the aggressive anchor must be a retained feature")
+            raise InvariantError(f"features[{anchors[1]}].anchor", "multiple aggressive anchors")
+        if anchors and self.features[anchors[0]].disposition is not Disposition.RETAIN:
+            raise InvariantError(f"features[{anchors[0]}].anchor", "anchor feature must be retained")
+        if not self.id:
+            raise InvariantError("id", "spec id must be non-empty")
+        if not self.variants:
+            raise InvariantError("variants", "spec needs at least one variant")
+        if not self.features:
+            raise InvariantError("features", "spec needs at least one feature")
 
     def pipeline_for(self, feature: Feature) -> ComparatorPipeline:
         return feature.comparator_override or self.default_comparators
@@ -290,36 +289,17 @@ def parse_spec(document: bytes) -> BenchmarkSpec:
         if not isinstance(key, str) or not isinstance(value, str):
             raise SchemaError(f"env.{key}", "env entries must map string to string")
     timeout = _get(obj, "timeout_seconds", "", (int, float), default=DEFAULT_TIMEOUT_SECONDS)
-    if timeout <= 0:
-        raise SchemaError("timeout_seconds", "must be > 0")
     trials = _get(obj, "trials", "", int, default=DEFAULT_TRIALS)
-    if trials < 1:
-        raise SchemaError("trials", "must be >= 1")
-
-    names_seen: set[str] = set()
-    for i, f in enumerate(features):
-        if f.name in names_seen:
-            raise InvariantError(f"features[{i}].name", f"duplicate feature name {f.name!r}")
-        names_seen.add(f.name)
-    anchors = [i for i, f in enumerate(features) if f.aggressive_anchor]
-    if len(anchors) > 1:
-        raise InvariantError(f"features[{anchors[1]}].anchor", "multiple aggressive anchors")
-    if anchors and features[anchors[0]].disposition is not Disposition.RETAIN:
-        raise InvariantError(f"features[{anchors[0]}].anchor", "anchor feature must be retained")
-
-    try:
-        return BenchmarkSpec(
-            id=spec_id,
-            original=original,
-            variants=variants,
-            features=features,
-            default_comparators=pipeline,
-            env=dict(env),
-            timeout_seconds=float(timeout),
-            trials=trials,
-        )
-    except ValueError as exc:
-        raise InvariantError("", str(exc)) from exc
+    return BenchmarkSpec(
+        id=spec_id,
+        original=original,
+        variants=variants,
+        features=features,
+        default_comparators=pipeline,
+        env=dict(env),
+        timeout_seconds=float(timeout),
+        trials=trials,
+    )
 
 
 # --- JSON serialization ------------------------------------------------
@@ -390,11 +370,8 @@ def winnow_to_aggressive(spec: BenchmarkSpec) -> BenchmarkSpec:
     re-marked for debloating so its commands become expected-difference
     probes. Idempotent.
     """
-    anchors = [f for f in spec.features if f.aggressive_anchor]
-    if not anchors:
+    if not any(f.aggressive_anchor for f in spec.features):
         raise NoAnchorError(f"spec {spec.id!r} has no aggressive anchor feature")
-    if len(anchors) > 1:
-        raise MultiAnchorError(f"spec {spec.id!r} has several anchor features")
     new_features = []
     for f in spec.features:
         if f.aggressive_anchor:

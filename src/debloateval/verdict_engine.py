@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import enum
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from .comparator import CompareReport, compare
 from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once
 from .fuzz_engine import DerivedInput, MutationPlan, derive_commands
-from .spec_model import BenchmarkSpec, Disposition, Feature
+from .spec_model import BenchmarkSpec, Disposition, Feature, TestCommand
 
 
 class CampaignAborted(Exception):
@@ -104,25 +103,28 @@ def classify(
     return Verdict.UNEXPECTED_MATCH if report.all_matched else Verdict.EXPECTED_DIFFERENCE
 
 
-class _BudgetState:
-    """Shared fuzzing budget; seed inputs are never charged against it."""
+# A campaign task: (variant index, feature index, command index).
+TaskKey = tuple[int, int, int]
 
-    def __init__(self, budget: Budget):
-        self._lock = threading.Lock()
-        self._remaining = budget.max_mutants
-        self._deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
-        )
 
-    def allow_fuzzed(self) -> bool:
-        with self._lock:
-            if self._deadline is not None and time.monotonic() >= self._deadline:
-                return False
-            if self._remaining is not None:
-                if self._remaining <= 0:
-                    return False
-                self._remaining -= 1
-            return True
+def _deal_mutants(wants: dict[TaskKey, int], max_mutants: int | None) -> dict[TaskKey, int]:
+    """Per-task mutant caps: max_mutants dealt one at a time, round-robin.
+
+    wants maps each task to its fuzz_count, in canonical order. Every round
+    gives one mutant to each task that still wants one, so the caps depend
+    only on the spec and the budget, never on which worker asks first.
+    """
+    if max_mutants is None:
+        return dict(wants)
+    caps = dict.fromkeys(wants, 0)
+    left = max_mutants
+    hungry = [key for key, want in wants.items() if want > 0]
+    while left > 0 and hungry:
+        for key in hungry[:left]:
+            caps[key] += 1
+        left -= min(left, len(hungry))
+        hungry = [key for key in hungry if caps[key] < wants[key]]
+    return caps
 
 
 def _synthetic_exit(message: str, code: int = 127) -> ExecOutcome:
@@ -149,50 +151,46 @@ def run_campaign(
     Tasks fan out per (variant, feature, command) to a bounded thread pool;
     verdicts are collected and sorted on a single thread so reports are
     deterministic for deterministic programs and a fixed plan seed.
+    budget.max_mutants is dealt to the tasks before any of them starts, so
+    it keeps that determinism; budget.max_seconds is a best-effort deadline.
     """
     # Preflight: the original must run at least one seed input.
     first_feature = spec.features[0]
     first_cmd = first_feature.commands[0]
     seed_input = derive_commands(first_cmd, plan, first_feature.name, 0)[0]
     try:
-        run_once(_request(spec, spec.original.exe_path, seed_input, first_cmd))
+        run_once(exec_request(spec, spec.original.exe_path, seed_input, first_cmd))
     except SpawnError as exc:
         raise CampaignAborted(f"original binary cannot run seed input: {exc}") from exc
 
-    state = _BudgetState(budget)
-    tasks = []
-    for vi, variant in enumerate(spec.variants):
-        for fi, feature in enumerate(spec.features):
-            for ci, cmd in enumerate(feature.commands):
-                tasks.append((vi, fi, ci, variant, feature, cmd))
-
-    results: dict[tuple[int, int, int], list[TestVerdict]] = {}
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = {
-            pool.submit(_run_task, spec, variant, feature, cmd, ci, plan, state): (vi, fi, ci)
-            for vi, fi, ci, variant, feature, cmd in tasks
-        }
-        for future, key in futures.items():
-            results[key] = future.result()
+    tasks: dict[TaskKey, tuple] = {
+        (vi, fi, ci): (variant, feature, cmd)
+        for vi, variant in enumerate(spec.variants)
+        for fi, feature in enumerate(spec.features)
+        for ci, cmd in enumerate(feature.commands)
+    }
+    caps = _deal_mutants({key: task[2].fuzz_count for key, task in tasks.items()}, budget.max_mutants)
+    deadline = time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
 
     per_variant: dict[str, list[TestVerdict]] = {v.label: [] for v in spec.variants}
-    for vi, variant in enumerate(spec.variants):
-        for fi in range(len(spec.features)):
-            for ci in range(len(spec.features[fi].commands)):
-                per_variant[variant.label].extend(results.get((vi, fi, ci), []))
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        futures = {
+            key: pool.submit(_run_task, spec, variant, feature, cmd, key[2], plan, caps[key], deadline)
+            for key, (variant, feature, cmd) in tasks.items()
+        }
+        for key, future in futures.items():
+            per_variant[tasks[key][0].label].extend(future.result())
 
     return CampaignReport(spec.id, per_variant, _summarize(spec, per_variant))
 
 
-def _request(
-    spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd
-) -> ExecRequest:
+def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestCommand) -> ExecRequest:
+    """The request that runs one derived input of cmd against exe_path."""
     return ExecRequest(
         exe_path=exe_path,
         argv=list(inp.argv),
         stdin=inp.stdin,
         env=dict(spec.env),
-        workdir=None,
         timeout_seconds=spec.timeout_seconds,
         capture_files=list(cmd.expected_output_files),
     )
@@ -205,15 +203,16 @@ def _run_task(
     cmd,
     command_index: int,
     plan: MutationPlan,
-    state: _BudgetState,
+    max_mutants: int,
+    deadline: float | None,
 ) -> list[TestVerdict]:
     pipeline = spec.pipeline_for(feature)
     verdicts = []
-    for inp in derive_commands(cmd, plan, feature.name, command_index):
-        if inp.is_fuzzed and not state.allow_fuzzed():
+    for inp in derive_commands(cmd, plan, feature.name, command_index)[: 1 + max_mutants]:
+        if inp.is_fuzzed and deadline is not None and time.monotonic() >= deadline:
             break
         try:
-            original_out = run_once(_request(spec, spec.original.exe_path, inp, cmd))
+            original_out = run_once(exec_request(spec, spec.original.exe_path, inp, cmd))
         except SpawnError:
             # Baseline failed to launch for this input: inconclusive.
             verdicts.append(
@@ -230,7 +229,7 @@ def _run_task(
             )
             continue
         try:
-            variant_out = run_once(_request(spec, variant.exe_path, inp, cmd))
+            variant_out = run_once(exec_request(spec, variant.exe_path, inp, cmd))
         except SpawnError as exc:
             variant_out = _synthetic_exit(f"variant failed to launch: {exc}")
         report = compare(original_out, variant_out, pipeline)

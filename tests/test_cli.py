@@ -100,6 +100,31 @@ def test_differ_seed_is_recorded_and_output_stable(runner, tmp_path, toy_pair):
     assert json.loads((out1 / "summary.json").read_text())["seed"] == 7
 
 
+def test_differ_aggressive_without_anchor_is_exit_2(runner, tmp_path, toy_pair):
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    del doc["features"][0]["anchor"]
+    spec = write_spec(tmp_path, doc)
+    result = invoke(runner, "differ", "--spec", spec, "--out", tmp_path / "out", "--aggressive")
+    assert result.exit_code == EXIT_ERROR
+    assert "no aggressive anchor" in result.output
+
+
+def test_unusable_scratch_is_exit_2(runner, tmp_path, toy_pair, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory")
+    monkeypatch.setenv("DV_SCRATCH", str(blocker / "x"))
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    out = tmp_path / "out"
+    for args in (
+        ["differ", "--spec", spec, "--out", out],
+        ["metrics", "--spec", spec, "--out", out],
+        ["tool-wrap", "--spec", spec, "--out", out, "--output", tmp_path / "never", toy_pair["original"]],
+    ):
+        result = invoke(runner, *args)
+        assert result.exit_code == EXIT_ERROR, args[0]
+        assert f"cannot prepare sandbox under {blocker / 'x'}" in result.output
+
+
 # --- metrics -------------------------------------------------------------
 
 def elf_spec(tmp_path):

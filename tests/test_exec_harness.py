@@ -65,16 +65,11 @@ def test_spawn_error_for_missing_binary(tmp_path):
         run_once(req(tmp_path / "nope"))
 
 
-def test_workdir_is_copied_not_shared(tmp_path):
-    workdir = tmp_path / "work"
-    workdir.mkdir()
-    (workdir / "seed.txt").write_text("seed")
-    exe = make_script(tmp_path, "mutate", 'cat seed.txt; echo changed > seed.txt\n')
-    outcome1 = run_once(req(exe, workdir=workdir, capture_files=["seed.txt"]))
-    outcome2 = run_once(req(exe, workdir=workdir, capture_files=["seed.txt"]))
-    # Each run saw the pristine seed file; the source dir is untouched.
-    assert outcome1.stdout == outcome2.stdout == b"seed"
-    assert (workdir / "seed.txt").read_text() == "seed"
+def test_each_run_starts_in_a_fresh_empty_sandbox(tmp_path):
+    exe = make_script(tmp_path, "litter", "ls -A; echo x > left-behind.txt\n")
+    first = run_once(req(exe))
+    second = run_once(req(exe))
+    assert first.stdout == second.stdout == b""
 
 
 def test_capture_files_report_existence_and_digest(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ from debloateval.spec_model import (
     BinaryRef,
     Disposition,
     InvariantError,
-    MultiAnchorError,
     NoAnchorError,
     SchemaError,
     SpecSyntaxError,
@@ -103,6 +103,26 @@ def test_anchor_must_be_retained():
         parse_spec(doc(features=features))
 
 
+def test_constructed_specs_keep_the_parse_invariants():
+    spec = winnowable_spec()
+    a, b, c = spec.features
+    cases = [
+        ({"timeout_seconds": 0.0}, SchemaError, "timeout_seconds"),
+        ({"trials": 0}, SchemaError, "trials"),
+        ({"features": (a, replace(b, name="a"), c)}, InvariantError, "features[1].name"),
+        ({"features": (a, replace(b, aggressive_anchor=True), c)}, InvariantError, "features[1].anchor"),
+    ]
+    for change, error, path in cases:
+        with pytest.raises(error) as exc:
+            replace(spec, **change)
+        assert exc.value.path == path
+    second_anchor = json.loads(serialize_spec(spec))
+    second_anchor["features"][1]["anchor"] = True
+    with pytest.raises(InvariantError) as exc:
+        parse_spec(json.dumps(second_anchor).encode())
+    assert exc.value.path == "features[1].anchor"
+
+
 def test_comparator_override_parses():
     features = [
         {
@@ -188,20 +208,6 @@ def test_winnow_single_anchored_feature_is_fixed_point():
     ]
     spec = parse_spec(doc(features=features))
     assert winnow_to_aggressive(spec) == spec
-
-
-def test_multi_anchor_detected_at_winnow_time():
-    spec = winnowable_spec()
-    anchored = tuple(
-        f if f.name != "b" else type(f)(f.name, f.disposition, f.commands, None, True)
-        for f in spec.features
-    )
-    broken = object.__new__(BenchmarkSpec)
-    for name, value in vars(spec).items():
-        object.__setattr__(broken, name, value)
-    object.__setattr__(broken, "features", anchored)
-    with pytest.raises(MultiAnchorError):
-        winnow_to_aggressive(broken)
 
 
 def test_validate_reports_missing_and_aliased(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -151,6 +152,37 @@ def test_mutant_budget_caps_fuzzing(tmp_path, toy_pair):
     verdicts = report.per_variant["no_b"]
     assert sum(v.is_fuzzed for v in verdicts) == 3
     assert sum(not v.is_fuzzed for v in verdicts) == 2  # seeds are never charged
+
+
+def test_mutant_budget_is_shared_fairly_across_variants(tmp_path):
+    cat = "/bin/cat"
+    if not os.access(cat, os.X_OK):
+        pytest.skip("needs /bin/cat")
+    command = {"argv": ["-"], "stdin": "{{bytes:0..16}}", "fuzz_count": 3}
+    doc = {
+        "id": "cat-fair",
+        "original": {"label": "original", "exe": cat},
+        "variants": [{"label": "v1", "exe": cat}, {"label": "v2", "exe": cat}],
+        "features": [
+            {"name": "plain", "disposition": "retain", "commands": [command]},
+            {"name": "again", "disposition": "retain", "commands": [command]},
+        ],
+        "timeout_seconds": 10,
+    }
+    spec = parse_spec(write_spec(tmp_path, doc).read_bytes())
+    report = run_campaign(spec, MutationPlan(seed=0), Budget(max_mutants=4), jobs=1)
+    for label in ("v1", "v2"):
+        assert sum(v.is_fuzzed for v in report.per_variant[label]) == 2
+
+
+def test_budgeted_parallel_campaign_matches_serial(tmp_path, toy_pair):
+    variants = ["no_b", "same", "crash_a"]
+    budget = Budget(max_mutants=7)
+    serial = report_to_jsonl(run_toy(tmp_path, toy_pair, variants, fuzz_count=3, budget=budget, jobs=1))
+    assert sum(json.loads(line)["is_fuzzed"] for line in serial.splitlines()) == 7
+    for _ in range(5):
+        parallel = run_toy(tmp_path, toy_pair, variants, fuzz_count=3, budget=budget, jobs=4)
+        assert report_to_jsonl(parallel) == serial
 
 
 def test_exhausted_time_budget_still_runs_seeds(tmp_path, toy_pair):
