@@ -56,10 +56,16 @@ EXIT_OK = 0
 EXIT_ANOMALIES = 1
 EXIT_ERROR = 2
 
+
+class ArtifactError(Exception):
+    """A JSON artifact in the output directory cannot be read back."""
+
+
 # Bad input or an unusable environment: exit 2 with the message, which names
 # the offending path, instead of a traceback.
 _INPUT_ERRORS = (
-    OSError, SpecError, NoAnchorError, ElfParseError, CampaignAborted, SandboxError, SpawnError
+    OSError, SpecError, NoAnchorError, ElfParseError, CampaignAborted, SandboxError, SpawnError,
+    ArtifactError,
 )
 
 
@@ -308,75 +314,85 @@ def cmd_tool_wrap(
 # --- report rendering --------------------------------------------------
 
 def render_report(out_dir: Path) -> Path:
-    """Assemble report.md from whichever JSON artifacts exist in out_dir."""
+    """Assemble report.md from whichever JSON artifacts exist in out_dir.
+
+    Raises ArtifactError, naming the file, if one of them is unreadable.
+    """
     sections = ["# Variant evaluation report", ""]
-
-    metrics_path = out_dir / "metrics.json"
-    if metrics_path.is_file():
-        doc = json.loads(metrics_path.read_text())
-        sections += [
-            f"Spec: `{doc['spec_id']}` — toolkit {doc['toolkit_version']}, seed {doc['seed']}",
-            "",
-            "## Performance metrics",
-            "",
-            "| Variant | Binary Size | Run Time | Peak Memory | Libs Introduced | Libs Eliminated |",
-            "|---|---|---|---|---|---|",
-        ]
-        for label in sorted(doc["variants"]):
-            row = doc["variants"][label]
-            intro = "N/A" if row["libs_introduced"] is None else ", ".join(row["libs_introduced"]) or "-"
-            elim = "N/A" if row["libs_eliminated"] is None else ", ".join(row["libs_eliminated"]) or "-"
-            sections.append(
-                f"| {label} | {_fmt_pct(row['size_pct'])} | {_fmt_pct(row['runtime_pct'])} "
-                f"| {_fmt_pct(row['memory_pct'])} | {intro} | {elim} |"
-            )
-        sections += [
-            "",
-            "## Security metrics",
-            "",
-            "| Variant | Expressivity Δ | Quality Δ | S.P. Types Δ | Syscall Gadgets | Locality |",
-            "|---|---|---|---|---|---|",
-        ]
-        for label in sorted(doc["variants"]):
-            row = doc["variants"][label]
-            quality = _fmt_num(row["quality_delta"])
-            if row["quality_delta"] is not None and not row["quality_significant"]:
-                quality += " (not significant)"
-            expr = "N/A" if row["expressivity_delta"] is None else str(row["expressivity_delta"])
-            sp = "N/A" if row["sp_types_delta"] is None else str(row["sp_types_delta"])
-            event = row["syscall_event"] or "N/A"
-            sections.append(
-                f"| {label} | {expr} | {quality} | {sp} | {event} | {_fmt_pct(row['locality_pct'])} |"
-            )
-        sections.append("")
-
-    summary_path = out_dir / "summary.json"
-    if summary_path.is_file():
-        doc = json.loads(summary_path.read_text())
-        sections += [
-            "## Differential testing",
-            "",
-            "| Variant | Result | Verdicts |",
-            "|---|---|---|",
-        ]
-        for label in sorted(doc["variants"]):
-            entry = doc["variants"][label]
-            result = "pass" if entry["passed"] else "FAIL"
-            counts = ", ".join(f"{k}={v}" for k, v in entry["verdict_counts"].items()) or "-"
-            sections.append(f"| {label} | {result} | {counts} |")
-        ec = doc["variants_with_error_or_crash"]
-        un = doc["variants_with_unremoved_feature"]
-        sections += [
-            "",
-            f"Variants with errors or crashes: {ec['count']} ({100.0 * ec['fraction']:.1f}%). "
-            f"Variants with unremoved features: {un['count']} ({100.0 * un['fraction']:.1f}%). "
-            f"Passed: {doc['passed']}.",
-            "",
-        ]
+    for name, section in (("metrics.json", _metrics_section), ("summary.json", _summary_section)):
+        path = out_dir / name
+        if path.is_file():
+            try:
+                sections += section(json.loads(path.read_text()))
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
+                raise ArtifactError(f"{path}: not a usable {name}: {exc!r}") from exc
 
     path = out_dir / "report.md"
     path.write_text("\n".join(sections))
     return path
+
+
+def _metrics_section(doc: dict) -> list[str]:
+    sections = [
+        f"Spec: `{doc['spec_id']}` — toolkit {doc['toolkit_version']}, seed {doc['seed']}",
+        "",
+        "## Performance metrics",
+        "",
+        "| Variant | Binary Size | Run Time | Peak Memory | Libs Introduced | Libs Eliminated |",
+        "|---|---|---|---|---|---|",
+    ]
+    for label in sorted(doc["variants"]):
+        row = doc["variants"][label]
+        intro = "N/A" if row["libs_introduced"] is None else ", ".join(row["libs_introduced"]) or "-"
+        elim = "N/A" if row["libs_eliminated"] is None else ", ".join(row["libs_eliminated"]) or "-"
+        sections.append(
+            f"| {label} | {_fmt_pct(row['size_pct'])} | {_fmt_pct(row['runtime_pct'])} "
+            f"| {_fmt_pct(row['memory_pct'])} | {intro} | {elim} |"
+        )
+    sections += [
+        "",
+        "## Security metrics",
+        "",
+        "| Variant | Expressivity Δ | Quality Δ | S.P. Types Δ | Syscall Gadgets | Locality |",
+        "|---|---|---|---|---|---|",
+    ]
+    for label in sorted(doc["variants"]):
+        row = doc["variants"][label]
+        quality = _fmt_num(row["quality_delta"])
+        if row["quality_delta"] is not None and not row["quality_significant"]:
+            quality += " (not significant)"
+        expr = "N/A" if row["expressivity_delta"] is None else str(row["expressivity_delta"])
+        sp = "N/A" if row["sp_types_delta"] is None else str(row["sp_types_delta"])
+        event = row["syscall_event"] or "N/A"
+        sections.append(
+            f"| {label} | {expr} | {quality} | {sp} | {event} | {_fmt_pct(row['locality_pct'])} |"
+        )
+    sections.append("")
+    return sections
+
+
+def _summary_section(doc: dict) -> list[str]:
+    sections = [
+        "## Differential testing",
+        "",
+        "| Variant | Result | Verdicts |",
+        "|---|---|---|",
+    ]
+    for label in sorted(doc["variants"]):
+        entry = doc["variants"][label]
+        result = "pass" if entry["passed"] else "FAIL"
+        counts = ", ".join(f"{k}={v}" for k, v in entry["verdict_counts"].items()) or "-"
+        sections.append(f"| {label} | {result} | {counts} |")
+    ec = doc["variants_with_error_or_crash"]
+    un = doc["variants_with_unremoved_feature"]
+    sections += [
+        "",
+        f"Variants with errors or crashes: {ec['count']} ({100.0 * ec['fraction']:.1f}%). "
+        f"Variants with unremoved features: {un['count']} ({100.0 * un['fraction']:.1f}%). "
+        f"Passed: {doc['passed']}.",
+        "",
+    ]
+    return sections
 
 
 # --- click wiring ------------------------------------------------------

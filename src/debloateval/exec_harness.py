@@ -4,6 +4,14 @@ Every run happens inside a fresh, empty private working directory (the
 sandbox), so concurrent or repeated runs never observe each other's file
 artifacts. Resource accounting (CPU time, peak RSS) comes from
 the child's rusage at reap time via ``os.wait4``.
+
+One selector loop per run writes stdin, reads stdout and stderr, and waits
+on a pidfd for the child's exit. ``timeout_seconds`` is a hard bound on a
+run's wall time: at the deadline the child's process group is killed and
+the pipes are closed, even when a descendant outside the group still holds
+one. A child that exits while descendants hold its pipes open gets
+EXIT_GRACE_SECONDS for them to close; then its group is killed and the
+pipes are closed too. ``wall_seconds`` is taken when the child is reaped.
 """
 
 from __future__ import annotations
@@ -11,14 +19,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import os
+import selectors
 import shutil
 import signal
 import statistics
 import subprocess
 import tempfile
-import threading
 import time
 import uuid
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +38,8 @@ SCRATCH_ENV_VAR = "DV_SCRATCH"
 CAPTURE_CAP_BYTES = 64 * 1024 * 1024
 _READ_CHUNK = 65536
 
-# Reap poll interval; bounds timeout overshoot without burning CPU.
-_POLL_SECONDS = 0.005
+# How long descendants may hold the pipes of a child that has exited.
+EXIT_GRACE_SECONDS = 0.05
 
 
 class SpawnError(Exception):
@@ -132,39 +141,21 @@ def scratch_root() -> Path:
     return Path(os.environ.get(SCRATCH_ENV_VAR) or tempfile.gettempdir())
 
 
-def _drain(stream, sink: list, state: dict) -> None:
-    """Read a pipe to EOF, keeping at most CAPTURE_CAP_BYTES.
+@dataclass
+class _Capture:
+    """One output stream: its first CAPTURE_CAP_BYTES and, once it grows past
+    them, a running sha256 of the whole stream."""
 
-    Beyond the cap, bytes are discarded but folded into a running digest.
-    """
-    kept = 0
-    digest = hashlib.sha256()
-    truncated = False
-    while True:
-        chunk = stream.read(_READ_CHUNK)
-        if not chunk:
-            break
-        digest.update(chunk)
-        if kept < CAPTURE_CAP_BYTES:
-            take = chunk[: CAPTURE_CAP_BYTES - kept]
-            sink.append(take)
-            kept += len(take)
-            if len(take) < len(chunk):
-                truncated = True
-        else:
-            truncated = True
-    state["truncated"] = truncated
-    state["sha256"] = digest.digest()
-    stream.close()
+    data: bytearray = field(default_factory=bytearray)
+    overflow: "hashlib._Hash | None" = None
 
-
-def _feed_stdin(stream, data: bytes) -> None:
-    try:
-        if data:
-            stream.write(data)
-        stream.close()
-    except (BrokenPipeError, OSError):
-        pass
+    def feed(self, chunk: bytes) -> None:
+        room = CAPTURE_CAP_BYTES - len(self.data)
+        if self.overflow is None and len(chunk) > room:
+            self.overflow = hashlib.sha256(self.data)
+        if self.overflow is not None:
+            self.overflow.update(chunk)
+        self.data += chunk[:room]
 
 
 def _digest_files(sandbox: Path, rel_paths: list[str]) -> dict[str, tuple[bool, bytes]]:
@@ -199,11 +190,10 @@ def run_once(req: ExecRequest) -> ExecOutcome:
 
 
 def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
-    argv = [str(req.exe_path)] + list(req.argv)
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
-            argv,
+            [str(req.exe_path), *req.argv],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -214,58 +204,82 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
     except (OSError, ValueError) as exc:
         raise SpawnError(f"cannot exec {req.exe_path}: {exc}") from exc
 
-    out_chunks: list[bytes] = []
-    err_chunks: list[bytes] = []
-    out_state: dict = {}
-    err_state: dict = {}
-    threads = [
-        threading.Thread(target=_feed_stdin, args=(proc.stdin, req.stdin)),
-        threading.Thread(target=_drain, args=(proc.stdout, out_chunks, out_state)),
-        threading.Thread(target=_drain, args=(proc.stderr, err_chunks, err_state)),
-    ]
-    for t in threads:
-        t.start()
+    captures = {proc.stdout.fileno(): _Capture(), proc.stderr.fileno(): _Capture()}
+    pending = memoryview(req.stdin)
+    close_at = start + req.timeout_seconds
+    status = None
+    pidfd = os.pidfd_open(proc.pid)
+    try:
+        with selectors.DefaultSelector() as sel:
 
-    deadline = start + req.timeout_seconds
-    timed_out = False
-    while True:
-        pid, status, rusage = os.wait4(proc.pid, os.WNOHANG)
-        if pid != 0:
-            break
-        if time.monotonic() >= deadline:
-            timed_out = True
-            try:
+            def drop(pipe) -> None:
+                sel.unregister(pipe)
+                pipe.close()
+
+            sel.register(pidfd, selectors.EVENT_READ)
+            for pipe in (proc.stdout, proc.stderr):
+                os.set_blocking(pipe.fileno(), False)
+                sel.register(pipe, selectors.EVENT_READ)
+            if pending:
+                os.set_blocking(proc.stdin.fileno(), False)
+                sel.register(proc.stdin, selectors.EVENT_WRITE)
+            else:
+                proc.stdin.close()
+            # Once the child is reaped only its open output pipes stay registered.
+            while sel.get_map() and (wait := close_at - time.monotonic()) > 0:
+                for key, _ in sel.select(wait):
+                    if key.fd == pidfd:
+                        _, status, rusage = os.wait4(proc.pid, 0)
+                        wall = time.monotonic() - start
+                        close_at = min(close_at, start + wall + EXIT_GRACE_SECONDS)
+                        sel.unregister(pidfd)
+                        if not proc.stdin.closed:
+                            drop(proc.stdin)
+                    elif key.fileobj is proc.stdin:
+                        try:
+                            sent = os.write(key.fd, pending[:_READ_CHUNK])
+                        except BrokenPipeError:  # the child closed its stdin
+                            sent = len(pending)
+                        pending = pending[sent:]
+                        if not pending:
+                            drop(proc.stdin)
+                    elif chunk := os.read(key.fd, _READ_CHUNK):
+                        captures[key.fd].feed(chunk)
+                    else:
+                        drop(key.fileobj)
+    finally:
+        # The deadline or the exit grace ran out (or the loop failed).
+        timed_out = status is None
+        if timed_out or not (proc.stdout.closed and proc.stderr.closed):
+            with suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            pid, status, rusage = os.wait4(proc.pid, 0)
-            break
-        time.sleep(_POLL_SECONDS)
-    # Reaped via wait4; stop Popen from waiting again on destruction.
-    proc.returncode = 0
-
-    wall = time.monotonic() - start
-    for t in threads:
-        t.join()
+        if timed_out:
+            _, status, rusage = os.wait4(proc.pid, 0)
+            wall = max(time.monotonic() - start, req.timeout_seconds)
+        # Reaped via wait4; stop Popen from waiting again on destruction.
+        proc.returncode = 0
+        os.close(pidfd)
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
 
     if timed_out:
         termination = Termination.timed_out()
-        wall = max(wall, req.timeout_seconds)
     elif os.WIFSIGNALED(status):
         termination = Termination.signaled(os.WTERMSIG(status))
     else:
         termination = Termination.exited(os.WEXITSTATUS(status))
 
+    out, err = captures.values()
     return ExecOutcome(
         termination=termination,
-        stdout=b"".join(out_chunks),
-        stderr=b"".join(err_chunks),
+        stdout=bytes(out.data),
+        stderr=bytes(err.data),
         file_digests=_digest_files(sandbox, req.capture_files),
         cpu_seconds=rusage.ru_utime + rusage.ru_stime,
         wall_seconds=wall,
         peak_rss_bytes=rusage.ru_maxrss * 1024,
-        stdout_overflow_sha256=out_state["sha256"] if out_state.get("truncated") else None,
-        stderr_overflow_sha256=err_state["sha256"] if err_state.get("truncated") else None,
+        stdout_overflow_sha256=out.overflow and out.overflow.digest(),
+        stderr_overflow_sha256=err.overflow and err.overflow.digest(),
     )
 
 

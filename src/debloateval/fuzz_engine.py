@@ -14,8 +14,10 @@ import enum
 import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .spec_model import TestCommand
+if TYPE_CHECKING:  # spec_model parses templates with this module at import time
+    from .spec_model import TestCommand
 
 _U64 = (1 << 64) - 1
 

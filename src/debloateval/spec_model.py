@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path, PurePosixPath
 
 from .comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline, Normalizer, default_pipeline
+from .fuzz_engine import TemplateSyntaxError, parse_template
 
 DEFAULT_TRIALS = 10
 DEFAULT_TIMEOUT_SECONDS = 30.0
@@ -115,6 +116,16 @@ class BenchmarkSpec:
             if f.name in names_seen:
                 raise InvariantError(f"features[{i}].name", f"duplicate feature name {f.name!r}")
             names_seen.add(f.name)
+            for j, cmd in enumerate(f.commands):
+                templates = {f"argv[{k}]": arg for k, arg in enumerate(cmd.argv_template)}
+                if cmd.stdin is not None:
+                    templates["stdin"] = cmd.stdin
+                for where, text in templates.items():
+                    try:
+                        parse_template(text)
+                    except TemplateSyntaxError as exc:
+                        path = f"features[{i}].commands[{j}].{where}"
+                        raise SchemaError(path, f"bad template: {exc}") from exc
         anchors = [i for i, f in enumerate(self.features) if f.aggressive_anchor]
         if len(anchors) > 1:
             raise InvariantError(f"features[{anchors[1]}].anchor", "multiple aggressive anchors")

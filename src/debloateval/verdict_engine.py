@@ -3,9 +3,11 @@
 Retained features must behave identically in original and variant;
 debloated features must behave differently. Crashes, timeouts, and
 violations of those expectations become reportable verdicts. A campaign
-runs every derived input (seed plus fuzzed mutants) against the original
-and each variant, classifies each comparison, and aggregates a pass/fail
-summary per variant.
+runs every derived input (seed plus fuzzed mutants) once against the
+original and once against each variant, compares every variant with that
+one original outcome (so with a nondeterministic original, all variants
+see the same original run), classifies each comparison, and aggregates a
+pass/fail summary per variant.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .comparator import CompareReport, compare
 from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once
 from .fuzz_engine import DerivedInput, MutationPlan, derive_commands
-from .spec_model import BenchmarkSpec, Disposition, Feature, TestCommand
+from .spec_model import BenchmarkSpec, Disposition, TestCommand
 
 
 class CampaignAborted(Exception):
@@ -103,7 +105,7 @@ def classify(
     return Verdict.UNEXPECTED_MATCH if report.all_matched else Verdict.EXPECTED_DIFFERENCE
 
 
-# A campaign task: (variant index, feature index, command index).
+# A mutant budget key: (variant index, feature index, command index).
 TaskKey = tuple[int, int, int]
 
 
@@ -148,38 +150,35 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute the full differential campaign for every variant.
 
-    Tasks fan out per (variant, feature, command) to a bounded thread pool;
-    verdicts are collected and sorted on a single thread so reports are
+    Each derived input of each (feature, command) is one task for a bounded
+    thread pool: it runs the original once and compares that one outcome
+    with every variant whose mutant cap reaches the input. Verdicts are
+    collected on a single thread in canonical order, so reports are
     deterministic for deterministic programs and a fixed plan seed.
-    budget.max_mutants is dealt to the tasks before any of them starts, so
-    it keeps that determinism; budget.max_seconds is a best-effort deadline.
+    budget.max_mutants is dealt before any task starts, so it keeps that
+    determinism; budget.max_seconds is a best-effort deadline.
     """
-    # Preflight: the original must run at least one seed input.
-    first_feature = spec.features[0]
-    first_cmd = first_feature.commands[0]
-    seed_input = derive_commands(first_cmd, plan, first_feature.name, 0)[0]
-    try:
-        run_once(exec_request(spec, spec.original.exe_path, seed_input, first_cmd))
-    except SpawnError as exc:
-        raise CampaignAborted(f"original binary cannot run seed input: {exc}") from exc
-
-    tasks: dict[TaskKey, tuple] = {
-        (vi, fi, ci): (variant, feature, cmd)
-        for vi, variant in enumerate(spec.variants)
+    wants = {
+        (vi, fi, ci): cmd.fuzz_count
+        for vi in range(len(spec.variants))
         for fi, feature in enumerate(spec.features)
         for ci, cmd in enumerate(feature.commands)
     }
-    caps = _deal_mutants({key: task[2].fuzz_count for key, task in tasks.items()}, budget.max_mutants)
+    caps = _deal_mutants(wants, budget.max_mutants)
+    tasks = []
+    for fi, feature in enumerate(spec.features):
+        for ci, cmd in enumerate(feature.commands):
+            reach = [caps[vi, fi, ci] for vi in range(len(spec.variants))]
+            for inp in derive_commands(cmd, plan, feature.name, ci)[: 1 + max(reach)]:
+                takers = [v for v, cap in zip(spec.variants, reach) if inp.mutant_index <= cap]
+                tasks.append((feature, ci, cmd, inp, takers))
     deadline = time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
 
     per_variant: dict[str, list[TestVerdict]] = {v.label: [] for v in spec.variants}
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = {
-            key: pool.submit(_run_task, spec, variant, feature, cmd, key[2], plan, caps[key], deadline)
-            for key, (variant, feature, cmd) in tasks.items()
-        }
-        for key, future in futures.items():
-            per_variant[tasks[key][0].label].extend(future.result())
+        for verdicts in pool.map(lambda task: _run_task(spec, task, deadline), tasks):
+            for verdict in verdicts:
+                per_variant[verdict.variant_label].append(verdict)
 
     return CampaignReport(spec.id, per_variant, _summarize(spec, per_variant))
 
@@ -196,55 +195,38 @@ def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestComm
     )
 
 
-def _run_task(
-    spec: BenchmarkSpec,
-    variant,
-    feature: Feature,
-    cmd,
-    command_index: int,
-    plan: MutationPlan,
-    max_mutants: int,
-    deadline: float | None,
-) -> list[TestVerdict]:
+def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> list[TestVerdict]:
+    """One derived input, run once against the original and once per variant.
+
+    The campaign's first input doubles as its preflight: if the original
+    cannot start on it, the campaign is aborted.
+    """
+    feature, command_index, cmd, inp, variants = task
+    if inp.is_fuzzed and deadline is not None and time.monotonic() >= deadline:
+        return []
+
+    def verdict(value: Verdict, report: CompareReport, variant) -> TestVerdict:
+        return TestVerdict(
+            value, report, inp, inp.is_fuzzed, variant.label, feature.name, feature.disposition, command_index
+        )
+
+    try:
+        original_out = run_once(exec_request(spec, spec.original.exe_path, inp, cmd))
+    except SpawnError as exc:
+        if feature is spec.features[0] and command_index == inp.mutant_index == 0:
+            raise CampaignAborted(f"original binary cannot run seed input: {exc}") from exc
+        # Baseline failed to launch for this input: inconclusive.
+        return [verdict(Verdict.ORIGINAL_CRASH, CompareReport((), False), v) for v in variants]
     pipeline = spec.pipeline_for(feature)
     verdicts = []
-    for inp in derive_commands(cmd, plan, feature.name, command_index)[: 1 + max_mutants]:
-        if inp.is_fuzzed and deadline is not None and time.monotonic() >= deadline:
-            break
-        try:
-            original_out = run_once(exec_request(spec, spec.original.exe_path, inp, cmd))
-        except SpawnError:
-            # Baseline failed to launch for this input: inconclusive.
-            verdicts.append(
-                TestVerdict(
-                    Verdict.ORIGINAL_CRASH,
-                    CompareReport((), False),
-                    inp,
-                    inp.is_fuzzed,
-                    variant.label,
-                    feature.name,
-                    feature.disposition,
-                    command_index,
-                )
-            )
-            continue
+    for variant in variants:
         try:
             variant_out = run_once(exec_request(spec, variant.exe_path, inp, cmd))
         except SpawnError as exc:
             variant_out = _synthetic_exit(f"variant failed to launch: {exc}")
         report = compare(original_out, variant_out, pipeline)
-        verdicts.append(
-            TestVerdict(
-                classify(feature.disposition, original_out, variant_out, report),
-                report,
-                inp,
-                inp.is_fuzzed,
-                variant.label,
-                feature.name,
-                feature.disposition,
-                command_index,
-            )
-        )
+        value = classify(feature.disposition, original_out, variant_out, report)
+        verdicts.append(verdict(value, report, variant))
     return verdicts
 
 

@@ -49,6 +49,20 @@ def test_validate_missing_spec_file_is_exit_2(runner, tmp_path):
     assert result.exit_code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_malformed_command_template_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    doc["features"][1]["commands"][0]["argv"] = ["b", "{{ascii:1..}}"]
+    args = [command, "--spec", write_spec(tmp_path, doc)]
+    if command != "validate":
+        args += ["--out", tmp_path / "out"]
+    if command == "tool-wrap":
+        args += ["--output", tmp_path / "never", "/bin/true"]
+    result = invoke(runner, *args)
+    assert result.exit_code == EXIT_ERROR
+    assert "features[1].commands[0].argv[1]" in result.output
+
+
 # --- differ --------------------------------------------------------------
 
 def test_differ_passing_variant(runner, tmp_path, toy_pair):
@@ -266,6 +280,20 @@ def test_report_rerenders_existing_artifacts(runner, tmp_path, toy_pair):
 def test_report_missing_dir_is_exit_2(runner, tmp_path):
     result = invoke(runner, "report", "--out", tmp_path / "nothing-here")
     assert result.exit_code == EXIT_ERROR
+
+
+def test_report_on_summary_that_is_not_json_is_exit_2(runner, tmp_path):
+    (tmp_path / "summary.json").write_text("{truncated")
+    result = invoke(runner, "report", "--out", tmp_path)
+    assert result.exit_code == EXIT_ERROR
+    assert str(tmp_path / "summary.json") in result.output
+
+
+def test_report_on_metrics_missing_a_key_is_exit_2(runner, tmp_path):
+    (tmp_path / "metrics.json").write_text(json.dumps({"spec_id": "x", "seed": 0, "variants": {}}))
+    result = invoke(runner, "report", "--out", tmp_path)
+    assert result.exit_code == EXIT_ERROR
+    assert str(tmp_path / "metrics.json") in result.output
 
 
 def test_version_flag(runner):

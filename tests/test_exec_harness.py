@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from debloateval import exec_harness
 from debloateval.exec_harness import (
     ExecOutcome,
     ExecRequest,
@@ -54,10 +57,49 @@ def test_timeout_kills_process_group(tmp_path):
     assert outcome.wall_seconds >= 1.0
 
 
+def timed_run(request: ExecRequest) -> tuple[ExecOutcome, float]:
+    start = time.monotonic()
+    outcome = run_once(request)
+    return outcome, time.monotonic() - start
+
+
+def test_background_child_holding_stdout_does_not_outlive_the_exit(tmp_path):
+    exe = make_script(tmp_path, "bg", "sleep 4 &\n")
+    outcome, elapsed = timed_run(req(exe, timeout_seconds=1.0))
+    assert outcome.termination == Termination.exited(0)
+    assert elapsed < 2.0
+    assert outcome.wall_seconds <= elapsed
+
+
+def test_detached_child_holding_stdout_does_not_outlive_the_timeout(tmp_path):
+    exe = make_script(tmp_path, "detached", "setsid sleep 4 &\nsleep 10\n")
+    outcome, elapsed = timed_run(req(exe, timeout_seconds=1.0))
+    assert outcome.termination.kind is TerminationKind.TIMED_OUT
+    assert 1.0 <= elapsed < 2.0
+
+
+def test_output_past_the_cap_keeps_a_digest_of_the_whole_stream(tmp_path, monkeypatch):
+    # A smaller cap exercises the same truncation path with a small stream.
+    monkeypatch.setattr(exec_harness, "CAPTURE_CAP_BYTES", 100_000)
+    data = os.urandom(300_000)
+    (tmp_path / "blob").write_bytes(data)
+    exe = make_script(tmp_path, "writer", f"cat {tmp_path / 'blob'}\n")
+    outcome = run_once(req(exe))
+    assert outcome.stdout == data[:100_000]
+    assert outcome.stdout_overflow_sha256 == hashlib.sha256(data).digest()
+    assert outcome.stderr_overflow_sha256 is None
+
+
 def test_stdin_passthrough(tmp_path):
     exe = make_script(tmp_path, "cat", "cat\n")
     outcome = run_once(req(exe, stdin=b"payload\n"))
     assert outcome.stdout == b"payload\n"
+
+
+def test_stdin_larger_than_a_pipe_buffer_round_trips(tmp_path):
+    exe = make_script(tmp_path, "cat", "cat\n")
+    payload = bytes(range(256)) * 4096
+    assert run_once(req(exe, stdin=payload)).stdout == payload
 
 
 def test_spawn_error_for_missing_binary(tmp_path):

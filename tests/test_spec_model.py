@@ -111,6 +111,11 @@ def test_constructed_specs_keep_the_parse_invariants():
         ({"trials": 0}, SchemaError, "trials"),
         ({"features": (a, replace(b, name="a"), c)}, InvariantError, "features[1].name"),
         ({"features": (a, replace(b, aggressive_anchor=True), c)}, InvariantError, "features[1].anchor"),
+        (
+            {"features": (a, replace(b, commands=(TestCommand(("x",), stdin="{{bytes:2..1}}"),)), c)},
+            SchemaError,
+            "features[1].commands[0].stdin",
+        ),
     ]
     for change, error, path in cases:
         with pytest.raises(error) as exc:

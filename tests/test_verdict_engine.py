@@ -7,8 +7,9 @@ import os
 import pytest
 
 from debloateval.comparator import CompareReport, default_pipeline, compare
-from debloateval.exec_harness import ExecOutcome, Termination
+from debloateval.exec_harness import ExecOutcome, SpawnError, Termination
 from debloateval.fuzz_engine import MutationPlan
+from debloateval import verdict_engine
 from debloateval.spec_model import Disposition, parse_spec
 from debloateval.verdict_engine import (
     Budget,
@@ -183,6 +184,52 @@ def test_budgeted_parallel_campaign_matches_serial(tmp_path, toy_pair):
     for _ in range(5):
         parallel = run_toy(tmp_path, toy_pair, variants, fuzz_count=3, budget=budget, jobs=4)
         assert report_to_jsonl(parallel) == serial
+
+
+@pytest.mark.parametrize("max_mutants", [None, 7])
+def test_original_runs_once_per_input_for_every_variant(tmp_path, toy_pair, monkeypatch, max_mutants):
+    runs = []  # exe path of every run; list.append is atomic across workers
+
+    real_run_once = verdict_engine.run_once
+
+    def counting_run_once(request):
+        runs.append(request.exe_path)
+        return real_run_once(request)
+
+    monkeypatch.setattr(verdict_engine, "run_once", counting_run_once)
+    variants = ["no_b", "same", "crash_a"]
+    budget = Budget(max_mutants=max_mutants)
+    blobs = []
+    for jobs in (1, 4):
+        runs.clear()
+        report = run_toy(tmp_path, toy_pair, variants, fuzz_count=3, budget=budget, jobs=jobs)
+        blobs.append(report_to_jsonl(report))
+        rows = [json.loads(line) for line in blobs[-1].splitlines()]
+        inputs = {(r["feature"], r["command_index"], r["mutant_index"]) for r in rows}
+        assert runs.count(toy_pair["original"]) == len(inputs)
+        assert len(runs) == len(inputs) + len(rows)
+        if max_mutants is None:
+            assert len(inputs) == 8  # (1 seed + 3 mutants) x 2 features
+            assert len(runs) == (1 + len(variants)) * 8
+    assert blobs[0] == blobs[1]
+
+
+def test_original_spawn_failure_after_preflight_is_original_crash_per_variant(tmp_path, toy_pair, monkeypatch):
+    real_run_once = verdict_engine.run_once
+    original_runs = []
+
+    def flaky_original(request):
+        if request.exe_path == toy_pair["original"]:
+            original_runs.append(request)
+            if len(original_runs) > 1:  # only the preflight run succeeds
+                raise SpawnError("gone")
+        return real_run_once(request)
+
+    monkeypatch.setattr(verdict_engine, "run_once", flaky_original)
+    report = run_toy(tmp_path, toy_pair, ["no_b", "same", "crash_a"])
+    assert len(original_runs) == 2  # one per derived input; the preflight is the first
+    for label, verdicts in report.per_variant.items():
+        assert [v.value for v in verdicts][1:] == [Verdict.ORIGINAL_CRASH], label
 
 
 def test_exhausted_time_budget_still_runs_seeds(tmp_path, toy_pair):
