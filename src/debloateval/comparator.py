@@ -126,10 +126,15 @@ def _first_difference_excerpt(a: bytes, b: bytes) -> str:
     return text[:EVIDENCE_LIMIT]
 
 
-def _streams(outcome: ExecOutcome, kind: ComparatorKind) -> bytes:
+def _streams(outcome: ExecOutcome, kind: ComparatorKind) -> tuple[bytes, bytes | None]:
+    """The captured stream and the sha256 of all of it if it passed the cap."""
     if kind in (ComparatorKind.STDOUT_EXACT, ComparatorKind.STDOUT_NORMALIZED):
-        return outcome.stdout
-    return outcome.stderr
+        return outcome.stdout, outcome.stdout_overflow_sha256
+    return outcome.stderr, outcome.stderr_overflow_sha256
+
+
+def _digest_text(digest: bytes | None) -> str:
+    return "none" if digest is None else digest.hex()[:16]
 
 
 def _evaluate(cfg: ComparatorConfig, a: ExecOutcome, b: ExecOutcome) -> ComparatorResult:
@@ -158,8 +163,8 @@ def _evaluate(cfg: ComparatorConfig, a: ExecOutcome, b: ExecOutcome) -> Comparat
         evidence = "" if matched else f"present {sorted(left)} vs {sorted(right)}"
         return ComparatorResult(cfg, matched, evidence[:EVIDENCE_LIMIT])
 
-    left = _streams(a, cfg.kind)
-    right = _streams(b, cfg.kind)
+    left, left_overflow = _streams(a, cfg.kind)
+    right, right_overflow = _streams(b, cfg.kind)
     if cfg.kind in _NORMALIZED_KINDS:
         try:
             for norm in cfg.normalizers:
@@ -167,9 +172,15 @@ def _evaluate(cfg: ComparatorConfig, a: ExecOutcome, b: ExecOutcome) -> Comparat
                 right = norm.apply(right)
         except re.error as exc:
             return ComparatorResult(cfg, False, f"normalizer error: {exc}"[:EVIDENCE_LIMIT])
-    if left == right:
-        return ComparatorResult(cfg, True, "")
-    return ComparatorResult(cfg, False, _first_difference_excerpt(left, right))
+    if left != right:
+        return ComparatorResult(cfg, False, _first_difference_excerpt(left, right))
+    if left_overflow != right_overflow:
+        evidence = (
+            f"differs after the capture cap: sha256 of the whole stream "
+            f"{_digest_text(left_overflow)} vs {_digest_text(right_overflow)}"
+        )
+        return ComparatorResult(cfg, False, evidence)
+    return ComparatorResult(cfg, True, "")
 
 
 def compare(a: ExecOutcome, b: ExecOutcome, pipeline: ComparatorPipeline) -> CompareReport:

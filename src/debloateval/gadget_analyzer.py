@@ -8,6 +8,10 @@ better for the attacker), special-purpose type availability (10 scaffolding
 gadget types), and locality (fraction of a variant's gadgets unchanged in
 address and bytes relative to the original).
 
+The scan computes each gadget's classes, quality and special types once, as
+it finds the gadget, and stores them in the gadget's record; the set-level
+metrics only combine those facts.
+
 The expressivity class table, special-purpose patterns, and constraint
 taxonomy are this implementation's own; deltas are comparable only between
 reports produced by it.
@@ -15,11 +19,13 @@ reports produced by it.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import re
 import statistics
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import elf
 from .spec_model import BinaryRef
@@ -58,6 +64,20 @@ SPECIAL_TYPES = (
     "stack_pivot",
 )
 
+_CLASS_BIT = {name: 1 << i for i, name in enumerate(EXPRESSIVITY_CLASSES)}
+_SPECIAL_BIT = {name: 1 << i for i, name in enumerate(SPECIAL_TYPES)}
+
+
+def _mask(names: set[str], bits: dict[str, int]) -> int:
+    mask = 0
+    for name in names:
+        mask |= bits[name]
+    return mask
+
+
+def _names(mask: int, table: tuple[str, ...]) -> set[str]:
+    return {name for i, name in enumerate(table) if mask >> i & 1}
+
 
 class SyscallEvent(enum.Enum):
     NONE = "none"
@@ -76,12 +96,32 @@ class CodeRegion:
             raise ValueError("code region must be nonempty")
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(NamedTuple):
+    """One gadget and the facts the metrics need, computed by the scan.
+
+    Two gadgets are equal only if address, bytes and region-relative start
+    are equal; the other fields follow from the bytes. The instructions are
+    decoded again from ``raw_bytes`` when asked for.
+    """
+
     address: int
     raw_bytes: bytes
-    instructions: tuple[DecodedInstruction, ...]
+    start: int           # offset of the first byte within its code region
     terminator: str
+    class_mask: int      # bit i set: satisfies EXPRESSIVITY_CLASSES[i]
+    quality: float       # side-constraint penalty, see score_quality
+    special_mask: int    # bit i set: is of type SPECIAL_TYPES[i]
+
+    @property
+    def instructions(self) -> tuple[DecodedInstruction, ...]:
+        """The decoded instructions, offsets relative to the code region."""
+        out = []
+        off = 0
+        while off < len(self.raw_bytes):
+            ins = decode(self.raw_bytes, off)
+            out.append(ins._replace(offset=self.start + off))
+            off += ins.length
+        return tuple(out)
 
     def text(self) -> str:
         return "; ".join(ins.text for ins in self.instructions)
@@ -115,97 +155,10 @@ class SecurityDelta:
     quality_significant: bool
 
 
-# --- Discovery ---------------------------------------------------------
-
-def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
-    """All gadgets in the region, one per start address.
-
-    A start address yields the gadget that ends at the first terminator
-    its decode chain reaches within MAX_GADGET_LEN instructions. The scan
-    searches backward from terminators, as Shacham's Galileo algorithm
-    does: one regex pass finds the terminator opcode bytes, and only the
-    offsets that can precede a live chain head are decoded, each at most
-    once. The result is cached per (base address, bytes), so a library
-    shared by the original and its variants is scanned once per process.
-    """
-    return _scan(region.base_address, region.data)
-
-
-_TERMINATOR_OPCODE = re.compile(rb"[\xc2\xc3\xcd\xff\x0f]")  # ret, ret imm16, int, FF, 0F 05
-
-
-class _DecodeMemo(dict):
-    """Offset -> decode(data, offset), computed on first lookup."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-
-    def __missing__(self, off: int) -> DecodedInstruction | None:
-        ins = self[off] = decode(self.data, off)
-        return ins
-
-
-@functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets
-def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
-    n = len(data)
-    decoded = _DecodeMemo(data)
-
-    # Breadth-first backward chaining from each terminator through
-    # non-terminator instructions; the chain from any start is unique
-    # because decoding at an offset is a function, so each start maps to
-    # exactly one gadget. `order` grows while it is iterated.
-    chains: dict[int, tuple[DecodedInstruction, ...]] = {}
-    order: list[int] = []
-    for match in _TERMINATOR_OPCODE.finditer(data):
-        p = match.start()
-        for t in (p - 1, p) if p and 0x40 <= data[p - 1] <= 0x4F else (p,):  # REX prefix
-            ins = decoded[t]
-            if ins is not None and ins.terminator is not None and t + ins.length <= n:
-                chains[t] = (ins,)
-                order.append(t)
-    for s in order:
-        chain = chains[s]
-        if len(chain) >= MAX_GADGET_LEN:
-            continue
-        for prev in range(max(0, s - _MAX_INSTR_BYTES), s):
-            if prev in chains:
-                continue
-            ins = decoded[prev]
-            if ins is not None and ins.terminator is None and prev + ins.length == s:
-                chains[prev] = (ins, *chain)
-                order.append(prev)
-
-    return frozenset(
-        Gadget(
-            address=base_address + start,
-            raw_bytes=data[start : chain[-1].offset + chain[-1].length],
-            instructions=chain,
-            terminator=chain[-1].terminator,
-        )
-        for start, chain in chains.items()
-    )
-
-
-def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
-    found: set[Gadget] = set()
-    for region in regions:
-        found |= scan_gadgets(region)
-    return frozenset(found)
-
-
-def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> list[CodeRegion]:
-    """Executable segments of the binary, plus its libraries on request."""
-    regions = []
-    paths = [(binary.exe_path, binary.label)]
-    if aggregate_libs:
-        paths += [(lib, f"{binary.label}:{lib.name}") for lib in binary.lib_paths]
-    for path, label in paths:
-        for vaddr, data in elf.executable_segments(path):
-            regions.append(CodeRegion(vaddr, data, label))
-    return regions
-
-
-# --- Expressivity ------------------------------------------------------
+# --- Per-instruction facts ---------------------------------------------
+#
+# These helpers are the one definition of classes, constraints and special
+# types; the scan folds them over each gadget's instructions.
 
 def _instruction_classes(ins: DecodedInstruction, is_terminator: bool) -> set[str]:
     classes: set[str] = set()
@@ -241,24 +194,6 @@ def _instruction_classes(ins: DecodedInstruction, is_terminator: bool) -> set[st
     return classes
 
 
-def gadget_classes(g: Gadget) -> set[str]:
-    classes: set[str] = set()
-    for idx, ins in enumerate(g.instructions):
-        classes |= _instruction_classes(ins, idx == len(g.instructions) - 1)
-    return classes
-
-
-def classify_expressivity(gadgets: set[Gadget] | frozenset[Gadget]) -> ExpressivityProfile:
-    satisfied: set[str] = set()
-    for g in gadgets:
-        satisfied |= gadget_classes(g)
-        if len(satisfied) == len(EXPRESSIVITY_CLASSES):
-            break
-    return ExpressivityProfile(frozenset(satisfied), len(satisfied))
-
-
-# --- Quality -----------------------------------------------------------
-
 def _is_major(ins: DecodedInstruction) -> bool:
     # Stack-pointer modification, memory writes, and mid-gadget conditional
     # branches impose hard side constraints on chaining.
@@ -273,6 +208,187 @@ def _is_major(ins: DecodedInstruction) -> bool:
     return False
 
 
+def _terminator_special_types(term: DecodedInstruction, bare: bool) -> set[str]:
+    """Types a gadget has by its terminator; bare: nothing precedes it."""
+    types: set[str] = set()
+    if term.terminator == SYSCALL:
+        types.add("syscall")
+    if term.terminator in (JMP_INDIRECT, CALL_INDIRECT) and term.branch_mem and bare:
+        types.add("jop_trampoline" if term.terminator == JMP_INDIRECT else "cop_trampoline")
+    return types
+
+
+def _body_special_types(ins: DecodedInstruction, term: DecodedInstruction) -> set[str]:
+    """Types one body instruction gives a gadget that ends in term."""
+    types: set[str] = set()
+    if term.terminator == RET:
+        pivots_sp = ins.dest == "rsp" and ins.mnemonic in ("mov", "xchg", "pop", "leave")
+        if pivots_sp or (ins.mnemonic == "xchg" and ins.src == "rsp"):
+            types.add("stack_pivot")
+    elif term.terminator in (JMP_INDIRECT, CALL_INDIRECT):
+        prefix = "jop" if term.terminator == JMP_INDIRECT else "cop"
+        target = term.branch_reg or term.mem_base
+        if ins.mnemonic in ("add", "sub", "inc", "dec") and ins.dest == target:
+            types.add(f"{prefix}_dispatcher")
+        if ins.mnemonic == "pop":
+            types.add(f"{prefix}_dataloader")
+        if ins.mnemonic in ("mov", "movzx", "movsx", "lea") and ins.dest == target:
+            types.add(f"{prefix}_initializer")
+    return types
+
+
+# --- Discovery ---------------------------------------------------------
+
+def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
+    """All gadgets in the region, one per start address.
+
+    A start address yields the gadget that ends at the first terminator
+    its decode chain reaches within MAX_GADGET_LEN instructions. The scan
+    is one downward sweep over the region that decodes each offset at most
+    once; each gadget's facts are folded in as it is found. The result is
+    cached per (base address, bytes), so a library shared by the original
+    and its variants is scanned once per process.
+    """
+    return _scan(region.base_address, region.data)
+
+
+# The opcodes of every terminator the decoder knows: ret, ret imm16,
+# int 0x80, syscall, and FF /2 (call) or FF /4 (jmp) by the ModRM reg field.
+# The lookahead is zero-width, so no match hides the next.
+_TERMINATOR = re.compile(
+    rb"(?=[\xc2\xc3]|\xcd\x80|\x0f\x05"
+    rb"|\xff[\x10-\x17\x20-\x27\x50-\x57\x60-\x67\x90-\x97\xa0-\xa7\xd0-\xd7\xe0-\xe7])"
+)
+
+
+class _Chain(NamedTuple):
+    """The facts of a found gadget that an instruction before it extends."""
+
+    depth: int                  # instructions, terminator included
+    end: int                    # region offset just past the terminator
+    term: DecodedInstruction
+    class_mask: int
+    quality: float
+    special_mask: int
+    extended_special_mask: int  # what a gadget that extends this one inherits
+    head_cost: float            # what the first instruction costs once it is not first
+
+
+def _terminator_chain(term: DecodedInstruction) -> _Chain:
+    return _Chain(
+        depth=1,
+        end=term.offset + term.length,
+        term=term,
+        class_mask=_mask(_instruction_classes(term, True), _CLASS_BIT),
+        quality=0.0,
+        special_mask=_mask(_terminator_special_types(term, bare=True), _SPECIAL_BIT),
+        extended_special_mask=_mask(_terminator_special_types(term, bare=False), _SPECIAL_BIT),
+        head_cost=0.0,
+    )
+
+
+def _prepend(ins: DecodedInstruction, tail: _Chain) -> _Chain:
+    """The chain of ins followed by the gadget tail.
+
+    The first body instruction is free unless it is a major constraint;
+    every later one costs MINOR_CONSTRAINT (nop: nothing) or
+    MAJOR_CONSTRAINT. So ins pays only if major, and the old first
+    instruction now pays its head_cost.
+    """
+    major = _is_major(ins)
+    special = tail.extended_special_mask | _mask(_body_special_types(ins, tail.term), _SPECIAL_BIT)
+    return _Chain(
+        depth=tail.depth + 1,
+        end=tail.end,
+        term=tail.term,
+        class_mask=tail.class_mask | _mask(_instruction_classes(ins, False), _CLASS_BIT),
+        quality=tail.quality + tail.head_cost + (MAJOR_CONSTRAINT if major else 0.0),
+        special_mask=special,
+        extended_special_mask=special,
+        head_cost=0.0 if major or ins.mnemonic == "nop" else MINOR_CONSTRAINT,
+    )
+
+
+@functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets
+def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
+    # Terminator candidates, ascending. A REX byte before a terminator needs
+    # no entry of its own: the terminator's gadget can grow, so the sweep
+    # decodes the byte before it anyway.
+    candidates = [match.start() for match in _TERMINATOR.finditer(data)]
+
+    # Sweep down from the highest candidate. Decoding at an offset is a
+    # function, so an offset starts a gadget iff it decodes to a terminator
+    # or to an instruction that ends at a start whose gadget can still grow.
+    # Every start above p is known when p is decoded, and each offset is
+    # decoded once. Below the reach of the lowest growable start, the sweep
+    # jumps to the next candidate.
+    gadgets = []
+    growable: dict[int, _Chain] = {}  # start -> chain shorter than MAX_GADGET_LEN
+    lowest = len(data) + _MAX_INSTR_BYTES  # lowest growable start
+    p = candidates[-1] if candidates else -1
+    while p >= 0:
+        ins = decode(data, p)
+        if ins is None:
+            chain = None
+        elif ins.terminator is not None:
+            chain = _terminator_chain(ins)
+        else:
+            tail = growable.get(p + ins.length)
+            chain = None if tail is None else _prepend(ins, tail)
+        if chain is not None:
+            gadgets.append(Gadget(
+                address=base_address + p,
+                raw_bytes=data[p : chain.end],
+                start=p,
+                terminator=chain.term.terminator,
+                class_mask=chain.class_mask,
+                quality=chain.quality,
+                special_mask=chain.special_mask,
+            ))
+            if chain.depth < MAX_GADGET_LEN:
+                growable[p] = chain
+                lowest = p
+        p -= 1
+        if p + _MAX_INSTR_BYTES < lowest:
+            p = candidates[bisect.bisect_right(candidates, p) - 1] if p >= candidates[0] else -1
+    return frozenset(gadgets)
+
+
+def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
+    found: set[Gadget] = set()
+    for region in regions:
+        found |= scan_gadgets(region)
+    return frozenset(found)
+
+
+def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> list[CodeRegion]:
+    """Executable segments of the binary, plus its libraries on request."""
+    regions = []
+    paths = [(binary.exe_path, binary.label)]
+    if aggregate_libs:
+        paths += [(lib, f"{binary.label}:{lib.name}") for lib in binary.lib_paths]
+    for path, label in paths:
+        for vaddr, data in elf.executable_segments(path):
+            regions.append(CodeRegion(vaddr, data, label))
+    return regions
+
+
+# --- Expressivity ------------------------------------------------------
+
+def gadget_classes(g: Gadget) -> set[str]:
+    return _names(g.class_mask, EXPRESSIVITY_CLASSES)
+
+
+def classify_expressivity(gadgets: set[Gadget] | frozenset[Gadget]) -> ExpressivityProfile:
+    mask = 0
+    for g in gadgets:
+        mask |= g.class_mask
+    satisfied = frozenset(_names(mask, EXPRESSIVITY_CLASSES))
+    return ExpressivityProfile(satisfied, len(satisfied))
+
+
+# --- Quality -----------------------------------------------------------
+
 def score_quality(g: Gadget) -> float:
     """Side-constraint penalty: 0.0 is maximally chainable.
 
@@ -280,69 +396,29 @@ def score_quality(g: Gadget) -> float:
     unless it is itself a major constraint; every later non-terminator
     instruction adds 0.5 (minor) or 3.0 (major).
     """
-    score = 0.0
-    body = g.instructions[:-1]
-    for idx, ins in enumerate(body):
-        if _is_major(ins):
-            score += MAJOR_CONSTRAINT
-        elif idx > 0 and ins.mnemonic != "nop":
-            score += MINOR_CONSTRAINT
-    return score
+    return g.quality
 
 
 def mean_quality(gadgets: set[Gadget] | frozenset[Gadget]) -> float:
     if not gadgets:
         return 0.0
-    return statistics.fmean(score_quality(g) for g in gadgets)
+    return statistics.fmean(g.quality for g in gadgets)
 
 
 # --- Special-purpose types ---------------------------------------------
 
-def _branch_register(g: Gadget) -> str | None:
-    term = g.instructions[-1]
-    return term.branch_reg or term.mem_base
-
-
 def gadget_special_types(g: Gadget) -> set[str]:
-    types: set[str] = set()
-    term = g.instructions[-1]
-    body = g.instructions[:-1]
-
-    if g.terminator == SYSCALL:
-        types.add("syscall")
-
-    if g.terminator == RET:
-        for ins in body:
-            pivots_sp = ins.dest == "rsp" and ins.mnemonic in ("mov", "xchg", "pop", "leave")
-            if pivots_sp or (ins.mnemonic == "xchg" and ins.src == "rsp"):
-                types.add("stack_pivot")
-                break
-
-    if g.terminator in (JMP_INDIRECT, CALL_INDIRECT):
-        prefix = "jop" if g.terminator == JMP_INDIRECT else "cop"
-        target = _branch_register(g)
-        if term.branch_mem and not body:
-            types.add(f"{prefix}_trampoline")
-        if any(ins.mnemonic in ("add", "sub", "inc", "dec") and ins.dest == target for ins in body):
-            types.add(f"{prefix}_dispatcher")
-        if any(ins.mnemonic == "pop" for ins in body):
-            types.add(f"{prefix}_dataloader")
-        if any(
-            ins.mnemonic in ("mov", "movzx", "movsx", "lea") and ins.dest == target
-            for ins in body
-        ):
-            types.add(f"{prefix}_initializer")
-    return types
+    return _names(g.special_mask, SPECIAL_TYPES)
 
 
 def special_types(gadgets: set[Gadget] | frozenset[Gadget]) -> tuple[frozenset[str], int]:
-    present: set[str] = set()
+    mask = 0
     syscall_count = 0
     for g in gadgets:
-        present |= gadget_special_types(g)
+        mask |= g.special_mask
         if g.terminator == SYSCALL:
             syscall_count += 1
-    return frozenset(present), syscall_count
+    return frozenset(_names(mask, SPECIAL_TYPES)), syscall_count
 
 
 # --- Set-level reports and deltas --------------------------------------

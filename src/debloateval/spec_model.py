@@ -126,6 +126,11 @@ class BenchmarkSpec:
                     except TemplateSyntaxError as exc:
                         path = f"features[{i}].commands[{j}].{where}"
                         raise SchemaError(path, f"bad template: {exc}") from exc
+        labels_seen: set[str] = set()
+        for i, v in enumerate(self.variants):
+            if v.label in labels_seen:
+                raise InvariantError(f"variants[{i}].label", f"duplicate variant label {v.label!r}")
+            labels_seen.add(v.label)
         anchors = [i for i, f in enumerate(self.features) if f.aggressive_anchor]
         if len(anchors) > 1:
             raise InvariantError(f"features[{anchors[1]}].anchor", "multiple aggressive anchors")

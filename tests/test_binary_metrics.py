@@ -48,6 +48,43 @@ def test_rejects_missing_file(tmp_path):
         needed_libraries(tmp_path / "absent")
 
 
+_DYNAMIC_ELF = build_elf(b"\x5f\xc3", needed=["libc.so.6", "libm.so.6"])
+
+
+def _flipped(blob: bytes, flips: list[tuple[int, int]]) -> bytes:
+    out = bytearray(blob)
+    for index, value in flips:
+        out[index] = value
+    return bytes(out)
+
+
+# Arbitrary bytes, and copies of a complete dynamic ELF with up to 8 bytes
+# overwritten (mostly in the ELF header) and cut at any length.
+_ELF_LIKE = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda flips, cut: _flipped(_DYNAMIC_ELF, flips)[:cut],
+        st.lists(
+            st.tuples(st.integers(0, 63) | st.integers(0, len(_DYNAMIC_ELF) - 1), st.integers(0, 255)),
+            max_size=8,
+        ),
+        st.integers(0, len(_DYNAMIC_ELF)),
+    ),
+)
+
+
+@given(_ELF_LIKE)
+@settings(max_examples=300, deadline=None)
+def test_malformed_elf_raises_only_elf_parse_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("elf") / "blob"
+    path.write_bytes(blob)
+    for parse in (program_headers, executable_segments, needed_libraries):
+        try:
+            parse(path)
+        except ElfParseError:
+            pass
+
+
 def test_executable_segment_extraction(tmp_path):
     code = b"\x5f\xc3"
     path = write_elf(tmp_path, "prog", code=code)

@@ -242,6 +242,19 @@ def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):
     assert f"tool-wrap-{produced.name}" in labels
 
 
+def test_tool_wrap_duplicate_variant_label_is_exit_2(runner, tmp_path, toy_pair):
+    produced = tmp_path / "debloated"
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    doc["variants"][0]["label"] = f"tool-wrap-{produced.name}"
+    tool = make_script(tmp_path, "debloater", f'cp "{toy_pair["original"]}" "{produced}"\n')
+    result = invoke(
+        runner, "tool-wrap", "--spec", write_spec(tmp_path, doc), "--out", tmp_path / "out",
+        "--output", produced, tool,
+    )
+    assert result.exit_code == EXIT_ERROR
+    assert "variants[1].label" in result.output
+
+
 def test_tool_wrap_failing_tool_records_failure(runner, tmp_path, toy_pair):
     spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
     tool = make_script(tmp_path, "broken", "exit 3\n")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +53,22 @@ def test_identical_outcomes_match_everywhere():
     report = compare(a, a, default_pipeline())
     assert report.all_matched
     assert all(r.matched and r.evidence == "" for r in report.per_comparator)
+
+
+def test_output_differing_after_the_capture_cap_is_a_mismatch():
+    same_prefix = b"x" * 64
+    a = replace(outcome(same_prefix, b"err"), stdout_overflow_sha256=b"\x01" * 32)
+    b = replace(outcome(same_prefix, b"err"), stdout_overflow_sha256=b"\x02" * 32)
+    report = compare(a, b, default_pipeline())
+    assert report.all_matched is False
+    by_kind = {r.config.kind: r for r in report.per_comparator}
+    assert not by_kind[ComparatorKind.STDOUT_EXACT].matched
+    assert "differs after the capture cap" in by_kind[ComparatorKind.STDOUT_EXACT].evidence
+    assert by_kind[ComparatorKind.STDERR_EXACT].matched
+    # One side past the cap, the other not: the captured bytes agree, the streams do not.
+    capped = replace(outcome(b"", b"e" * 64), stderr_overflow_sha256=b"\x03" * 32)
+    assert not compare(capped, outcome(b"", b"e" * 64), default_pipeline()).all_matched
+    assert compare(capped, capped, default_pipeline()).all_matched
 
 
 def test_exit_status_mismatch_names_both_sides():

@@ -195,6 +195,28 @@ def test_scan_matches_brute_force_on_gadget_dense_buffers():
     assert scan_gadgets(region) == brute_force_scan(region)
 
 
+# Gadget-dense pieces: one-byte body instructions and terminators, FF and
+# 0F forms whose ModRM or second byte decide whether they end a gadget, and
+# undecodable runs longer than any instruction, so the sweep runs out of
+# growable starts and must jump to the next terminator candidate.
+_DENSE_PIECES = (
+    [bytes([b]) for b in (0xC3, 0x5F, 0x5E, 0x58, 0x5C, 0x90, 0xC9, 0x48, 0x41, 0x0F, 0xFF, 0x05)]
+    + [b"\xff" + bytes([modrm]) for modrm in (0xE0, 0xD0, 0x20, 0x10, 0x60, 0x50, 0xC0, 0xC8, 0x30, 0x38)]
+    + [b"\xff\x14\x24", b"\xff\x24\x25", b"\xff\x25\x00\x00\x00\x00", b"\xff\x64\x24\x08"]
+    + [b"\x0f\x05", b"\x0f\x84\x00\x01\x00\x00", b"\x0f\xb6\xc3", b"\x0f\x0b", b"\xcd\x80", b"\xcd\x03"]
+    + [b"\xc2\x08\x00", b"\x48\x89\x03", b"\x48\x83\xc4\x08", b"\x48\x8d\x04\x24", b"\x74\x02"]
+    + [b"\x48\xb8" + bytes(8), b"\x48\x81\x84\x24" + bytes(8)]  # 10 and 12 bytes, the longest forms
+    + [b"\x06" * 16, b"\x06" * 23]
+)
+
+
+@given(st.lists(st.sampled_from(_DENSE_PIECES), min_size=1, max_size=48).map(b"".join))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_brute_force_on_dense_terminator_forms(data):
+    region = CodeRegion(0x1000, data, "t")
+    assert scan_gadgets(region) == brute_force_scan(region)
+
+
 @pytest.mark.parametrize("path", ["/usr/bin/gzip", "/bin/ls"])
 def test_scan_matches_brute_force_on_system_binaries(path):
     if not Path(path).exists():

@@ -116,6 +116,7 @@ def test_constructed_specs_keep_the_parse_invariants():
             SchemaError,
             "features[1].commands[0].stdin",
         ),
+        ({"variants": spec.variants * 2}, InvariantError, "variants[1].label"),
     ]
     for change, error, path in cases:
         with pytest.raises(error) as exc:
@@ -126,6 +127,13 @@ def test_constructed_specs_keep_the_parse_invariants():
     with pytest.raises(InvariantError) as exc:
         parse_spec(json.dumps(second_anchor).encode())
     assert exc.value.path == "features[1].anchor"
+
+
+def test_duplicate_variant_label_is_rejected_at_parse():
+    variants = [{"label": "v", "exe": "/bin/false"}, {"label": "v", "exe": "/bin/cat"}]
+    with pytest.raises(InvariantError) as exc:
+        parse_spec(doc(variants=variants))
+    assert exc.value.path == "variants[1].label"
 
 
 def test_comparator_override_parses():
