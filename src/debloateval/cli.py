@@ -176,15 +176,17 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> TrialSummary
     return TrialSummary(len(outcomes), total_cpu, max_rss, 0.0, 0.0, outcomes)
 
 
-def _gadget_report(ref: BinaryRef, aggregate_libs: bool):
-    regions = gadget_analyzer.extract_code_regions(ref, aggregate_libs)
-    gadgets = gadget_analyzer.scan_regions(regions)
-    return gadget_analyzer.build_report(gadgets), gadgets
+def _code_regions(ref: BinaryRef, aggregate_libs: bool) -> list[gadget_analyzer.CodeRegion] | None:
+    """The binary's code regions; None if it cannot be read as an x86-64 ELF."""
+    try:
+        return gadget_analyzer.extract_code_regions(ref, aggregate_libs)
+    except (ElfParseError, OSError):
+        return None
 
 
-def _gadget_summary(report: gadget_analyzer.GadgetSetReport, gadgets) -> dict:
+def _gadget_summary(report: gadget_analyzer.GadgetSetReport) -> dict:
     return {
-        "gadgets": len(gadgets),
+        "gadgets": report.gadget_count,
         "expressivity": report.expressivity.count,
         "mean_quality": report.mean_quality,
         "special_types": sorted(report.special_types),
@@ -201,10 +203,19 @@ def cmd_metrics(
 ) -> int:
     spec = _load_spec(spec_path)
     original_perf = _perf_totals(spec, spec.original.exe_path, seed) if with_perf else None
-    try:
-        original_gadget_report, original_gadgets = _gadget_report(spec.original, aggregate_libs)
-    except (ElfParseError, OSError):
-        original_gadget_report, original_gadgets = None, None
+    # Every side's code is read before any is scanned, so the gadget sets
+    # are composed in one pass that sweeps each distinct region once.
+    original_regions = _code_regions(spec.original, aggregate_libs)
+    gadget_rows: dict[str, tuple[gadget_analyzer.GadgetSetReport, float]] = {}
+    if original_regions is not None:
+        variant_regions = {
+            v.label: regions for v in spec.variants
+            if (regions := _code_regions(v, aggregate_libs)) is not None
+        }
+        original_gadget_report, variant_results = gadget_analyzer.compare_regions(
+            original_regions, list(variant_regions.values())
+        )
+        gadget_rows = dict(zip(variant_regions, variant_results))
 
     rows: dict[str, _VariantMetrics] = {}
     for variant in sorted(spec.variants, key=lambda v: v.label):
@@ -228,18 +239,14 @@ def cmd_metrics(
                 row.runtime_pct, row.memory_pct = perf.runtime_pct, perf.memory_pct
             except NotComparableError:
                 pass
-        if original_gadget_report is not None:
-            try:
-                variant_report, variant_gadgets = _gadget_report(variant, aggregate_libs)
-                delta = gadget_analyzer.compare_sets(original_gadget_report, variant_report)
-                row.expressivity_delta = delta.expressivity_delta
-                row.quality_delta = delta.quality_delta
-                row.quality_significant = delta.quality_significant
-                row.sp_types_delta = delta.sp_types_delta
-                row.syscall_event = delta.syscall_event.value
-                row.locality_pct = gadget_analyzer.locality(original_gadgets, variant_gadgets)
-            except (ElfParseError, OSError):
-                pass
+        if variant.label in gadget_rows:
+            variant_report, row.locality_pct = gadget_rows[variant.label]
+            delta = gadget_analyzer.compare_sets(original_gadget_report, variant_report)
+            row.expressivity_delta = delta.expressivity_delta
+            row.quality_delta = delta.quality_delta
+            row.quality_significant = delta.quality_significant
+            row.sp_types_delta = delta.sp_types_delta
+            row.syscall_event = delta.syscall_event.value
         rows[variant.label] = row
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,6 +285,11 @@ def cmd_tool_wrap(
     registered as a new variant in an updated copy of the spec.
     """
     spec = _load_spec(spec_path)
+    # Built before the tool runs, so a spec that cannot take the new variant
+    # is rejected at once, not after a run of up to max_seconds.
+    updated = replace(
+        spec, variants=spec.variants + (BinaryRef(f"tool-wrap-{output_path.name}", output_path),)
+    )
     # The tool runs in an empty sandbox directory, so it must address the
     # target program and its output via absolute paths.
     req = ExecRequest(
@@ -299,10 +311,6 @@ def cmd_tool_wrap(
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "tool_perf.json").write_text(json.dumps(asdict(record), indent=2, sort_keys=True) + "\n")
     if produced:
-        label = f"tool-wrap-{output_path.name}"
-        updated = replace(
-            spec, variants=spec.variants + (BinaryRef(label, output_path),)
-        )
         (out_dir / "spec.updated.json").write_bytes(serialize_spec(updated))
     click.echo(
         f"succeeded={record.succeeded} cpu_minutes={record.cpu_minutes:.3f} "
@@ -465,19 +473,20 @@ def gadgets():
 @_exits
 def gadgets_compare(original_path: Path, variant_path: Path, aggregate_libs: bool):
     """Compare the gadget sets of two binaries."""
-    orig_report, orig_gadgets = _gadget_report(BinaryRef("original", original_path), aggregate_libs)
-    var_report, var_gadgets = _gadget_report(BinaryRef("variant", variant_path), aggregate_libs)
+    orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path), aggregate_libs)
+    var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path), aggregate_libs)
+    orig_report, [(var_report, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])
     delta = gadget_analyzer.compare_sets(orig_report, var_report)
     doc = {
-        "original": _gadget_summary(orig_report, orig_gadgets),
-        "variant": _gadget_summary(var_report, var_gadgets),
+        "original": _gadget_summary(orig_report),
+        "variant": _gadget_summary(var_report),
         "delta": {
             "expressivity": delta.expressivity_delta,
             "quality": delta.quality_delta,
             "quality_significant": delta.quality_significant,
             "sp_types": delta.sp_types_delta,
             "syscall_event": delta.syscall_event.value,
-            "locality_pct": gadget_analyzer.locality(orig_gadgets, var_gadgets),
+            "locality_pct": locality_pct,
         },
     }
     click.echo(json.dumps(doc, indent=2, sort_keys=True))

@@ -9,8 +9,11 @@ gadget types), and locality (fraction of a variant's gadgets unchanged in
 address and bytes relative to the original).
 
 The scan computes each gadget's classes, quality and special types once, as
-it finds the gadget, and stores them in the gadget's record; the set-level
-metrics only combine those facts.
+it finds the gadget. Every set-level metric but locality is a fold over those
+facts, so a region can carry a small summary in place of its gadgets, and a
+side's metrics combine the summaries of its regions. Records are built only
+where gadgets must be told apart: regions that share a base address, and the
+regions locality has to intersect.
 
 The expressivity class table, special-purpose patterns, and constraint
 taxonomy are this implementation's own; deltas are comparable only between
@@ -23,7 +26,7 @@ import bisect
 import enum
 import functools
 import re
-import statistics
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -137,9 +140,23 @@ class ExpressivityProfile:
             raise ValueError("count must equal |satisfied|")
 
 
+class GadgetSummary(NamedTuple):
+    """What every set-level metric but locality needs from a set of gadgets.
+
+    Each quality is a multiple of MINOR_CONSTRAINT, so quality_sum is exact
+    in any order of addition.
+    """
+
+    count: int
+    class_mask: int
+    quality_sum: float
+    special_mask: int
+    syscall_count: int
+
+
 @dataclass(frozen=True)
 class GadgetSetReport:
-    gadgets: frozenset[Gadget]
+    gadget_count: int
     expressivity: ExpressivityProfile
     mean_quality: float
     special_types: frozenset[str]
@@ -273,6 +290,10 @@ class _Chain(NamedTuple):
     extended_special_mask: int  # what a gadget that extends this one inherits
     head_cost: float            # what the first instruction costs once it is not first
 
+    @property
+    def terminator(self) -> str:
+        return self.term.terminator
+
 
 def _terminator_chain(term: DecodedInstruction) -> _Chain:
     return _Chain(
@@ -309,8 +330,8 @@ def _prepend(ins: DecodedInstruction, tail: _Chain) -> _Chain:
     )
 
 
-@functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets
-def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
+def _sweep(data: bytes) -> Iterator[tuple[int, _Chain]]:
+    """Each gadget of the region, as its start offset and chain, top down."""
     # Terminator candidates, ascending. A REX byte before a terminator needs
     # no entry of its own: the terminator's gadget can grow, so the sweep
     # decodes the byte before it anyway.
@@ -322,7 +343,6 @@ def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
     # Every start above p is known when p is decoded, and each offset is
     # decoded once. Below the reach of the lowest growable start, the sweep
     # jumps to the next candidate.
-    gadgets = []
     growable: dict[int, _Chain] = {}  # start -> chain shorter than MAX_GADGET_LEN
     lowest = len(data) + _MAX_INSTR_BYTES  # lowest growable start
     p = candidates[-1] if candidates else -1
@@ -336,29 +356,47 @@ def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
             tail = growable.get(p + ins.length)
             chain = None if tail is None else _prepend(ins, tail)
         if chain is not None:
-            gadgets.append(Gadget(
-                address=base_address + p,
-                raw_bytes=data[p : chain.end],
-                start=p,
-                terminator=chain.term.terminator,
-                class_mask=chain.class_mask,
-                quality=chain.quality,
-                special_mask=chain.special_mask,
-            ))
+            yield p, chain
             if chain.depth < MAX_GADGET_LEN:
                 growable[p] = chain
                 lowest = p
         p -= 1
+        # No instruction at or below p reaches a start above p + 15.
+        growable.pop(p + _MAX_INSTR_BYTES + 1, None)
         if p + _MAX_INSTR_BYTES < lowest:
+            growable.clear()
             p = candidates[bisect.bisect_right(candidates, p) - 1] if p >= candidates[0] else -1
-    return frozenset(gadgets)
+
+
+@functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets
+def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
+    return frozenset(
+        Gadget(
+            address=base_address + p,
+            raw_bytes=data[p : chain.end],
+            start=p,
+            terminator=chain.terminator,
+            class_mask=chain.class_mask,
+            quality=chain.quality,
+            special_mask=chain.special_mask,
+        )
+        for p, chain in _sweep(data)
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _region_summary(data: bytes) -> GadgetSummary:
+    """The summary of the region's gadgets, built without their records.
+
+    A gadget's facts follow from its bytes alone, so the base address plays
+    no part and the cache is keyed on the bytes.
+    """
+    return _fold(chain for _, chain in _sweep(data))
 
 
 def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
-    found: set[Gadget] = set()
-    for region in regions:
-        found |= scan_gadgets(region)
-    return frozenset(found)
+    sets = [scan_gadgets(region) for region in regions]
+    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
 
 
 def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> list[CodeRegion]:
@@ -373,21 +411,11 @@ def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> lis
     return regions
 
 
-# --- Expressivity ------------------------------------------------------
+# --- Per-gadget facts --------------------------------------------------
 
 def gadget_classes(g: Gadget) -> set[str]:
     return _names(g.class_mask, EXPRESSIVITY_CLASSES)
 
-
-def classify_expressivity(gadgets: set[Gadget] | frozenset[Gadget]) -> ExpressivityProfile:
-    mask = 0
-    for g in gadgets:
-        mask |= g.class_mask
-    satisfied = frozenset(_names(mask, EXPRESSIVITY_CLASSES))
-    return ExpressivityProfile(satisfied, len(satisfied))
-
-
-# --- Quality -----------------------------------------------------------
 
 def score_quality(g: Gadget) -> float:
     """Side-constraint penalty: 0.0 is maximally chainable.
@@ -399,49 +427,147 @@ def score_quality(g: Gadget) -> float:
     return g.quality
 
 
-def mean_quality(gadgets: set[Gadget] | frozenset[Gadget]) -> float:
-    if not gadgets:
-        return 0.0
-    return statistics.fmean(g.quality for g in gadgets)
-
-
-# --- Special-purpose types ---------------------------------------------
-
 def gadget_special_types(g: Gadget) -> set[str]:
     return _names(g.special_mask, SPECIAL_TYPES)
 
 
-def special_types(gadgets: set[Gadget] | frozenset[Gadget]) -> tuple[frozenset[str], int]:
-    mask = 0
-    syscall_count = 0
+# --- Set-level reports ---------------------------------------------------
+
+def _fold(gadgets: Iterable[Gadget] | Iterable[_Chain]) -> GadgetSummary:
+    """The summary of a set of gadgets; sweep chains carry the same facts."""
+    count = class_mask = special_mask = syscall_count = 0
+    quality_sum = 0.0
     for g in gadgets:
-        mask |= g.special_mask
-        if g.terminator == SYSCALL:
-            syscall_count += 1
-    return frozenset(_names(mask, SPECIAL_TYPES)), syscall_count
+        count += 1
+        class_mask |= g.class_mask
+        quality_sum += g.quality
+        special_mask |= g.special_mask
+        syscall_count += g.terminator == SYSCALL
+    return GadgetSummary(count, class_mask, quality_sum, special_mask, syscall_count)
 
 
-# --- Set-level reports and deltas --------------------------------------
+def _combine(summaries: Iterable[GadgetSummary]) -> GadgetSummary:
+    """The summary of the union of disjoint gadget sets."""
+    count = class_mask = special_mask = syscall_count = 0
+    quality_sum = 0.0
+    for s in summaries:
+        count += s.count
+        class_mask |= s.class_mask
+        quality_sum += s.quality_sum
+        special_mask |= s.special_mask
+        syscall_count += s.syscall_count
+    return GadgetSummary(count, class_mask, quality_sum, special_mask, syscall_count)
+
+
+def _report(summary: GadgetSummary) -> GadgetSetReport:
+    satisfied = frozenset(_names(summary.class_mask, EXPRESSIVITY_CLASSES))
+    return GadgetSetReport(
+        gadget_count=summary.count,
+        expressivity=ExpressivityProfile(satisfied, len(satisfied)),
+        mean_quality=summary.quality_sum / summary.count if summary.count else 0.0,
+        special_types=frozenset(_names(summary.special_mask, SPECIAL_TYPES)),
+        syscall_gadget_count=summary.syscall_count,
+    )
+
 
 def build_report(gadgets: set[Gadget] | frozenset[Gadget]) -> GadgetSetReport:
-    types, syscall_count = special_types(gadgets)
-    return GadgetSetReport(
-        gadgets=frozenset(gadgets),
-        expressivity=classify_expressivity(gadgets),
-        mean_quality=mean_quality(gadgets),
-        special_types=types,
-        syscall_gadget_count=syscall_count,
-    )
+    return _report(_fold(gadgets))
+
+
+def classify_expressivity(gadgets: set[Gadget] | frozenset[Gadget]) -> ExpressivityProfile:
+    return build_report(gadgets).expressivity
+
+
+def mean_quality(gadgets: set[Gadget] | frozenset[Gadget]) -> float:
+    return build_report(gadgets).mean_quality
+
+
+def _address_index(gadgets: Iterable[Gadget]) -> set[tuple[int, bytes]]:
+    return {(g.address, g.raw_bytes) for g in gadgets}
+
+
+def _local_count(index: set[tuple[int, bytes]], gadgets: Iterable[Gadget]) -> int:
+    return sum(1 for g in gadgets if (g.address, g.raw_bytes) in index)
+
+
+def _percent(local: int, total: int) -> float:
+    return 100.0 * local / total if total else 0.0
 
 
 def locality(original: set[Gadget] | frozenset[Gadget], variant: set[Gadget] | frozenset[Gadget]) -> float:
     """Percent of variant gadgets identical (address and bytes) in the original."""
-    if not variant:
-        return 0.0
-    index = {(g.address, g.raw_bytes) for g in original}
-    local = sum(1 for g in variant if (g.address, g.raw_bytes) in index)
-    return 100.0 * local / len(variant)
+    return _percent(_local_count(_address_index(original), variant), len(variant))
 
+
+# --- Sides composed from region summaries --------------------------------
+
+def _key(region: CodeRegion) -> tuple[int, bytes]:
+    return region.base_address, region.data
+
+
+def _base_groups(regions: list[CodeRegion]) -> list[list[CodeRegion]]:
+    """The distinct regions of one side, grouped by base address.
+
+    Equal records need equal addresses and region-relative starts, so only
+    regions that share a base address can share a gadget.
+    """
+    groups: dict[int, dict[bytes, CodeRegion]] = {}
+    for region in regions:
+        groups.setdefault(region.base_address, {}).setdefault(region.data, region)
+    return [list(group.values()) for group in groups.values()]
+
+
+def _overlaps(region: CodeRegion, group: list[CodeRegion]) -> bool:
+    end = region.base_address + len(region.data)
+    return any(r.base_address < end and region.base_address < r.base_address + len(r.data) for r in group)
+
+
+def compare_regions(
+    original: list[CodeRegion], variants: list[list[CodeRegion]]
+) -> tuple[GadgetSetReport, list[tuple[GadgetSetReport, float]]]:
+    """The original's report, and each variant's report and locality.
+
+    Each report equals build_report(scan_regions(side)) and each locality
+    equals locality() of the two sides' sets. A side is composed from its
+    base groups: a group of one region adds that region's summary, and a
+    group of several adds the summary of the union of their records. A
+    variant group made only of original regions is all local; any other is
+    intersected with one index of the original regions whose addresses it
+    overlaps. The plan comes first, so every distinct region is swept once,
+    and only the regions these cases need become records.
+    """
+    sides = [_base_groups(original)] + [_base_groups(regions) for regions in variants]
+    original_keys = {_key(r) for r in original}
+    foreign = [[any(_key(r) not in original_keys for r in group) for group in groups] for groups in sides]
+    foreign_groups = [g for groups, flags in zip(sides, foreign) for g, f in zip(groups, flags) if f]
+    indexed = [r for group in sides[0] for r in group if any(_overlaps(r, g) for g in foreign_groups)]
+    # A region that is made into records for one group is summarised from
+    # them everywhere, so no region is swept twice.
+    with_records = {_key(r) for r in indexed}
+    with_records.update(_key(r) for groups in sides for g in groups if len(g) > 1 for r in g)
+    with_records.update(_key(r) for g in foreign_groups for r in g)
+
+    index = _address_index(g for r in indexed for g in scan_gadgets(r))
+    results = []
+    for groups, flags in zip(sides, foreign):
+        summaries = []
+        local = 0
+        for group, is_foreign in zip(groups, flags):
+            if len(group) == 1 and _key(group[0]) not in with_records:
+                summary = _region_summary(group[0].data)
+                local += summary.count
+            else:
+                gadgets = scan_regions(group)
+                summary = _fold(gadgets)
+                local += _local_count(index, gadgets) if is_foreign else summary.count
+            summaries.append(summary)
+        report = _report(_combine(summaries))
+        results.append((report, _percent(local, report.gadget_count)))
+    (original_report, _), *variant_results = results
+    return original_report, variant_results
+
+
+# --- Deltas --------------------------------------------------------------
 
 def compare_sets(original: GadgetSetReport, variant: GadgetSetReport) -> SecurityDelta:
     """Signed deltas, original minus variant.

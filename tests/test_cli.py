@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from debloateval import gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+from debloateval.elf import PF_X, PT_LOAD, program_headers
+from debloateval.spec_model import BinaryRef
 
 from conftest import make_script, toy_spec_doc, write_elf, write_spec
 
@@ -197,6 +204,48 @@ def test_metrics_bad_spec_is_exit_2(runner, tmp_path):
     assert result.exit_code == EXIT_ERROR
 
 
+def test_metrics_on_sed_with_its_libraries_equal_the_set_based_values(runner, tmp_path):
+    sed = Path("/usr/bin/sed")
+    if not sed.is_file() or shutil.which("ldd") is None:
+        pytest.skip("/usr/bin/sed or ldd unavailable")
+    ldd = subprocess.run(["ldd", str(sed)], capture_output=True, text=True, check=True).stdout
+    libs = [Path(path) for path in re.findall(r"=> (/\S+) \(", ldd)]
+    # The variant is sed with 4 KB in the middle of its code stubbed by int3.
+    data = bytearray(sed.read_bytes())
+    code = next(ph for ph in program_headers(sed) if ph.p_type == PT_LOAD and ph.p_flags & PF_X)
+    middle = code.p_offset + code.p_filesz // 2
+    data[middle : middle + 4096] = b"\xcc" * 4096
+    stubbed = tmp_path / "sed"
+    stubbed.write_bytes(bytes(data))
+    doc = {
+        "id": "sed",
+        "original": {"label": "orig", "exe": str(sed), "libs": [str(lib) for lib in libs]},
+        "variants": [{"label": "stubbed", "exe": str(stubbed), "libs": [str(lib) for lib in libs]}],
+        "features": [{"name": "run", "disposition": "retain", "commands": [{"argv": ["--version"]}]}],
+    }
+    out = tmp_path / "out"
+    result = invoke(
+        runner, "metrics", "--spec", write_spec(tmp_path, doc), "--out", out, "--no-perf", "--aggregate-libs"
+    )
+    assert result.exit_code == EXIT_OK
+    row = json.loads((out / "metrics.json").read_text())["variants"]["stubbed"]
+
+    sets = [
+        gadget_analyzer.scan_regions(
+            gadget_analyzer.extract_code_regions(BinaryRef(label, exe, tuple(libs)), aggregate_libs=True)
+        )
+        for label, exe in (("orig", sed), ("stubbed", stubbed))
+    ]
+    assert sets[0] != sets[1]
+    delta = gadget_analyzer.compare_sets(*map(gadget_analyzer.build_report, sets))
+    assert row["expressivity_delta"] == delta.expressivity_delta
+    assert row["quality_delta"] == delta.quality_delta
+    assert row["quality_significant"] == delta.quality_significant
+    assert row["sp_types_delta"] == delta.sp_types_delta
+    assert row["syscall_event"] == delta.syscall_event.value
+    assert row["locality_pct"] == gadget_analyzer.locality(*sets)
+
+
 # --- gadgets compare -----------------------------------------------------
 
 def test_gadgets_compare_outputs_delta_json(runner, tmp_path):
@@ -244,15 +293,22 @@ def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):
 
 def test_tool_wrap_duplicate_variant_label_is_exit_2(runner, tmp_path, toy_pair):
     produced = tmp_path / "debloated"
+    marker = tmp_path / "tool-ran"
     doc = toy_spec_doc(toy_pair, ["no_b"])
     doc["variants"][0]["label"] = f"tool-wrap-{produced.name}"
-    tool = make_script(tmp_path, "debloater", f'cp "{toy_pair["original"]}" "{produced}"\n')
+    tool = make_script(
+        tmp_path, "debloater", f'touch "{marker}"\ncp "{toy_pair["original"]}" "{produced}"\n'
+    )
+    out = tmp_path / "out"
     result = invoke(
-        runner, "tool-wrap", "--spec", write_spec(tmp_path, doc), "--out", tmp_path / "out",
+        runner, "tool-wrap", "--spec", write_spec(tmp_path, doc), "--out", out,
         "--output", produced, tool,
     )
     assert result.exit_code == EXIT_ERROR
     assert "variants[1].label" in result.output
+    # The spec is rejected before the tool starts.
+    assert not marker.exists()
+    assert not (out / "tool_perf.json").exists()
 
 
 def test_tool_wrap_failing_tool_records_failure(runner, tmp_path, toy_pair):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import statistics
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debloateval import gadget_analyzer
 from debloateval.elf import executable_segments
 from debloateval.gadget_analyzer import (
     CodeRegion,
@@ -17,6 +20,7 @@ from debloateval.gadget_analyzer import (
     SyscallEvent,
     build_report,
     classify_expressivity,
+    compare_regions,
     compare_sets,
     extract_code_regions,
     gadget_classes,
@@ -396,6 +400,70 @@ def test_locality_counts_address_and_bytes():
     partial = scan_gadgets(CodeRegion(0x1000, b"\x5a\x5e\xc3", "v"))
     # pop rsi; ret and ret survive at the same addresses; pop rdx differs.
     assert locality(original, partial) == pytest.approx(100.0 * 2 / 3)
+
+
+# --- Sides composed from region summaries --------------------------------
+
+# Buffers for region pools: gadget-dense ones and one with no gadget at all.
+_BUFFERS = (
+    st.lists(st.sampled_from(_DENSE_PIECES), min_size=1, max_size=10).map(b"".join)
+    | st.just(b"\x06" * 20)
+)
+# 0x1000 and 0x1008 give overlapping address ranges; 0x2000 a disjoint one.
+_BASES = (0x1000, 0x1008, 0x2000)
+
+
+@st.composite
+def _two_sides(draw):
+    """An original and a variant side drawn from one pool of regions.
+
+    The pool holds every buffer at every base: buffers that share a prefix
+    (same-base regions then share some gadgets), and buffers shifted by 8
+    bytes (their gadgets can sit at the addresses of the unshifted
+    buffer's at the next base). Sides draw with replacement, so a region
+    can be listed twice.
+    """
+    buffers = draw(st.lists(_BUFFERS, min_size=1, max_size=2))
+    buffers += [b[: draw(st.integers(len(b) // 2, len(b)))] + draw(_BUFFERS) for b in buffers]
+    buffers += [b[8:] for b in buffers if len(b) > 8]
+    pool = [CodeRegion(base, data, "r") for base in _BASES for data in buffers]
+    side = st.lists(st.sampled_from(pool), max_size=6)
+    return draw(side), draw(side)
+
+
+@given(_two_sides())
+@settings(max_examples=200, deadline=None)
+def test_composed_sides_equal_the_set_based_metrics(sides):
+    original, variant = sides
+    original_set, variant_set = scan_regions(original), scan_regions(variant)
+    original_report, results = compare_regions(original, [variant, original])
+    assert original_report == build_report(original_set)
+    assert results == [
+        (build_report(variant_set), locality(original_set, variant_set)),
+        (original_report, locality(original_set, original_set)),
+    ]
+    # The summed quality gives fmean's value exactly.
+    assert original_report.gadget_count == len(original_set)
+    if original_set:
+        assert original_report.mean_quality == statistics.fmean(g.quality for g in original_set)
+
+
+def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(monkeypatch):
+    swept, recorded = Counter(), Counter()
+    sweep, scan = gadget_analyzer._sweep, gadget_analyzer.scan_gadgets
+    monkeypatch.setattr(gadget_analyzer, "_sweep", lambda data: swept.update([data]) or sweep(data))
+    monkeypatch.setattr(gadget_analyzer, "scan_gadgets", lambda r: recorded.update([r.data]) or scan(r))
+    gadget_analyzer._scan.cache_clear()
+    gadget_analyzer._region_summary.cache_clear()
+    exe, slim, lib, m, n = b"\x5f\x5e\xc3", b"\x58\x5e\xc3", b"\x5a\x0f\x05", b"\x58\xc3", b"\x59\xc3"
+    original = [CodeRegion(0x1000, exe, "o"), CodeRegion(0x4000, lib, "o"),
+                CodeRegion(0x8000, m, "o"), CodeRegion(0x8000, n, "o")]
+    slimmed = [CodeRegion(0x1000, slim, "v")] + original[1:]
+    _, results = compare_regions(original, [slimmed, original[:2]])
+    assert swept == Counter([exe, slim, lib, m, n])  # each region once
+    assert lib not in recorded and set(recorded) == {exe, slim, m, n}
+    # 2 of slim's 3 gadgets are local, and the 5 of lib, m and n (m and n share a ret).
+    assert [pct for _, pct in results] == [100.0 * 7 / 8, 100.0]
 
 
 def test_compare_sets_deltas_and_significance():
