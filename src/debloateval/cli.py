@@ -469,12 +469,11 @@ def gadgets():
 @gadgets.command("compare")
 @click.option("--original", "original_path", type=click.Path(path_type=Path), required=True)
 @click.option("--variant", "variant_path", type=click.Path(path_type=Path), required=True)
-@click.option("--aggregate-libs", is_flag=True)
 @_exits
-def gadgets_compare(original_path: Path, variant_path: Path, aggregate_libs: bool):
-    """Compare the gadget sets of two binaries."""
-    orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path), aggregate_libs)
-    var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path), aggregate_libs)
+def gadgets_compare(original_path: Path, variant_path: Path):
+    """Compare the gadget sets of two binaries' own code, without libraries."""
+    orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path))
+    var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path))
     orig_report, [(var_report, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])
     delta = gadget_analyzer.compare_sets(orig_report, var_report)
     doc = {

@@ -7,6 +7,7 @@ linked-library accounting, on any machine).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,8 +44,14 @@ class ProgramHeader:
     p_memsz: int
 
 
-def _read_headers(data: bytes, source: str) -> list[ProgramHeader]:
-    if len(data) < _EHDR.size:
+def _read_headers(data: bytes, source: str, file_size: int | None = None) -> list[ProgramHeader]:
+    """The program headers, checked against the file's size.
+
+    data holds the file from its start at least to the end of the program
+    header table, or up to file_size (default: len(data)) if that is less.
+    """
+    size = len(data) if file_size is None else file_size
+    if size < _EHDR.size:
         raise ElfParseError(f"{source}: file too small for an ELF header")
     (ident, _etype, _machine, _version, _entry, e_phoff, _shoff, _flags,
      _ehsize, e_phentsize, e_phnum, _shentsize, _shnum, _shstrndx) = _EHDR.unpack_from(data)
@@ -57,12 +64,12 @@ def _read_headers(data: bytes, source: str) -> list[ProgramHeader]:
     headers = []
     for idx in range(e_phnum):
         off = e_phoff + idx * e_phentsize
-        if off + _PHDR.size > len(data):
+        if off + _PHDR.size > size:
             raise ElfParseError(f"{source}: program header {idx} beyond end of file")
         p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _align = _PHDR.unpack_from(
             data, off
         )
-        if p_offset + p_filesz > len(data):
+        if p_offset + p_filesz > size:
             raise ElfParseError(f"{source}: segment {idx} data beyond end of file")
         headers.append(ProgramHeader(p_type, p_flags, p_offset, p_vaddr, p_filesz, p_memsz))
     return headers
@@ -77,19 +84,30 @@ def program_headers(path: Path) -> list[ProgramHeader]:
 
 
 def executable_segments(path: Path) -> list[tuple[int, bytes]]:
-    """(vaddr, file bytes) of every executable PT_LOAD segment of an x86-64 ELF."""
-    data = path.read_bytes()
-    headers = _read_headers(data, str(path))
-    machine = _EHDR.unpack_from(data)[2]
-    if machine != EM_X86_64:
-        raise ElfParseError(
-            f"{path}: e_machine {machine} is not x86-64 ({EM_X86_64}); its code cannot be scanned"
-        )
-    out = []
-    for ph in headers:
-        if ph.p_type == PT_LOAD and ph.p_flags & PF_X and ph.p_filesz > 0:
-            out.append((ph.p_vaddr, data[ph.p_offset : ph.p_offset + ph.p_filesz]))
-    return out
+    """(vaddr, file bytes) of every executable PT_LOAD segment of an x86-64 ELF.
+
+    Only the ELF header, the program header table and the returned
+    segments are read from the file.
+    """
+    with open(path, "rb") as file:
+        fd = file.fileno()
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, _EHDR.size, 0)
+        if len(head) == _EHDR.size:
+            fields = _EHDR.unpack_from(head)
+            table_end = fields[5] + fields[9] * fields[10]  # e_phoff + e_phentsize * e_phnum
+            head = os.pread(fd, min(size, max(_EHDR.size, table_end)), 0)
+        headers = _read_headers(head, str(path), size)
+        machine = _EHDR.unpack_from(head)[2]
+        if machine != EM_X86_64:
+            raise ElfParseError(
+                f"{path}: e_machine {machine} is not x86-64 ({EM_X86_64}); its code cannot be scanned"
+            )
+        return [
+            (ph.p_vaddr, os.pread(fd, ph.p_filesz, ph.p_offset))
+            for ph in headers
+            if ph.p_type == PT_LOAD and ph.p_flags & PF_X and ph.p_filesz > 0
+        ]
 
 
 def _vaddr_to_offset(headers: list[ProgramHeader], vaddr: int) -> int | None:

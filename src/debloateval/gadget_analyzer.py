@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import elf
 from .spec_model import BinaryRef
-from .x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, DecodedInstruction, decode
+from .x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, DecodedInstruction, decode, instruction_bounds
 
 MAX_GADGET_LEN = 10  # instructions, terminator included
 _MAX_INSTR_BYTES = 15
@@ -261,8 +261,10 @@ def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
 
     A start address yields the gadget that ends at the first terminator
     its decode chain reaches within MAX_GADGET_LEN instructions. The scan
-    is one downward sweep over the region that decodes each offset at most
-    once; each gadget's facts are folded in as it is found. The result is
+    is one downward sweep over the region that measures each offset once
+    with the length pass and fully decodes only terminators and the first
+    body instruction of each header; each gadget's facts are folded in as
+    it is found. The result is
     cached per (base address, bytes), so a library shared by the original
     and its variants is scanned once per process.
     """
@@ -278,6 +280,26 @@ _TERMINATOR = re.compile(
 )
 
 
+def _terminator_offsets(data: bytes) -> list[int]:
+    """The offsets that hold a terminator's bytes, ascending.
+
+    These are the pattern's matches and each REX byte just before one. An
+    optional REX byte in the pattern would make the regex scan twice as
+    slow, so the byte before each match is checked here.
+    """
+    offsets = []
+    for match in _TERMINATOR.finditer(data):
+        start = match.start()
+        if start and 0x40 <= data[start - 1] <= 0x4F:
+            offsets.append(start - 1)
+        offsets.append(start)
+    return offsets
+
+# What one body instruction adds to a gadget: class bits, its own cost,
+# the cost it carries once it is no longer first, and special-type bits.
+_BodyFacts = tuple[int, float, float, int]
+
+
 class _Chain(NamedTuple):
     """The facts of a found gadget that an instruction before it extends."""
 
@@ -289,13 +311,14 @@ class _Chain(NamedTuple):
     special_mask: int
     extended_special_mask: int  # what a gadget that extends this one inherits
     head_cost: float            # what the first instruction costs once it is not first
+    body_facts: dict[bytes, _BodyFacts]  # by instruction header, for this terminator kind and target
 
     @property
     def terminator(self) -> str:
         return self.term.terminator
 
 
-def _terminator_chain(term: DecodedInstruction) -> _Chain:
+def _terminator_chain(term: DecodedInstruction, body_facts: dict[bytes, _BodyFacts]) -> _Chain:
     return _Chain(
         depth=1,
         end=term.offset + term.length,
@@ -305,67 +328,90 @@ def _terminator_chain(term: DecodedInstruction) -> _Chain:
         special_mask=_mask(_terminator_special_types(term, bare=True), _SPECIAL_BIT),
         extended_special_mask=_mask(_terminator_special_types(term, bare=False), _SPECIAL_BIT),
         head_cost=0.0,
+        body_facts=body_facts,
     )
 
 
-def _prepend(ins: DecodedInstruction, tail: _Chain) -> _Chain:
-    """The chain of ins followed by the gadget tail.
+def _body_facts(ins: DecodedInstruction, term: DecodedInstruction) -> _BodyFacts:
+    """The facts ins gives a gadget that ends in term.
 
     The first body instruction is free unless it is a major constraint;
     every later one costs MINOR_CONSTRAINT (nop: nothing) or
     MAJOR_CONSTRAINT. So ins pays only if major, and the old first
-    instruction now pays its head_cost.
+    instruction pays its head cost once ins is put before it.
     """
     major = _is_major(ins)
-    special = tail.extended_special_mask | _mask(_body_special_types(ins, tail.term), _SPECIAL_BIT)
-    return _Chain(
-        depth=tail.depth + 1,
-        end=tail.end,
-        term=tail.term,
-        class_mask=tail.class_mask | _mask(_instruction_classes(ins, False), _CLASS_BIT),
-        quality=tail.quality + tail.head_cost + (MAJOR_CONSTRAINT if major else 0.0),
-        special_mask=special,
-        extended_special_mask=special,
-        head_cost=0.0 if major or ins.mnemonic == "nop" else MINOR_CONSTRAINT,
+    return (
+        _mask(_instruction_classes(ins, False), _CLASS_BIT),
+        MAJOR_CONSTRAINT if major else 0.0,
+        0.0 if major or ins.mnemonic == "nop" else MINOR_CONSTRAINT,
+        _mask(_body_special_types(ins, term), _SPECIAL_BIT),
     )
 
 
 def _sweep(data: bytes) -> Iterator[tuple[int, _Chain]]:
     """Each gadget of the region, as its start offset and chain, top down."""
-    # Terminator candidates, ascending. A REX byte before a terminator needs
-    # no entry of its own: the terminator's gadget can grow, so the sweep
-    # decodes the byte before it anyway.
-    candidates = [match.start() for match in _TERMINATOR.finditer(data)]
+    terminators = _terminator_offsets(data)
 
-    # Sweep down from the highest candidate. Decoding at an offset is a
-    # function, so an offset starts a gadget iff it decodes to a terminator
-    # or to an instruction that ends at a start whose gadget can still grow.
-    # Every start above p is known when p is decoded, and each offset is
-    # decoded once. Below the reach of the lowest growable start, the sweep
-    # jumps to the next candidate.
-    growable: dict[int, _Chain] = {}  # start -> chain shorter than MAX_GADGET_LEN
+    # Sweep down from the highest terminator. Decoding at an offset is a
+    # function, so an offset starts a gadget iff it holds a terminator or
+    # an instruction that ends at a start whose gadget can still grow.
+    # Every start above p is known when p is reached. Only terminators are
+    # decoded; elsewhere the length pass finds where the instruction ends.
+    # A body instruction's facts follow from its header and the gadget's
+    # terminator kind and target, so each header is decoded once per kind
+    # and target. Below the reach of the lowest growable start, the sweep
+    # jumps to the next terminator.
+    body_facts: dict[tuple[str, str | None], dict[bytes, _BodyFacts]] = {}
+    # The chains shorter than MAX_GADGET_LEN that start in reach of p, in a
+    # ring by start: slot s & 15 holds the one at s, for p < s <= p + 15,
+    # or None. An offset overwrites its slot when the sweep leaves it.
+    growable: list[_Chain | None] = [None] * 16
     lowest = len(data) + _MAX_INSTR_BYTES  # lowest growable start
-    p = candidates[-1] if candidates else -1
+    k = len(terminators) - 1  # terminators[k]: the highest at or below p
+    next_term = p = terminators[k] if k >= 0 else -1
     while p >= 0:
-        ins = decode(data, p)
-        if ins is None:
-            chain = None
-        elif ins.terminator is not None:
-            chain = _terminator_chain(ins)
+        chain = None
+        if p == next_term:
+            k -= 1
+            next_term = terminators[k] if k >= 0 else -1
+            term = decode(data, p)
+            if term is not None:
+                key = (term.terminator, term.branch_reg or term.mem_base)
+                chain = _terminator_chain(term, body_facts.setdefault(key, {}))
         else:
-            tail = growable.get(p + ins.length)
-            chain = None if tail is None else _prepend(ins, tail)
+            bounds = instruction_bounds(data, p)
+            tail = None if bounds is None else growable[(p + bounds[0]) & 15]
+            if tail is not None:
+                header = data[p : p + bounds[1]]
+                facts = tail.body_facts.get(header)
+                if facts is None:
+                    facts = tail.body_facts[header] = _body_facts(decode(data, p), tail.term)
+                class_bits, cost, head_cost, special = facts
+                special |= tail.extended_special_mask
+                chain = _Chain(
+                    tail.depth + 1,
+                    tail.end,
+                    tail.term,
+                    tail.class_mask | class_bits,
+                    tail.quality + tail.head_cost + cost,
+                    special,
+                    special,
+                    head_cost,
+                    tail.body_facts,
+                )
         if chain is not None:
             yield p, chain
             if chain.depth < MAX_GADGET_LEN:
-                growable[p] = chain
                 lowest = p
+            else:
+                chain = None  # full length: nothing extends it
+        growable[p & 15] = chain
         p -= 1
-        # No instruction at or below p reaches a start above p + 15.
-        growable.pop(p + _MAX_INSTR_BYTES + 1, None)
         if p + _MAX_INSTR_BYTES < lowest:
-            growable.clear()
-            p = candidates[bisect.bisect_right(candidates, p) - 1] if p >= candidates[0] else -1
+            growable = [None] * 16
+            k = bisect.bisect_right(terminators, p) - 1
+            next_term = p = terminators[k] if k >= 0 else -1
 
 
 @functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets

@@ -74,3 +74,80 @@ def brute_force_scan(region: CodeRegion) -> set[Gadget]:
                 gadgets.add(gadget_record(region, start, instructions))
                 break
     return gadgets
+
+
+_ALU_OPCODES = (0x01, 0x03, 0x09, 0x0B, 0x21, 0x23, 0x29, 0x2B, 0x31, 0x33, 0x39, 0x3B)
+
+
+def reference_bounds(buf: bytes, offset: int = 0) -> tuple[int, int] | None:
+    """(length, header length) of the subset instruction at offset, or None.
+
+    A plain case analysis written from the instruction set. It shares no
+    table or helper with x86, so the length pass is checked against it.
+    """
+    n = len(buf)
+    i = offset
+    rex = 0
+    if i < n and 0x40 <= buf[i] <= 0x4F:
+        rex = buf[i]
+        i += 1
+    if i >= n:
+        return None
+    op = buf[i]
+    i += 1
+
+    def with_modrm(regs=range(8), memory_only=False, imm=0):
+        # The ModRM byte at i, then SIB, displacement and the immediate.
+        if i >= n:
+            return None
+        mod, reg, rm = buf[i] >> 6, (buf[i] >> 3) & 7, buf[i] & 7
+        if reg not in regs or (mod == 3 and memory_only):
+            return None
+        header = i + 1
+        end = header
+        if mod != 3:
+            if rm == 4:
+                if end >= n:
+                    return None
+                if mod == 0 and buf[end] & 7 == 5:
+                    end += 4
+                end += 1
+            elif mod == 0 and rm == 5:
+                end += 4
+            end += {0: 0, 1: 1, 2: 4}[mod]
+        return end + imm, header
+
+    found = None  # (end, header end)
+    if 0x50 <= op <= 0x5F or op in (0xC3, 0xC9) or (op == 0x90 and not rex):
+        found = i, i
+    elif op in _ALU_OPCODES or op in (0x85, 0x87, 0x89, 0x8B):
+        found = with_modrm()
+    elif op in (0x81, 0x83):
+        found = with_modrm(regs=(0, 1, 4, 5, 6, 7), imm=4 if op == 0x81 else 1)
+    elif op == 0x8D:
+        found = with_modrm(memory_only=True)
+    elif op == 0xFF:
+        found = with_modrm(regs=(0, 1, 2, 4, 6))
+    elif 0xB8 <= op <= 0xBF:
+        found = i + (8 if rex & 8 else 4), i
+    elif op in (0x68, 0x6A):
+        found = i + (4 if op == 0x68 else 1), i
+    elif 0x70 <= op <= 0x7F:
+        found = i + 1, i
+    elif op == 0xC2:
+        found = i + 2, i
+    elif op == 0xCD:
+        if i < n and buf[i] == 0x80:
+            found = i + 1, i + 1
+    elif op == 0x0F and i < n:
+        op2 = buf[i]
+        i += 1
+        if op2 == 0x05:
+            found = i, i
+        elif 0x80 <= op2 <= 0x8F:
+            found = i + 4, i
+        elif op2 in (0xB6, 0xB7, 0xBE, 0xBF):
+            found = with_modrm()
+    if found is None or found[0] > n:
+        return None
+    return found[0] - offset, found[1] - offset

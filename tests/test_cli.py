@@ -269,6 +269,16 @@ def test_gadgets_compare_rejects_non_elf(runner, tmp_path):
     assert result.exit_code == EXIT_ERROR
 
 
+def test_gadgets_compare_has_no_aggregate_libs_flag(runner, tmp_path):
+    # A bare path carries no library list; metrics --aggregate-libs on a spec does.
+    binary = write_elf(tmp_path, "a.elf", code=b"\xc3")
+    result = invoke(
+        runner, "gadgets", "compare", "--original", binary, "--variant", binary, "--aggregate-libs"
+    )
+    assert result.exit_code == EXIT_ERROR
+    assert "--aggregate-libs" in result.output
+
+
 # --- tool-wrap -----------------------------------------------------------
 
 def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from debloateval import gadget_analyzer
@@ -18,6 +18,9 @@ from debloateval.gadget_analyzer import (
     SPECIAL_TYPES,
     SecurityDelta,
     SyscallEvent,
+    _body_special_types,
+    _instruction_classes,
+    _is_major,
     build_report,
     classify_expressivity,
     compare_regions,
@@ -32,7 +35,7 @@ from debloateval.gadget_analyzer import (
     score_quality,
 )
 from debloateval.spec_model import BinaryRef
-from debloateval.x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, decode
+from debloateval.x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, decode, instruction_bounds
 
 from conftest import gadget, write_elf
 from oracles import brute_force_scan
@@ -221,6 +224,24 @@ def test_scan_matches_brute_force_on_dense_terminator_forms(data):
     assert scan_gadgets(region) == brute_force_scan(region)
 
 
+# Body instructions that write rax or rcx, and terminators that branch
+# through rax, rcx, [rax], [rcx], [rsp] or no register: the facts of one
+# body header differ by the terminator's target.
+_TARGET_PIECES = (
+    [b"\x48\x89\xd8", b"\x48\x89\xd9", b"\x48\x83\xc0\x08", b"\x48\x83\xc1\x08", b"\x48\x8d\x00"]
+    + [b"\x48\x8d\x09", b"\x48\x83\xc4\x08", b"\x5e", b"\x90"]
+    + [b"\xff" + bytes([modrm]) for modrm in (0xE0, 0xE1, 0x20, 0x21, 0xD0, 0xD1, 0x10, 0x11)]
+    + [b"\xff\x14\x24", b"\xff\x24\x25\x00\x00\x00\x00", b"\xc3", b"\x0f\x05"]
+)
+
+
+@given(st.lists(st.sampled_from(_TARGET_PIECES), min_size=1, max_size=32).map(b"".join))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_brute_force_when_terminator_targets_differ(data):
+    region = CodeRegion(0x1000, data, "t")
+    assert scan_gadgets(region) == brute_force_scan(region)
+
+
 @pytest.mark.parametrize("path", ["/usr/bin/gzip", "/bin/ls"])
 def test_scan_matches_brute_force_on_system_binaries(path):
     if not Path(path).exists():
@@ -376,6 +397,40 @@ def test_all_special_types_are_reachable():
     report = build_report(gadgets)
     assert report.special_types == frozenset(SPECIAL_TYPES)
     assert report.syscall_gadget_count == 1
+
+
+# ret, jmp rax, call [rbx], jmp [rip], syscall
+_FACT_TERMINATORS = [
+    decode(raw, 0) for raw in (b"\xc3", b"\xff\xe0", b"\xff\x13", b"\xff\x25\0\0\0\0", b"\x0f\x05")
+]
+_HEADER_FIELDS = (
+    "mnemonic", "dest", "src", "reads_mem", "writes_mem", "writes_flags",
+    "terminator", "branch_reg", "branch_mem", "is_cond_branch",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=1, max_size=3), st.binary(min_size=12, max_size=12),
+       st.binary(min_size=12, max_size=12))
+def test_body_facts_follow_from_the_instruction_header(head, tail_a, tail_b):
+    # The sweep keys body facts on the header (REX, opcode bytes, ModRM), so
+    # instructions that differ only in SIB, displacement or immediate bytes
+    # must give the same facts under every terminator.
+    bounds = instruction_bounds(head + tail_a, 0)
+    assume(bounds is not None)
+    header = (head + tail_a)[: bounds[1]]
+    # Given enough bytes after it, the header alone decides that it decodes.
+    a = decode(header + tail_a, 0)
+    b = decode(header + tail_b, 0)
+    assert a is not None and b is not None
+    assert instruction_bounds(header + tail_a, 0)[1] == instruction_bounds(header + tail_b, 0)[1] == len(header)
+    assert [getattr(a, f) for f in _HEADER_FIELDS] == [getattr(b, f) for f in _HEADER_FIELDS]
+    assert (a.imm is None) == (b.imm is None)
+    assert _instruction_classes(a, False) == _instruction_classes(b, False)
+    assert _is_major(a) == _is_major(b)
+    assert (a.mnemonic == "nop") == (b.mnemonic == "nop")
+    for term in _FACT_TERMINATORS:
+        assert _body_special_types(a, term) == _body_special_types(b, term)
 
 
 # --- Locality and deltas ------------------------------------------------

@@ -1,0 +1,66 @@
+"""The length pass against an independent case analysis, across the subset."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from debloateval.elf import executable_segments
+from debloateval.x86 import decode, instruction_bounds
+
+from oracles import reference_bounds
+
+# No REX, then REX.W, REX.R and REX.B.
+_PREFIXES = (b"", b"\x48", b"\x44", b"\x41")
+_FILLER = bytes(range(0x11, 0x1A))  # no byte here ends an instruction early
+
+
+def _check(buf: bytes, offset: int = 0) -> tuple[int, int] | None:
+    """Assert that the length pass, decode and the reference agree at offset."""
+    bounds = instruction_bounds(buf, offset)
+    assert bounds == reference_bounds(buf, offset), (buf.hex(), offset)
+    ins = decode(buf, offset)
+    assert (ins is None) == (bounds is None), (buf.hex(), offset)
+    if ins is not None:
+        assert ins.length == bounds[0], (buf.hex(), offset)
+    return bounds
+
+
+def test_every_one_and_two_byte_string():
+    for a in range(256):
+        _check(bytes([a]))
+        for b in range(256):
+            _check(bytes([a, b]))
+
+
+@pytest.mark.parametrize("prefix", _PREFIXES, ids=lambda p: p.hex() or "none")
+@pytest.mark.parametrize("escape", (b"", b"\x0f"), ids=("one-byte", "0f"))
+def test_every_opcode_and_modrm_at_every_truncation(prefix, escape):
+    # Bytes past the instruction must not change the result, and any cut
+    # inside it must reject. A rejected form is decided by the bytes up to
+    # the SIB byte, so it is cut up to there. A SIB byte follows the ModRM byte;
+    # where the ModRM asks for one, an odd reg field makes its base 5,
+    # which takes a 32-bit displacement under mod 0.
+    opcode_to_sib = len(prefix + escape) + 3
+    for op in range(256):
+        for modrm in range(256):
+            sib = 0x25 if modrm & 8 else 0x24
+            full = prefix + escape + bytes([op, modrm, sib]) + _FILLER
+            bounds = _check(full)
+            length = opcode_to_sib + 1 if bounds is None else bounds[0]
+            for cut in range(1, length):
+                assert instruction_bounds(full[:cut], 0) is None, (full[:cut].hex(), bounds)
+            if bounds is not None:
+                _check(full[:length])
+
+
+@pytest.mark.parametrize("path", ["/usr/bin/gzip", "/bin/ls"])
+def test_every_offset_of_system_binaries(path):
+    if not Path(path).exists():
+        pytest.skip(f"{path} not present")
+    decoded = 0
+    for _, data in executable_segments(Path(path)):
+        for offset in range(len(data)):
+            decoded += _check(data, offset) is not None
+    assert decoded > 0
