@@ -14,8 +14,6 @@ from . import elf
 from .exec_harness import NotComparableError
 from .spec_model import BinaryRef
 
-ElfParseError = elf.ElfParseError
-
 
 @dataclass(frozen=True)
 class SizeReport:
@@ -55,14 +53,9 @@ def size_change(original: BinaryRef, variant: BinaryRef) -> SizeReport:
     )
 
 
-def linked_libraries(binary: BinaryRef) -> list[str]:
-    """Ordered DT_NEEDED sonames of the executable; [] when static."""
-    return elf.needed_libraries(binary.exe_path)
-
-
 def lib_delta(original: BinaryRef, variant: BinaryRef) -> LibReport:
-    orig = linked_libraries(original)
-    var = linked_libraries(variant)
+    orig = elf.needed_libraries(original.exe_path)
+    var = elf.needed_libraries(variant.exe_path)
     return LibReport(
         original_needed=tuple(orig),
         variant_needed=tuple(var),

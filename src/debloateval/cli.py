@@ -84,10 +84,6 @@ def _exits(command):
     return run
 
 
-def _load_spec(spec_path: Path) -> BenchmarkSpec:
-    return parse_spec(spec_path.read_bytes())
-
-
 def _fmt_pct(value: float | None) -> str:
     return "N/A" if value is None else f"{value:.1f}%"
 
@@ -106,7 +102,7 @@ def cmd_differ(
     out_dir: Path,
     aggressive: bool = False,
 ) -> int:
-    spec = _load_spec(spec_path)
+    spec = parse_spec(spec_path.read_bytes())
     if aggressive:
         spec = winnow_to_aggressive(spec)
     report = run_campaign(spec, MutationPlan(seed=seed), budget, jobs=jobs)
@@ -201,7 +197,7 @@ def cmd_metrics(
     aggregate_libs: bool = False,
     with_perf: bool = True,
 ) -> int:
-    spec = _load_spec(spec_path)
+    spec = parse_spec(spec_path.read_bytes())
     original_perf = _perf_totals(spec, spec.original.exe_path, seed) if with_perf else None
     # Every side's code is read before any is scanned, so the gadget sets
     # are composed in one pass that sweeps each distinct region once.
@@ -284,7 +280,7 @@ def cmd_tool_wrap(
     Failures are still timed and recorded; a produced output binary is
     registered as a new variant in an updated copy of the spec.
     """
-    spec = _load_spec(spec_path)
+    spec = parse_spec(spec_path.read_bytes())
     # Built before the tool runs, so a spec that cannot take the new variant
     # is rejected at once, not after a run of up to max_seconds.
     updated = replace(
@@ -340,67 +336,66 @@ def render_report(out_dir: Path) -> Path:
     return path
 
 
+def _table(title: str, rows: dict, columns: list) -> list[str]:
+    """A report section: a line per label, sorted, with a cell per (column title, cell function)."""
+    lines = [
+        f"## {title}",
+        "",
+        "| Variant | " + " | ".join(name for name, _ in columns) + " |",
+        "|---" * (len(columns) + 1) + "|",
+    ]
+    for label in sorted(rows):
+        lines.append("| " + " | ".join([label] + [str(cell(rows[label])) for _, cell in columns]) + " |")
+    return lines + [""]
+
+
+def _fmt_libs(names: list[str] | None) -> str:
+    return "N/A" if names is None else ", ".join(names) or "-"
+
+
+def _fmt_quality(row: dict) -> str:
+    quality = _fmt_num(row["quality_delta"])
+    if row["quality_delta"] is not None and not row["quality_significant"]:
+        quality += " (not significant)"
+    return quality
+
+
 def _metrics_section(doc: dict) -> list[str]:
-    sections = [
+    performance = [
+        ("Binary Size", lambda row: _fmt_pct(row["size_pct"])),
+        ("Run Time", lambda row: _fmt_pct(row["runtime_pct"])),
+        ("Peak Memory", lambda row: _fmt_pct(row["memory_pct"])),
+        ("Libs Introduced", lambda row: _fmt_libs(row["libs_introduced"])),
+        ("Libs Eliminated", lambda row: _fmt_libs(row["libs_eliminated"])),
+    ]
+    security = [
+        ("Expressivity Δ", lambda row: _fmt_num(row["expressivity_delta"], 0)),
+        ("Quality Δ", _fmt_quality),
+        ("S.P. Types Δ", lambda row: _fmt_num(row["sp_types_delta"], 0)),
+        ("Syscall Gadgets", lambda row: row["syscall_event"] or "N/A"),
+        ("Locality", lambda row: _fmt_pct(row["locality_pct"])),
+    ]
+    return [
         f"Spec: `{doc['spec_id']}` — toolkit {doc['toolkit_version']}, seed {doc['seed']}",
         "",
-        "## Performance metrics",
-        "",
-        "| Variant | Binary Size | Run Time | Peak Memory | Libs Introduced | Libs Eliminated |",
-        "|---|---|---|---|---|---|",
+        *_table("Performance metrics", doc["variants"], performance),
+        *_table("Security metrics", doc["variants"], security),
     ]
-    for label in sorted(doc["variants"]):
-        row = doc["variants"][label]
-        intro = "N/A" if row["libs_introduced"] is None else ", ".join(row["libs_introduced"]) or "-"
-        elim = "N/A" if row["libs_eliminated"] is None else ", ".join(row["libs_eliminated"]) or "-"
-        sections.append(
-            f"| {label} | {_fmt_pct(row['size_pct'])} | {_fmt_pct(row['runtime_pct'])} "
-            f"| {_fmt_pct(row['memory_pct'])} | {intro} | {elim} |"
-        )
-    sections += [
-        "",
-        "## Security metrics",
-        "",
-        "| Variant | Expressivity Δ | Quality Δ | S.P. Types Δ | Syscall Gadgets | Locality |",
-        "|---|---|---|---|---|---|",
-    ]
-    for label in sorted(doc["variants"]):
-        row = doc["variants"][label]
-        quality = _fmt_num(row["quality_delta"])
-        if row["quality_delta"] is not None and not row["quality_significant"]:
-            quality += " (not significant)"
-        expr = "N/A" if row["expressivity_delta"] is None else str(row["expressivity_delta"])
-        sp = "N/A" if row["sp_types_delta"] is None else str(row["sp_types_delta"])
-        event = row["syscall_event"] or "N/A"
-        sections.append(
-            f"| {label} | {expr} | {quality} | {sp} | {event} | {_fmt_pct(row['locality_pct'])} |"
-        )
-    sections.append("")
-    return sections
 
 
 def _summary_section(doc: dict) -> list[str]:
-    sections = [
-        "## Differential testing",
-        "",
-        "| Variant | Result | Verdicts |",
-        "|---|---|---|",
+    columns = [
+        ("Result", lambda entry: "pass" if entry["passed"] else "FAIL"),
+        ("Verdicts", lambda entry: ", ".join(f"{k}={v}" for k, v in entry["verdict_counts"].items()) or "-"),
     ]
-    for label in sorted(doc["variants"]):
-        entry = doc["variants"][label]
-        result = "pass" if entry["passed"] else "FAIL"
-        counts = ", ".join(f"{k}={v}" for k, v in entry["verdict_counts"].items()) or "-"
-        sections.append(f"| {label} | {result} | {counts} |")
     ec = doc["variants_with_error_or_crash"]
     un = doc["variants_with_unremoved_feature"]
-    sections += [
-        "",
+    return _table("Differential testing", doc["variants"], columns) + [
         f"Variants with errors or crashes: {ec['count']} ({100.0 * ec['fraction']:.1f}%). "
         f"Variants with unremoved features: {un['count']} ({100.0 * un['fraction']:.1f}%). "
         f"Passed: {doc['passed']}.",
         "",
     ]
-    return sections
 
 
 # --- click wiring ------------------------------------------------------
@@ -425,7 +420,7 @@ _out_opt = click.option(
 @_exits
 def validate(spec_path: Path):
     """Parse a spec and check its binaries on disk."""
-    spec = _load_spec(spec_path)
+    spec = parse_spec(spec_path.read_bytes())
     warnings = validate_spec_against_binaries(spec)
     for w in warnings:
         click.echo(f"warning: {w}")

@@ -41,7 +41,6 @@ class ProgramHeader:
     p_offset: int
     p_vaddr: int
     p_filesz: int
-    p_memsz: int
 
 
 def _read_headers(data: bytes, source: str, file_size: int | None = None) -> list[ProgramHeader]:
@@ -66,21 +65,13 @@ def _read_headers(data: bytes, source: str, file_size: int | None = None) -> lis
         off = e_phoff + idx * e_phentsize
         if off + _PHDR.size > size:
             raise ElfParseError(f"{source}: program header {idx} beyond end of file")
-        p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _align = _PHDR.unpack_from(
+        p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, _memsz, _align = _PHDR.unpack_from(
             data, off
         )
         if p_offset + p_filesz > size:
             raise ElfParseError(f"{source}: segment {idx} data beyond end of file")
-        headers.append(ProgramHeader(p_type, p_flags, p_offset, p_vaddr, p_filesz, p_memsz))
+        headers.append(ProgramHeader(p_type, p_flags, p_offset, p_vaddr, p_filesz))
     return headers
-
-
-def program_headers(path: Path) -> list[ProgramHeader]:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ElfParseError(f"{path}: {exc}") from exc
-    return _read_headers(data, str(path))
 
 
 def executable_segments(path: Path) -> list[tuple[int, bytes]]:

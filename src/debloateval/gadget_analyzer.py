@@ -459,10 +459,6 @@ def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> lis
 
 # --- Per-gadget facts --------------------------------------------------
 
-def gadget_classes(g: Gadget) -> set[str]:
-    return _names(g.class_mask, EXPRESSIVITY_CLASSES)
-
-
 def score_quality(g: Gadget) -> float:
     """Side-constraint penalty: 0.0 is maximally chainable.
 
@@ -471,10 +467,6 @@ def score_quality(g: Gadget) -> float:
     instruction adds 0.5 (minor) or 3.0 (major).
     """
     return g.quality
-
-
-def gadget_special_types(g: Gadget) -> set[str]:
-    return _names(g.special_mask, SPECIAL_TYPES)
 
 
 # --- Set-level reports ---------------------------------------------------
@@ -518,14 +510,6 @@ def _report(summary: GadgetSummary) -> GadgetSetReport:
 
 def build_report(gadgets: set[Gadget] | frozenset[Gadget]) -> GadgetSetReport:
     return _report(_fold(gadgets))
-
-
-def classify_expressivity(gadgets: set[Gadget] | frozenset[Gadget]) -> ExpressivityProfile:
-    return build_report(gadgets).expressivity
-
-
-def mean_quality(gadgets: set[Gadget] | frozenset[Gadget]) -> float:
-    return build_report(gadgets).mean_quality
 
 
 def _address_index(gadgets: Iterable[Gadget]) -> set[tuple[int, bytes]]:

@@ -12,8 +12,11 @@ from __future__ import annotations
 import enum
 import json
 import os
+import re
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path, PurePosixPath
+from typing import Callable, NamedTuple
 
 from .comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline, Normalizer, default_pipeline
 from .fuzz_engine import TemplateSyntaxError, parse_template
@@ -123,7 +126,7 @@ class BenchmarkSpec:
                 for where, text in templates.items():
                     try:
                         parse_template(text)
-                    except TemplateSyntaxError as exc:
+                    except (TemplateSyntaxError, UnicodeEncodeError) as exc:  # a lone surrogate
                         path = f"features[{i}].commands[{j}].{where}"
                         raise SchemaError(path, f"bad template: {exc}") from exc
         labels_seen: set[str] = set()
@@ -147,234 +150,208 @@ class BenchmarkSpec:
         return feature.comparator_override or self.default_comparators
 
 
-# --- JSON loading ------------------------------------------------------
+# --- JSON format -------------------------------------------------------
+#
+# Each type's JSON object is stated once, as a table of fields. parse_spec
+# and serialize_spec both walk the tables, and a table's row order is the
+# key order serialize_spec writes.
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown key")
+_REQUIRED = object()
 
 
-def _get(obj: dict, key: str, path: str, types, default=...):
-    if key not in obj:
-        if default is ...:
-            raise SchemaError(f"{path}.{key}" if path else key, "missing required field")
-        return default
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in _as_tuple(types):
-        raise SchemaError(f"{path}.{key}" if path else key, f"expected {types}, got {type(value).__name__}")
+def _typed(types, then=None):
+    """Loader that checks the JSON type (a bool is no number), then applies then(value, path)."""
+
+    def load(value, path: str):
+        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+            raise SchemaError(path, f"expected {types}, got {type(value).__name__}")
+        return value if then is None else then(value, path)
+
+    return load
+
+
+def _array(load_item):
+    """Loader of a JSON array into a tuple; item i is loaded at path[i]."""
+    return _typed(list, lambda items, path: tuple(load_item(v, f"{path}[{i}]") for i, v in enumerate(items)))
+
+
+def _enum(cls, message: str):
+    def load(name: str, path: str):
+        try:
+            return cls(name)
+        except ValueError:
+            raise SchemaError(path, message.format(name)) from None
+
+    return _typed(str, load)
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(path, "expected string")
     return value
 
 
-def _as_tuple(types):
-    return types if isinstance(types, tuple) else (types,)
+def _path(value, path: str) -> Path:
+    return Path(_string(value, path))
 
 
-def _parse_binary(obj, path: str) -> BinaryRef:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected object")
-    _check_keys(obj, {"label", "exe", "libs", "static"}, path)
-    label = _get(obj, "label", path, str)
-    exe = _get(obj, "exe", path, str)
-    libs = _get(obj, "libs", path, list, default=[])
-    static = _get(obj, "static", path, bool, default=False)
-    for i, lib in enumerate(libs):
-        if not isinstance(lib, str):
-            raise SchemaError(f"{path}.libs[{i}]", "expected string")
+def _regex(pattern: str, path: str) -> str:
     try:
-        return BinaryRef(label, Path(exe), tuple(Path(l) for l in libs), static)
+        re.compile(pattern)
+    except re.error as exc:
+        raise SchemaError(path, f"invalid regex: {exc}") from exc
+    return pattern
+
+
+def _env(env: dict, path: str) -> dict[str, str]:
+    for key, value in env.items():
+        if not isinstance(value, str):
+            raise SchemaError(f"{path}.{key}", "env entries must map string to string")
+    return dict(env)
+
+
+def _each(dump_item):
+    return lambda items: [dump_item(item) for item in items]
+
+
+_value = attrgetter("value")
+
+
+def _build(cls, kwargs: dict, path: str):
+    """cls(**kwargs); a ValueError from its invariants is an InvariantError at path."""
+    try:
+        return cls(**kwargs)
     except ValueError as exc:
         raise InvariantError(path, str(exc)) from exc
 
 
-def _parse_normalizer(obj, path: str) -> Normalizer:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected object")
-    _check_keys(obj, {"pattern", "replacement"}, path)
-    try:
-        return Normalizer(_get(obj, "pattern", path, str), _get(obj, "replacement", path, str))
-    except Exception as exc:
-        raise SchemaError(f"{path}.pattern", f"invalid regex: {exc}") from exc
+class _Field(NamedTuple):
+    """A JSON key and the dataclass field it fills.
+
+    A missing key takes the dataclass's default, which default restates. A
+    dump of None means the field value is JSON already.
+    """
+
+    key: str
+    attr: str
+    load: Callable
+    default: object = _REQUIRED
+    omit_default: bool = False
+    dump: Callable | None = None
 
 
-def _parse_comparator(obj, path: str) -> ComparatorConfig:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected object")
-    _check_keys(obj, {"kind", "normalizers", "path"}, path)
-    kind_name = _get(obj, "kind", path, str)
-    try:
-        kind = ComparatorKind(kind_name)
-    except ValueError:
-        raise SchemaError(f"{path}.kind", f"unknown comparator kind {kind_name!r}") from None
-    normalizers = tuple(
-        _parse_normalizer(n, f"{path}.normalizers[{i}]")
-        for i, n in enumerate(_get(obj, "normalizers", path, list, default=[]))
-    )
-    file_path = _get(obj, "path", path, str, default=None)
-    try:
-        return ComparatorConfig(kind, normalizers, file_path)
-    except ValueError as exc:
-        raise InvariantError(path, str(exc)) from exc
+class _Object:
+    """The JSON object form of one dataclass."""
+
+    def __init__(self, cls: type, *fields: _Field):
+        self.cls = cls
+        self.fields = {f.key: f for f in fields}
+
+    def load(self, obj, path: str):
+        if not isinstance(obj, dict):
+            raise SchemaError(path, "expected object")
+        prefix = f"{path}." if path else ""
+        if not obj.keys() <= self.fields.keys():
+            unknown = next(key for key in obj if key not in self.fields)
+            raise SchemaError(prefix + unknown, "unknown key")
+        kwargs = {}
+        for key, attr, load, default, _, _ in self.fields.values():
+            if key in obj:
+                kwargs[attr] = load(obj[key], prefix + key)
+            elif default is _REQUIRED:
+                raise SchemaError(prefix + key, "missing required field")
+        return _build(self.cls, kwargs, path)
+
+    def dump(self, value) -> dict:
+        out = {}
+        for f in self.fields.values():
+            field_value = getattr(value, f.attr)
+            if not (f.omit_default and field_value == f.default):
+                out[f.key] = field_value if f.dump is None else f.dump(field_value)
+        return out
 
 
-def _parse_pipeline(items, path: str) -> ComparatorPipeline:
+_NORMALIZER = _Object(
+    Normalizer,
+    _Field("pattern", "pattern", _typed(str, _regex)),
+    _Field("replacement", "replacement", _typed(str)),
+)
+
+_COMPARATOR = _Object(
+    ComparatorConfig,
+    _Field("kind", "kind", _enum(ComparatorKind, "unknown comparator kind {!r}"), dump=_value),
+    _Field("normalizers", "normalizers", _array(_NORMALIZER.load), (), True, _each(_NORMALIZER.dump)),
+    _Field("path", "path", _typed(str), None, True),
+)
+
+
+def _load_pipeline(items, path: str) -> ComparatorPipeline:
     if not isinstance(items, list):
         raise SchemaError(path, "expected array")
-    configs = tuple(_parse_comparator(c, f"{path}[{i}]") for i, c in enumerate(items))
-    try:
-        return ComparatorPipeline(configs)
-    except ValueError as exc:
-        raise InvariantError(path, str(exc)) from exc
+    configs = tuple(_COMPARATOR.load(c, f"{path}[{i}]") for i, c in enumerate(items))
+    return _build(ComparatorPipeline, {"comparators": configs}, path)
 
 
-def _parse_command(obj, path: str) -> TestCommand:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected object")
-    _check_keys(obj, {"argv", "stdin", "files", "fuzz_count"}, path)
-    argv = _get(obj, "argv", path, list)
-    for i, a in enumerate(argv):
-        if not isinstance(a, str):
-            raise SchemaError(f"{path}.argv[{i}]", "expected string")
-    stdin = _get(obj, "stdin", path, str, default=None)
-    files = _get(obj, "files", path, list, default=[])
-    for i, f in enumerate(files):
-        if not isinstance(f, str):
-            raise SchemaError(f"{path}.files[{i}]", "expected string")
-    fuzz_count = _get(obj, "fuzz_count", path, int, default=0)
-    try:
-        return TestCommand(tuple(argv), stdin, tuple(files), fuzz_count)
-    except ValueError as exc:
-        raise InvariantError(path, str(exc)) from exc
+def _dump_pipeline(pipeline: ComparatorPipeline) -> list:
+    return [_COMPARATOR.dump(c) for c in pipeline.comparators]
 
 
-def _parse_feature(obj, path: str) -> Feature:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected object")
-    _check_keys(obj, {"name", "disposition", "anchor", "commands", "comparators"}, path)
-    name = _get(obj, "name", path, str)
-    disp_name = _get(obj, "disposition", path, str)
-    try:
-        disposition = Disposition(disp_name)
-    except ValueError:
-        raise SchemaError(f"{path}.disposition", f"must be 'retain' or 'debloat', got {disp_name!r}") from None
-    anchor = _get(obj, "anchor", path, bool, default=False)
-    commands = tuple(
-        _parse_command(c, f"{path}.commands[{i}]")
-        for i, c in enumerate(_get(obj, "commands", path, list))
-    )
-    override = None
-    if "comparators" in obj:
-        override = _parse_pipeline(obj["comparators"], f"{path}.comparators")
-    try:
-        return Feature(name, disposition, commands, override, anchor)
-    except ValueError as exc:
-        raise InvariantError(path, str(exc)) from exc
+_COMMAND = _Object(
+    TestCommand,
+    _Field("argv", "argv_template", _array(_string), dump=list),
+    _Field("stdin", "stdin", _typed(str), None, True),
+    _Field("files", "expected_output_files", _array(_string), (), True, list),
+    _Field("fuzz_count", "fuzz_count", _typed(int), 0, True),
+)
+
+_FEATURE = _Object(
+    Feature,
+    _Field("name", "name", _typed(str)),
+    _Field("disposition", "disposition", _enum(Disposition, "must be 'retain' or 'debloat', got {!r}"),
+           dump=_value),
+    _Field("commands", "commands", _array(_COMMAND.load), dump=_each(_COMMAND.dump)),
+    _Field("anchor", "aggressive_anchor", _typed(bool), False, True),
+    _Field("comparators", "comparator_override", _load_pipeline, None, True, _dump_pipeline),
+)
+
+_BINARY = _Object(
+    BinaryRef,
+    _Field("label", "label", _typed(str)),
+    _Field("exe", "exe_path", _typed(str, _path), dump=str),
+    _Field("libs", "lib_paths", _array(_path), (), dump=_each(str)),
+    _Field("static", "statically_linked", _typed(bool), False),
+)
+
+_SPEC = _Object(
+    BenchmarkSpec,
+    _Field("id", "id", _typed(str)),
+    _Field("original", "original", _typed(dict, _BINARY.load), dump=_BINARY.dump),
+    _Field("variants", "variants", _array(_BINARY.load), dump=_each(_BINARY.dump)),
+    _Field("features", "features", _array(_FEATURE.load), dump=_each(_FEATURE.dump)),
+    _Field("comparators", "default_comparators", _load_pipeline, default_pipeline(), dump=_dump_pipeline),
+    _Field("env", "env", _typed(dict, _env), {}),
+    _Field("timeout_seconds", "timeout_seconds", _typed((int, float), lambda t, _: float(t)),
+           DEFAULT_TIMEOUT_SECONDS),
+    _Field("trials", "trials", _typed(int), DEFAULT_TRIALS),
+)
 
 
 def parse_spec(document: bytes) -> BenchmarkSpec:
     """Parse and validate a benchmark specification document (strict JSON)."""
     try:
-        text = document.decode("utf-8")
+        obj = json.loads(document.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SpecSyntaxError("", f"document is not UTF-8: {exc}") from exc
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError("", f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("", "top-level value must be an object")
-    _check_keys(
-        obj,
-        {"id", "original", "variants", "features", "comparators", "env", "timeout_seconds", "trials"},
-        "",
-    )
-    spec_id = _get(obj, "id", "", str)
-    original = _parse_binary(_get(obj, "original", "", dict), "original")
-    variants = tuple(
-        _parse_binary(v, f"variants[{i}]") for i, v in enumerate(_get(obj, "variants", "", list))
-    )
-    features = tuple(
-        _parse_feature(f, f"features[{i}]") for i, f in enumerate(_get(obj, "features", "", list))
-    )
-    if "comparators" in obj:
-        pipeline = _parse_pipeline(obj["comparators"], "comparators")
-    else:
-        pipeline = default_pipeline()
-    env = _get(obj, "env", "", dict, default={})
-    for key, value in env.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise SchemaError(f"env.{key}", "env entries must map string to string")
-    timeout = _get(obj, "timeout_seconds", "", (int, float), default=DEFAULT_TIMEOUT_SECONDS)
-    trials = _get(obj, "trials", "", int, default=DEFAULT_TRIALS)
-    return BenchmarkSpec(
-        id=spec_id,
-        original=original,
-        variants=variants,
-        features=features,
-        default_comparators=pipeline,
-        env=dict(env),
-        timeout_seconds=float(timeout),
-        trials=trials,
-    )
-
-
-# --- JSON serialization ------------------------------------------------
-
-def _binary_to_json(ref: BinaryRef) -> dict:
-    return {
-        "label": ref.label,
-        "exe": str(ref.exe_path),
-        "libs": [str(p) for p in ref.lib_paths],
-        "static": ref.statically_linked,
-    }
-
-
-def _comparator_to_json(cfg: ComparatorConfig) -> dict:
-    out: dict = {"kind": cfg.kind.value}
-    if cfg.normalizers:
-        out["normalizers"] = [{"pattern": n.pattern, "replacement": n.replacement} for n in cfg.normalizers]
-    if cfg.path is not None:
-        out["path"] = cfg.path
-    return out
-
-
-def _command_to_json(cmd: TestCommand) -> dict:
-    out: dict = {"argv": list(cmd.argv_template)}
-    if cmd.stdin is not None:
-        out["stdin"] = cmd.stdin
-    if cmd.expected_output_files:
-        out["files"] = list(cmd.expected_output_files)
-    if cmd.fuzz_count:
-        out["fuzz_count"] = cmd.fuzz_count
-    return out
-
-
-def _feature_to_json(f: Feature) -> dict:
-    out: dict = {
-        "name": f.name,
-        "disposition": f.disposition.value,
-        "commands": [_command_to_json(c) for c in f.commands],
-    }
-    if f.aggressive_anchor:
-        out["anchor"] = True
-    if f.comparator_override is not None:
-        out["comparators"] = [_comparator_to_json(c) for c in f.comparator_override.comparators]
-    return out
+    return _SPEC.load(obj, "")
 
 
 def serialize_spec(spec: BenchmarkSpec) -> bytes:
     """Inverse of parse_spec for valid specs (round-trips exactly)."""
-    doc = {
-        "id": spec.id,
-        "original": _binary_to_json(spec.original),
-        "variants": [_binary_to_json(v) for v in spec.variants],
-        "features": [_feature_to_json(f) for f in spec.features],
-        "comparators": [_comparator_to_json(c) for c in spec.default_comparators.comparators],
-        "env": spec.env,
-        "timeout_seconds": spec.timeout_seconds,
-        "trials": spec.trials,
-    }
-    return json.dumps(doc, indent=2).encode("utf-8")
+    return json.dumps(_SPEC.dump(spec), indent=2).encode("utf-8")
 
 
 # --- Operations --------------------------------------------------------

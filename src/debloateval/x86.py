@@ -100,9 +100,9 @@ class _Form(NamedTuple):
 def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
     """(length, header length) of the instruction at offset, or None.
 
-    None means the subset cannot decode the bytes there, exactly when
-    decode returns None. The header is the REX byte, the opcode bytes and
-    the ModRM byte, without SIB, displacement or immediate.
+    None means the subset cannot decode the bytes there (or offset is not
+    in buf), exactly when decode returns None. The header is the REX byte,
+    the opcode bytes and the ModRM byte, without SIB, displacement or immediate.
     """
     try:
         op = buf[offset]
@@ -134,7 +134,7 @@ def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
             end = i + tail + imm
     except IndexError:  # the bytes end inside the instruction
         return None
-    return None if end > len(buf) else (end - offset, i - offset)
+    return None if end > len(buf) or offset < 0 else (end - offset, i - offset)
 
 
 # --- Semantics ---------------------------------------------------------

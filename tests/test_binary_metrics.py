@@ -10,13 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debloateval.binary_metrics import (
-    ElfParseError,
-    lib_delta,
-    linked_libraries,
-    size_change,
-)
-from debloateval.elf import executable_segments, needed_libraries, program_headers
+from debloateval.binary_metrics import lib_delta, size_change
+from debloateval.elf import ElfParseError, executable_segments, needed_libraries
 from debloateval.exec_harness import NotComparableError
 from debloateval.spec_model import BinaryRef
 
@@ -32,15 +27,17 @@ def ref(path: Path, libs: tuple[Path, ...] = (), static: bool = False) -> Binary
 def test_rejects_non_elf(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"\x00" * 100)
-    with pytest.raises(ElfParseError):
-        program_headers(path)
+    for parse in (executable_segments, needed_libraries):
+        with pytest.raises(ElfParseError):
+            parse(path)
 
 
 def test_rejects_truncated_elf(tmp_path):
     path = tmp_path / "short"
     path.write_bytes(build_elf()[:40])
-    with pytest.raises(ElfParseError):
-        program_headers(path)
+    for parse in (executable_segments, needed_libraries):
+        with pytest.raises(ElfParseError):
+            parse(path)
 
 
 def test_rejects_missing_file(tmp_path):
@@ -78,7 +75,7 @@ _ELF_LIKE = st.one_of(
 def test_malformed_elf_raises_only_elf_parse_error(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("elf") / "blob"
     path.write_bytes(blob)
-    for parse in (program_headers, executable_segments, needed_libraries):
+    for parse in (executable_segments, needed_libraries):
         try:
             parse(path)
         except ElfParseError:
@@ -102,8 +99,7 @@ def test_executable_segments_rejects_other_machines(tmp_path):
     path.write_bytes(image)
     with pytest.raises(ElfParseError, match=re.escape(str(path))):
         executable_segments(path)
-    # Headers and linked libraries do not depend on the machine.
-    assert len(program_headers(path)) == 3
+    # Linked libraries do not depend on the machine.
     assert needed_libraries(path) == ["libc.so.6"]
 
 
@@ -214,9 +210,11 @@ def test_lib_delta_static_variant_eliminates_everything(tmp_path):
     assert report.variant_needed == ()
 
 
-def test_linked_libraries_wrapper(tmp_path):
+def test_lib_delta_reads_each_side_needed(tmp_path):
     path = write_elf(tmp_path, "prog", needed=["liba.so"])
-    assert linked_libraries(ref(path)) == ["liba.so"]
+    report = lib_delta(ref(path), ref(path))
+    assert report.original_needed == report.variant_needed == ("liba.so",)
+    assert report.introduced == report.eliminated == frozenset()
 
 
 _soname = st.from_regex(r"lib[a-z]{1,8}\.so(\.[0-9])?", fullmatch=True)

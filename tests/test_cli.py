@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from debloateval import gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
-from debloateval.elf import PF_X, PT_LOAD, program_headers
+from debloateval.elf import executable_segments
 from debloateval.spec_model import BinaryRef
 
 from conftest import make_script, toy_spec_doc, write_elf, write_spec
@@ -212,8 +212,8 @@ def test_metrics_on_sed_with_its_libraries_equal_the_set_based_values(runner, tm
     libs = [Path(path) for path in re.findall(r"=> (/\S+) \(", ldd)]
     # The variant is sed with 4 KB in the middle of its code stubbed by int3.
     data = bytearray(sed.read_bytes())
-    code = next(ph for ph in program_headers(sed) if ph.p_type == PT_LOAD and ph.p_flags & PF_X)
-    middle = code.p_offset + code.p_filesz // 2
+    _, code = executable_segments(sed)[0]
+    middle = data.index(code) + len(code) // 2
     data[middle : middle + 4096] = b"\xcc" * 4096
     stubbed = tmp_path / "sed"
     stubbed.write_bytes(bytes(data))

@@ -22,14 +22,10 @@ from debloateval.gadget_analyzer import (
     _instruction_classes,
     _is_major,
     build_report,
-    classify_expressivity,
     compare_regions,
     compare_sets,
     extract_code_regions,
-    gadget_classes,
-    gadget_special_types,
     locality,
-    mean_quality,
     scan_gadgets,
     scan_regions,
     score_quality,
@@ -274,7 +270,7 @@ def test_scan_matches_brute_force_on_system_binaries(path):
     ],
 )
 def test_gadget_classes(code, expected):
-    assert gadget_classes(gadget(code)) == expected
+    assert build_report({gadget(code)}).expressivity.satisfied == expected
 
 
 def test_every_expressivity_class_is_reachable():
@@ -292,13 +288,13 @@ def test_every_expressivity_class_is_reachable():
         b"\x0f\x05",
     ]
     gadgets = {gadget(code, base=0x1000 * (i + 1)) for i, code in enumerate(codes)}
-    profile = classify_expressivity(gadgets)
+    profile = build_report(gadgets).expressivity
     assert profile.satisfied == frozenset(EXPRESSIVITY_CLASSES)
     assert profile.count == 11
 
 
 def test_classify_empty_set():
-    profile = classify_expressivity(set())
+    profile = build_report(set()).expressivity
     assert profile.count == 0
 
 
@@ -340,12 +336,12 @@ def test_mixed_constraints_sum():
 
 
 def test_mean_quality_of_empty_set_is_zero():
-    assert mean_quality(set()) == 0.0
+    assert build_report(set()).mean_quality == 0.0
 
 
 def test_mean_quality_averages():
     gadgets = {gadget(b"\xc3", base=0x1000), gadget(b"\x5f\x5e\x5a\xc3", base=0x2000)}
-    assert mean_quality(gadgets) == pytest.approx(0.5)
+    assert build_report(gadgets).mean_quality == pytest.approx(0.5)
 
 
 # --- Special-purpose types ----------------------------------------------
@@ -371,12 +367,12 @@ def test_mean_quality_averages():
     ],
 )
 def test_gadget_special_types(code, expected):
-    assert gadget_special_types(gadget(code)) == expected
+    assert build_report({gadget(code)}).special_types == expected
 
 
 def test_dataloader_and_initializer_can_coincide():
     # pop rsi; mov rax, rbx; jmp rax
-    types = gadget_special_types(gadget(b"\x5e\x48\x89\xd8\xff\xe0"))
+    types = build_report({gadget(b"\x5e\x48\x89\xd8\xff\xe0")}).special_types
     assert types == {"jop_dataloader", "jop_initializer"}
 
 

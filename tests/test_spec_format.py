@@ -1,0 +1,232 @@
+"""The spec's JSON format: round trips, single faults, its field tables and the README."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import json
+import re
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from debloateval import spec_model
+from debloateval.comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline, Normalizer
+from debloateval.spec_model import (
+    BenchmarkSpec,
+    BinaryRef,
+    Disposition,
+    Feature,
+    SpecError,
+    TestCommand,
+    parse_spec,
+    serialize_spec,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# --- Round trip over generated specs ---------------------------------------
+
+_text = st.text(max_size=12)
+# Templates are UTF-8 without holes, or with one; a lone surrogate is no UTF-8.
+_plain = st.text(alphabet=st.characters(blacklist_characters="{}", blacklist_categories=("Cs",)), max_size=12)
+_template = _plain | st.sampled_from(["{{int:1..9}}", "-{{int:0..3}}x", "{{bytes:0..64}}"])
+_relative = st.sampled_from(["out", "out.txt", "dir/log", "a/b/c"])
+_path = st.builds(Path, st.text(min_size=1, max_size=12))
+_pattern = st.sampled_from([r"[0-9]+", r"\d{4}-\d{2}", "a|b", r"\s+$", "(x)?"])
+
+
+def _comparator(kind: ComparatorKind):
+    normalizers = st.just(())
+    path = st.none()
+    if kind in (ComparatorKind.STDOUT_NORMALIZED, ComparatorKind.STDERR_NORMALIZED):
+        normalizers = st.lists(st.builds(Normalizer, _pattern, _text), min_size=1, max_size=2).map(tuple)
+    if kind is ComparatorKind.FILE_DIGEST:
+        path = _relative
+    return st.builds(ComparatorConfig, st.just(kind), normalizers, path)
+
+
+_pipeline = st.builds(
+    ComparatorPipeline,
+    st.lists(st.sampled_from(ComparatorKind).flatmap(_comparator), min_size=1, max_size=3).map(tuple),
+)
+_command = st.builds(
+    TestCommand,
+    st.lists(_template, min_size=1, max_size=3).map(tuple),
+    st.none() | _template,
+    st.lists(_relative, max_size=2).map(tuple),
+    st.integers(0, 1000),
+)
+
+
+@st.composite
+def _binary(draw, label: str) -> BinaryRef:
+    static = draw(st.booleans())
+    libs = () if static else tuple(draw(st.lists(_path, max_size=2)))
+    return BinaryRef(label, draw(_path), libs, static)
+
+
+@st.composite
+def _specs(draw) -> BenchmarkSpec:
+    names = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
+    anchor = draw(st.none() | st.sampled_from(range(len(names))))
+    features = []
+    for i, name in enumerate(names):
+        disposition = Disposition.RETAIN if i == anchor else draw(st.sampled_from(Disposition))
+        features.append(
+            Feature(
+                name,
+                disposition,
+                tuple(draw(st.lists(_command, min_size=1, max_size=2))),
+                draw(st.none() | _pipeline),
+                i == anchor,
+            )
+        )
+    labels = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
+    return BenchmarkSpec(
+        id=draw(_text.filter(bool)),
+        original=draw(_binary(draw(_text))),
+        variants=tuple(draw(_binary(label)) for label in labels),
+        features=tuple(features),
+        default_comparators=draw(_pipeline),
+        env=draw(st.dictionaries(_text, _text, max_size=3)),
+        timeout_seconds=draw(st.floats(min_value=1e-3, max_value=1e6)),
+        trials=draw(st.integers(1, 100)),
+    )
+
+
+@given(_specs())
+@settings(max_examples=150, deadline=None)
+def test_serialize_then_parse_is_the_identity(spec):
+    document = serialize_spec(spec)
+    assert parse_spec(document) == spec
+    assert serialize_spec(parse_spec(document)) == document
+
+
+# --- Single faults ---------------------------------------------------------
+
+FULL = {
+    "id": "demo",
+    "original": {"label": "orig", "exe": "/bin/true", "libs": ["/lib/a.so"], "static": False},
+    "variants": [{"label": "v1", "exe": "/bin/false", "libs": [], "static": True}],
+    "features": [
+        {
+            "name": "run",
+            "disposition": "retain",
+            "anchor": True,
+            "commands": [
+                {"argv": ["-{{int:1..3}}"], "stdin": "{{bytes:0..4}}", "files": ["out.txt"], "fuzz_count": 3}
+            ],
+            "comparators": [
+                {"kind": "exit_status"},
+                {"kind": "stdout_normalized", "normalizers": [{"pattern": "[0-9]+", "replacement": "N"}]},
+                {"kind": "file_digest", "path": "out.txt"},
+            ],
+        },
+        {"name": "other", "disposition": "debloat", "commands": [{"argv": ["-x"]}]},
+    ],
+    "comparators": [{"kind": "stdout_exact"}, {"kind": "stderr_exact"}],
+    "env": {"LC_ALL": "C"},
+    "timeout_seconds": 5.0,
+    "trials": 3,
+}
+OPTIONAL_KEYS = {
+    "libs", "static", "stdin", "files", "fuzz_count", "anchor", "comparators", "normalizers", "path", "env",
+    "timeout_seconds", "trials",
+    "LC_ALL",  # env is a map, so each of its entries is optional
+}
+JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]
+
+
+def _objects(node, path=""):
+    """(path, object) of every JSON object in the document, outermost first."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _objects(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, f"{path}[{i}]")
+
+
+def _with(object_path: str, change) -> dict:
+    """A copy of FULL with change applied to the object at object_path."""
+    document = copy.deepcopy(FULL)
+    change(dict(_objects(document))[object_path])
+    return document
+
+
+def _faults():
+    """(key path, may parse, document) for each single fault of FULL.
+
+    A missing optional key may parse, and so may a number in place of a
+    float; every other fault must not.
+    """
+    for object_path, obj in _objects(FULL):
+        prefix = f"{object_path}." if object_path else ""
+        for key, value in obj.items():
+            yield prefix + key, key in OPTIONAL_KEYS, _with(object_path, lambda o: o.pop(key))
+            for bad in JSON_VALUES:
+                if type(bad) is not type(value):
+                    number = type(bad) in (int, float) and type(value) is float
+                    yield prefix + key, number, _with(object_path, lambda o: o.update({key: bad}))
+        yield prefix + "zz_unknown", False, _with(object_path, lambda o: o.update(zz_unknown=1))
+
+
+def _encloses(outer: str, inner: str) -> bool:
+    return outer == inner or outer == "" or inner.startswith(outer) and inner[len(outer)] in ".["
+
+
+def test_every_single_fault_is_a_spec_error_at_its_key():
+    faults = list(_faults())
+    assert len(faults) > 250
+    for key_path, may_parse, document in faults:
+        try:
+            parse_spec(json.dumps(document).encode())
+        except SpecError as exc:
+            assert _encloses(exc.path, key_path), (key_path, exc.path, str(exc))
+        else:
+            assert may_parse, key_path
+
+
+# --- README ----------------------------------------------------------------
+
+def test_readme_quick_start_spec_parses():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    spec = parse_spec(blocks[0].encode())
+    assert spec.id == "gzip-demo"
+    assert [f.name for f in spec.features] == ["compress", "decompress"]
+
+
+# --- The field tables ------------------------------------------------------
+
+_TABLES = [
+    spec_model._SPEC,
+    spec_model._BINARY,
+    spec_model._FEATURE,
+    spec_model._COMMAND,
+    spec_model._COMPARATOR,
+    spec_model._NORMALIZER,
+]
+
+
+def test_table_defaults_are_the_dataclass_defaults():
+    # A missing key leaves the dataclass default, so a row's default must equal it.
+    for table in _TABLES:
+        defaults = {
+            f.name: f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+            for f in dataclasses.fields(table.cls)
+        }
+        for row in table.fields.values():
+            if row.default is spec_model._REQUIRED:
+                assert defaults[row.attr] is dataclasses.MISSING, (table.cls, row.key)
+            else:
+                assert row.default == defaults[row.attr], (table.cls, row.key)
+
+
+def test_readme_spec_format_lists_every_key_in_order():
+    section = README.read_text().split("## Spec format", 1)[1].split("\n## ", 1)[0]
+    tables = re.findall(r"\| key \|.*?\n((?:\|.*\n)+)", section)
+    listed = [re.findall(r"^\| `(\w+)` \|", table, re.M) for table in tables]
+    assert listed == [list(table.fields) for table in _TABLES]

@@ -161,6 +161,32 @@ def test_unknown_comparator_kind():
         parse_spec(doc(comparators=[{"kind": "fancy_diff"}]))
 
 
+@pytest.mark.parametrize(
+    "normalizer,key,message",
+    [
+        ({"pattern": "[0-9]+"}, "replacement", "missing required field"),
+        ({"pattern": 5, "replacement": "N"}, "pattern", "expected <class 'str'>, got int"),
+        ({"pattern": "(", "replacement": "N"}, "pattern", "invalid regex: missing ), unterminated subpattern"),
+    ],
+    ids=["missing-replacement", "non-string-pattern", "bad-regex"],
+)
+def test_normalizer_faults_name_their_own_key(normalizer, key, message):
+    comparators = [{"kind": "stdout_normalized", "normalizers": [normalizer]}]
+    with pytest.raises(SchemaError) as exc:
+        parse_spec(doc(comparators=comparators))
+    path = f"comparators[0].normalizers[0].{key}"
+    assert exc.value.path == path
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_template_that_is_not_utf8_is_schema_error():
+    # JSON can spell a lone surrogate, which no argv or stdin can carry.
+    features = [{"name": "f", "disposition": "retain", "commands": [{"argv": ["ok", "\ud800"]}]}]
+    with pytest.raises(SchemaError) as exc:
+        parse_spec(doc(features=features))
+    assert exc.value.path == "features[0].commands[0].argv[1]"
+
+
 def test_round_trip_identity():
     features = [
         {

@@ -34,6 +34,15 @@ def test_every_one_and_two_byte_string():
             _check(bytes([a, b]))
 
 
+@pytest.mark.parametrize("buf", [b"\x5f\xc3", b"\xc3", b"\x48\x89\xc3\xc3"], ids=bytes.hex)
+def test_negative_offset_is_rejected(buf):
+    # A negative offset must not index from the end of the buffer.
+    for offset in range(-len(buf) - 1, 0):
+        assert instruction_bounds(buf, offset) is None, (buf.hex(), offset)
+        assert decode(buf, offset) is None, (buf.hex(), offset)
+    assert instruction_bounds(buf, len(buf)) is None
+
+
 @pytest.mark.parametrize("prefix", _PREFIXES, ids=lambda p: p.hex() or "none")
 @pytest.mark.parametrize("escape", (b"", b"\x0f"), ids=("one-byte", "0f"))
 def test_every_opcode_and_modrm_at_every_truncation(prefix, escape):
