@@ -140,7 +140,7 @@ class _VariantMetrics:
 def _seed_requests(spec: BenchmarkSpec, exe_path: Path, seed: int) -> list[ExecRequest]:
     plan = MutationPlan(seed=seed)
     return [
-        exec_request(spec, exe_path, derive_commands(cmd, plan, feature.name, ci)[0], cmd)
+        exec_request(spec, exe_path, derive_commands(cmd, plan, feature.name, ci, 1)[0], cmd)
         for feature in spec.features
         if feature.disposition is Disposition.RETAIN
         for ci, cmd in enumerate(feature.commands)
@@ -432,9 +432,9 @@ def validate(spec_path: Path):
 @_spec_opt
 @_seed_opt
 @_out_opt
-@click.option("--jobs", type=int, default=None, help="Worker threads (default: CPU count).")
-@click.option("--max-seconds", type=float, default=None, help="Fuzzing wall-clock budget.")
-@click.option("--max-mutants", type=int, default=None, help="Total fuzzed-input budget.")
+@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Worker threads (default: CPU count).")
+@click.option("--max-seconds", type=click.FloatRange(min=0), default=None, help="Fuzzing wall-clock budget.")
+@click.option("--max-mutants", type=click.IntRange(min=0), default=None, help="Total fuzzed-input budget.")
 @click.option("--aggressive", is_flag=True, help="Winnow the spec to its aggressive form first.")
 @_exits
 def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive):
@@ -492,7 +492,7 @@ def gadgets_compare(original_path: Path, variant_path: Path):
 @_out_opt
 @click.option("--output", "output_path", type=click.Path(path_type=Path), required=True,
               help="Path where the tool is expected to produce the variant.")
-@click.option("--max-seconds", type=float, default=48 * 3600.0, show_default=True)
+@click.option("--max-seconds", type=click.FloatRange(min=0, min_open=True), default=48 * 3600.0, show_default=True)
 @click.argument("tool_cmdline", nargs=-1, required=True)
 @_exits
 def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):

@@ -354,11 +354,14 @@ def derive_commands(
     plan: MutationPlan,
     feature_name: str = "",
     command_index: int = 0,
+    limit: int | None = None,
 ) -> list[DerivedInput]:
     """Seed input first, then cmd.fuzz_count mutated inputs.
 
     Holes may appear in any argv element and in stdin; each mutant mutates
     the command as a whole so cross-argument holes share one RNG stream.
+    limit, if given, builds only the first limit inputs (the seed counts);
+    the stream is sequential, so they are the same whatever the limit.
     """
     argv_count = len(cmd.argv_template)
     templates = [parse_template(a) for a in cmd.argv_template]
@@ -375,8 +378,9 @@ def derive_commands(
         stdin = rendered[-1] if cmd.stdin is not None else b""
         return DerivedInput(argv, stdin, index > 0, index)
 
+    count = cmd.fuzz_count + 1 if limit is None else min(limit, cmd.fuzz_count + 1)
     rng = SplitMix64(stream_seed(plan.seed, feature_name, command_index))
-    return [materialize(seed_values, 0)] + [
-        materialize(_mutate_values(rng, holes, seed_values, plan.operators), index)
-        for index in range(1, cmd.fuzz_count + 1)
+    return [
+        materialize(_mutate_values(rng, holes, seed_values, plan.operators) if index else seed_values, index)
+        for index in range(count)
     ]

@@ -159,12 +159,23 @@ class BenchmarkSpec:
 _REQUIRED = object()
 
 
+def _utf8(value: str, path: str) -> str:
+    """value, unless it holds a lone surrogate, which JSON can spell but UTF-8 cannot."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(path, f"not UTF-8: {exc.reason} at index {exc.start}") from None
+    return value
+
+
 def _typed(types, then=None):
-    """Loader that checks the JSON type (a bool is no number), then applies then(value, path)."""
+    """Loader that checks the JSON type (a bool is no number) and UTF-8, then applies then(value, path)."""
 
     def load(value, path: str):
         if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
             raise SchemaError(path, f"expected {types}, got {type(value).__name__}")
+        if isinstance(value, str):
+            _utf8(value, path)
         return value if then is None else then(value, path)
 
     return load
@@ -188,7 +199,7 @@ def _enum(cls, message: str):
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(path, "expected string")
-    return value
+    return _utf8(value, path)
 
 
 def _path(value, path: str) -> Path:
@@ -207,6 +218,8 @@ def _env(env: dict, path: str) -> dict[str, str]:
     for key, value in env.items():
         if not isinstance(value, str):
             raise SchemaError(f"{path}.{key}", "env entries must map string to string")
+        _utf8(key, path)
+        _utf8(value, f"{path}.{key}")
     return dict(env)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import enum
+import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -169,7 +170,7 @@ def run_campaign(
     for fi, feature in enumerate(spec.features):
         for ci, cmd in enumerate(feature.commands):
             reach = [caps[vi, fi, ci] for vi in range(len(spec.variants))]
-            for inp in derive_commands(cmd, plan, feature.name, ci)[: 1 + max(reach)]:
+            for inp in derive_commands(cmd, plan, feature.name, ci, 1 + max(reach)):
                 takers = [v for v, cap in zip(spec.variants, reach) if inp.mutant_index <= cap]
                 tasks.append((feature, ci, cmd, inp, takers))
     deadline = time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
@@ -272,12 +273,17 @@ def verdict_to_json(v: TestVerdict) -> dict:
 
 
 def report_to_jsonl(report: CampaignReport) -> bytes:
-    """One verdict per line, canonically ordered; byte-stable across runs."""
-    lines = []
+    """One verdict per line, canonically ordered; byte-stable across runs.
+
+    Each line is encoded once and appended to one buffer, whose getvalue()
+    hands that buffer over without a copy, so the artifact is held once.
+    """
+    out = io.BytesIO()
     for label in sorted(report.per_variant):
         for v in report.per_variant[label]:
-            lines.append(json.dumps(verdict_to_json(v), sort_keys=True))
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+            out.write(json.dumps(verdict_to_json(v), sort_keys=True).encode("utf-8"))
+            out.write(b"\n")
+    return out.getvalue()
 
 
 def summary_to_json(report: CampaignReport) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from debloateval.gadget_analyzer import (
     EXPRESSIVITY_CLASSES,
     MAJOR_CONSTRAINT,
@@ -15,6 +17,7 @@ from debloateval.gadget_analyzer import (
     _is_major,
     _terminator_special_types,
 )
+from debloateval.verdict_engine import CampaignReport, verdict_to_json
 from debloateval.x86 import decode
 
 
@@ -151,3 +154,12 @@ def reference_bounds(buf: bytes, offset: int = 0) -> tuple[int, int] | None:
     if found is None or found[0] > n:
         return None
     return found[0] - offset, found[1] - offset
+
+
+def reference_jsonl(report: CampaignReport) -> bytes:
+    """verdicts.jsonl as first defined: a list of lines, their join, its encode."""
+    lines = []
+    for label in sorted(report.per_variant):
+        for v in report.per_variant[label]:
+            lines.append(json.dumps(verdict_to_json(v), sort_keys=True))
+    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from debloateval import gadget_analyzer
+from debloateval import cli, gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 from debloateval.elf import executable_segments
-from debloateval.spec_model import BinaryRef
+from debloateval.spec_model import BinaryRef, parse_spec
 
 from conftest import make_script, toy_spec_doc, write_elf, write_spec
 
@@ -68,6 +68,49 @@ def test_malformed_command_template_is_exit_2_naming_its_path(runner, tmp_path, 
     result = invoke(runner, *args)
     assert result.exit_code == EXIT_ERROR
     assert "features[1].commands[0].argv[1]" in result.output
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_lone_surrogate_in_a_spec_string_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
+    places = {
+        "id": lambda doc: doc.update(id="toy\ud800"),
+        "variants[0].label": lambda doc: doc["variants"][0].update(label="v\ud800"),
+        "features[1].name": lambda doc: doc["features"][1].update(name="\udcff"),
+        "env": lambda doc: doc.update(env={"K\ud800": "v"}),
+        "env.K": lambda doc: doc.update(env={"K": "\ud800"}),
+    }
+    for path, plant in places.items():
+        doc = toy_spec_doc(toy_pair, ["no_b"])
+        plant(doc)
+        args = [command, "--spec", write_spec(tmp_path, doc)]
+        if command != "validate":
+            args += ["--out", tmp_path / "out"]
+        if command == "tool-wrap":
+            args += ["--output", tmp_path / "never", "/bin/true"]
+        result = invoke(runner, *args)
+        assert result.exit_code == EXIT_ERROR, path
+        assert f"error: {path}: not UTF-8" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("differ", "--jobs", "-3"),
+        ("differ", "--jobs", "0"),
+        ("differ", "--max-mutants", "-5"),
+        ("differ", "--max-seconds", "-1"),
+        ("tool-wrap", "--max-seconds", "0"),
+    ],
+)
+def test_out_of_range_numeric_option_is_exit_2_naming_it(runner, tmp_path, toy_pair, command, option, value):
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    args = [command, "--spec", spec, "--out", tmp_path / "out", option, value]
+    if command == "tool-wrap":
+        args += ["--output", tmp_path / "never", "/bin/true"]
+    result = invoke(runner, *args)
+    assert result.exit_code == EXIT_ERROR
+    assert f"Invalid value for '{option}'" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 # --- differ --------------------------------------------------------------
@@ -195,6 +238,22 @@ def test_metrics_with_perf_on_scripts(runner, tmp_path, toy_pair):
     # Shell scripts are not ELF binaries: security metrics degrade to N/A.
     assert row["expressivity_delta"] is None
     assert row["locality_pct"] is None
+
+
+def test_seed_requests_derive_only_the_seed_input(tmp_path, toy_pair, monkeypatch):
+    derived = []
+    real_derive = cli.derive_commands
+
+    def counting_derive(*args, **kwargs):
+        inputs = real_derive(*args, **kwargs)
+        derived.append(len(inputs))
+        return inputs
+
+    monkeypatch.setattr(cli, "derive_commands", counting_derive)
+    spec = parse_spec(write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"], fuzz_count=500)).read_bytes())
+    requests = cli._seed_requests(spec, toy_pair["original"], seed=0)
+    assert [r.argv for r in requests] == [["a", "alpha"]]
+    assert derived == [1]
 
 
 def test_metrics_bad_spec_is_exit_2(runner, tmp_path):

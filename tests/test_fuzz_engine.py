@@ -251,6 +251,13 @@ def test_derive_without_fuzz_count_is_just_seed():
     assert inputs[0].stdin == b""
 
 
+def test_derive_limit_builds_a_prefix_of_the_full_list():
+    cmd = TestCommand(("-w", "{{int:0..200}}"), stdin="{{bytes:8..16}}", fuzz_count=6)
+    full = derive_commands(cmd, MutationPlan(seed=3), "f", 1)
+    for limit in range(len(full) + 2):
+        assert derive_commands(cmd, MutationPlan(seed=3), "f", 1, limit) == full[:limit]
+
+
 def test_derive_mutants_match_per_argument_skeletons():
     cmd = TestCommand(("-n", "{{int:0..100}}", "{{ascii:1..5}}.log"), fuzz_count=50)
     templates = [parse_template(a) for a in cmd.argv_template]

@@ -8,6 +8,7 @@ import json
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from debloateval.spec_model import (
     BinaryRef,
     Disposition,
     Feature,
+    SchemaError,
     SpecError,
     TestCommand,
     parse_spec,
@@ -28,12 +30,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # --- Round trip over generated specs ---------------------------------------
 
-_text = st.text(max_size=12)
-# Templates are UTF-8 without holes, or with one; a lone surrogate is no UTF-8.
+# Spec strings are UTF-8, and a lone surrogate (category Cs) is no UTF-8.
+_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+# Templates are text without holes, or with one.
 _plain = st.text(alphabet=st.characters(blacklist_characters="{}", blacklist_categories=("Cs",)), max_size=12)
 _template = _plain | st.sampled_from(["{{int:1..9}}", "-{{int:0..3}}x", "{{bytes:0..64}}"])
 _relative = st.sampled_from(["out", "out.txt", "dir/log", "a/b/c"])
-_path = st.builds(Path, st.text(min_size=1, max_size=12))
+_path = st.builds(Path, _text.filter(bool))
 _pattern = st.sampled_from([r"[0-9]+", r"\d{4}-\d{2}", "a|b", r"\s+$", "(x)?"])
 
 
@@ -188,6 +191,35 @@ def test_every_single_fault_is_a_spec_error_at_its_key():
             assert _encloses(exc.path, key_path), (key_path, exc.path, str(exc))
         else:
             assert may_parse, key_path
+
+
+def _with_surrogate(node, target: str, path: str = ""):
+    """A copy of node whose string at path target ends in a lone surrogate."""
+    if isinstance(node, dict):
+        return {k: _with_surrogate(v, target, f"{path}.{k}" if path else k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_with_surrogate(v, target, f"{path}[{i}]") for i, v in enumerate(node)]
+    return node + "\ud800" if path == target and isinstance(node, str) else node
+
+
+def _string_paths(node, path: str = ""):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _string_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _string_paths(value, f"{path}[{i}]")
+    elif isinstance(node, str):
+        yield path
+
+
+def test_every_string_that_is_not_utf8_is_a_schema_error_at_its_path():
+    paths = list(_string_paths(FULL))
+    assert len(paths) > 20
+    for path in paths:
+        with pytest.raises(SchemaError) as exc:
+            parse_spec(json.dumps(_with_surrogate(FULL, path)).encode())
+        assert exc.value.path == path
 
 
 # --- README ----------------------------------------------------------------

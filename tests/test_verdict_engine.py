@@ -3,18 +3,30 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import random
+import tracemalloc
 
 import pytest
 
-from debloateval.comparator import CompareReport, default_pipeline, compare
+from debloateval.comparator import (
+    ComparatorConfig,
+    ComparatorKind,
+    ComparatorResult,
+    CompareReport,
+    compare,
+    default_pipeline,
+)
 from debloateval.exec_harness import ExecOutcome, SpawnError, Termination
-from debloateval.fuzz_engine import MutationPlan
+from debloateval.fuzz_engine import DerivedInput, MutationPlan
 from debloateval import verdict_engine
 from debloateval.spec_model import Disposition, parse_spec
 from debloateval.verdict_engine import (
     Budget,
     CampaignAborted,
+    CampaignReport,
+    CampaignSummary,
     FAILING_VERDICTS,
+    TestVerdict,
     Verdict,
     classify,
     report_to_jsonl,
@@ -23,6 +35,7 @@ from debloateval.verdict_engine import (
 )
 
 from conftest import toy_spec_doc, write_spec
+from oracles import reference_jsonl
 
 
 def outcome(termination=None, stdout=b"") -> ExecOutcome:
@@ -232,6 +245,28 @@ def test_original_spawn_failure_after_preflight_is_original_crash_per_variant(tm
         assert [v.value for v in verdicts][1:] == [Verdict.ORIGINAL_CRASH], label
 
 
+def test_budget_bounds_the_derived_inputs_and_keeps_their_verdicts(tmp_path, toy_pair, monkeypatch):
+    derived = []
+    real_derive = verdict_engine.derive_commands
+
+    def counting_derive(*args, **kwargs):
+        inputs = real_derive(*args, **kwargs)
+        derived.append(len(inputs))
+        return inputs
+
+    monkeypatch.setattr(verdict_engine, "derive_commands", counting_derive)
+    variants = ["no_b", "same", "crash_a"]
+    full = report_to_jsonl(run_toy(tmp_path, toy_pair, variants, fuzz_count=3))
+    assert derived == [4, 4]
+    derived.clear()
+    # 7 mutants over 6 (variant, command) tasks: feature-a's first variant gets 2, the rest 1.
+    budgeted = report_to_jsonl(run_toy(tmp_path, toy_pair, variants, fuzz_count=3, budget=Budget(max_mutants=7)))
+    assert derived == [3, 2]
+    assert set(budgeted.splitlines()) <= set(full.splitlines())
+    covering = run_toy(tmp_path, toy_pair, variants, fuzz_count=3, budget=Budget(max_mutants=18))
+    assert report_to_jsonl(covering) == full
+
+
 def test_exhausted_time_budget_still_runs_seeds(tmp_path, toy_pair):
     report = run_toy(tmp_path, toy_pair, ["no_b"], fuzz_count=5, budget=Budget(max_seconds=0.0))
     verdicts = report.per_variant["no_b"]
@@ -287,3 +322,45 @@ def test_summary_json_shape(tmp_path, toy_pair):
         "expected_match": 1,
     }
     assert summary["passed"] == 1
+
+
+def _bulk_report(verdicts: int, stdin_size: int) -> CampaignReport:
+    """A report of verdicts over inputs of stdin_size random bytes each, split over two variants."""
+    rng = random.Random(0)
+    evidence = CompareReport(
+        (
+            ComparatorResult(ComparatorConfig(ComparatorKind.EXIT_STATUS), True, "both exited 0"),
+            ComparatorResult(ComparatorConfig(ComparatorKind.STDOUT_EXACT), False, "first difference at byte 7"),
+        ),
+        False,
+    )
+    per_variant = {"v1": [], "v0": []}
+    for i in range(verdicts):
+        inp = DerivedInput(("-w", str(i)), rng.randbytes(stdin_size), i > 0, i)
+        label = "v1" if i % 2 else "v0"
+        per_variant[label].append(
+            TestVerdict(Verdict.UNEXPECTED_DIFFERENCE, evidence, inp, i > 0, label, "encode", Disposition.RETAIN, 0)
+        )
+    return CampaignReport("bulk", per_variant, CampaignSummary((2, 1.0), (0, 0.0), 0))
+
+
+def test_jsonl_equals_its_first_definition(tmp_path, toy_pair):
+    budgeted = run_toy(tmp_path, toy_pair, ["no_b", "same", "crash_a"], fuzz_count=3, budget=Budget(max_mutants=7))
+    silent = CampaignReport("empty", {"v0": [], "v1": []}, CampaignSummary((0, 0.0), (0, 0.0), 2))
+    assert report_to_jsonl(silent) == reference_jsonl(silent) == b""
+    for report in (budgeted, _bulk_report(4, 64 * 1024)):
+        blob = report_to_jsonl(report)
+        assert blob == reference_jsonl(report)
+        assert blob.count(b"\n") == sum(map(len, report.per_variant.values()))
+
+
+def test_jsonl_is_held_about_once_while_serialising():
+    report = _bulk_report(100, 64 * 1024)
+    tracemalloc.start()
+    try:
+        blob = report_to_jsonl(report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A list of lines, their join and its encode hold the artifact three times.
+    assert peak < 1.5 * len(blob)

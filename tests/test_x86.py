@@ -1,7 +1,10 @@
-"""The length pass against an independent case analysis, across the subset."""
+"""The length pass against an independent case analysis, across the subset, and against objdump."""
 
 from __future__ import annotations
 
+import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,62 @@ def test_every_offset_of_system_binaries(path):
         for offset in range(len(data)):
             decoded += _check(data, offset) is not None
     assert decoded > 0
+
+
+# --- objdump, an independent disassembler --------------------------------
+
+_LIBC_CANDIDATES = ("/lib/x86_64-linux-gnu/libc.so.6", "/usr/lib/x86_64-linux-gnu/libc.so.6", "/lib64/libc.so.6")
+_LIBC_WINDOW = (0x20000, 0x50000)  # offsets into libc's .text: 192 KB of its code
+_INSTRUCTION_LINE = re.compile(r"^ *([0-9a-f]+):\t((?:[0-9a-f]{2} )+)", re.M)
+
+
+def _objdump_sweep(path: Path, window: tuple[int, int] | None = None) -> tuple[int, bytes, list[int]]:
+    """(first address, code bytes, instruction lengths) of objdump's linear sweep of .text.
+
+    The bytes are the ones objdump prints, so the decoder sees exactly what
+    objdump decoded, laid end to end.
+    """
+    args = ["objdump", "-d", "-w", "-z", "-M", "intel", "--section=.text"]
+    if window is not None:
+        headers = subprocess.run(["objdump", "-h", str(path)], capture_output=True, text=True, check=True)
+        text_vma = int(re.search(r"^ *\d+ \.text +\S+ +(\S+)", headers.stdout, re.M).group(1), 16)
+        args += [f"--start-address={text_vma + window[0]:#x}", f"--stop-address={text_vma + window[1]:#x}"]
+    listing = subprocess.run(args + [str(path)], capture_output=True, text=True, check=True).stdout
+    first = None
+    code = bytearray()
+    lengths = []
+    for match in _INSTRUCTION_LINE.finditer(listing):
+        address, data = int(match.group(1), 16), bytes.fromhex(match.group(2))
+        first = address if first is None else first
+        assert address == first + len(code), (path, hex(address))  # one gapless sweep
+        code += data
+        lengths.append(len(data))
+    return first, bytes(code), lengths
+
+
+def _binary(name: str) -> Path:
+    if shutil.which("objdump") is None:
+        pytest.skip("objdump not installed")
+    candidates = _LIBC_CANDIDATES if name == "libc" else (name,)
+    found = next((Path(p) for p in candidates if Path(p).is_file()), None)
+    if found is None:
+        pytest.skip(f"{name} not present")
+    return found
+
+
+@pytest.mark.parametrize("name", ["/usr/bin/gzip", "/bin/ls", "libc"])
+def test_every_accepted_instruction_has_objdumps_length(name):
+    first, code, lengths = _objdump_sweep(_binary(name), _LIBC_WINDOW if name == "libc" else None)
+    assert len(lengths) > 10_000
+    offset = 0
+    accepted = 0
+    mismatches = []
+    for length in lengths:
+        bounds = instruction_bounds(code, offset)
+        if bounds is not None:
+            accepted += 1
+            if bounds[0] != length:
+                mismatches.append((hex(first + offset), code[offset : offset + length].hex(), bounds[0]))
+        offset += length
+    assert mismatches == []
+    assert accepted > len(lengths) // 2
