@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -406,6 +407,16 @@ def main():
     """Validate and measure debloated program variants."""
 
 
+class _FiniteFloat(click.FloatRange):
+    """A FloatRange that also rejects nan, which passes every bound, and +-inf."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+
 _spec_opt = click.option(
     "--spec", "spec_path", type=click.Path(path_type=Path), required=True, help="Spec JSON file."
 )
@@ -433,7 +444,7 @@ def validate(spec_path: Path):
 @_seed_opt
 @_out_opt
 @click.option("--jobs", type=click.IntRange(min=1), default=None, help="Worker threads (default: CPU count).")
-@click.option("--max-seconds", type=click.FloatRange(min=0), default=None, help="Fuzzing wall-clock budget.")
+@click.option("--max-seconds", type=_FiniteFloat(min=0), default=None, help="Fuzzing wall-clock budget.")
 @click.option("--max-mutants", type=click.IntRange(min=0), default=None, help="Total fuzzed-input budget.")
 @click.option("--aggressive", is_flag=True, help="Winnow the spec to its aggressive form first.")
 @_exits
@@ -492,7 +503,7 @@ def gadgets_compare(original_path: Path, variant_path: Path):
 @_out_opt
 @click.option("--output", "output_path", type=click.Path(path_type=Path), required=True,
               help="Path where the tool is expected to produce the variant.")
-@click.option("--max-seconds", type=click.FloatRange(min=0, min_open=True), default=48 * 3600.0, show_default=True)
+@click.option("--max-seconds", type=_FiniteFloat(min=0, min_open=True), default=48 * 3600.0, show_default=True)
 @click.argument("tool_cmdline", nargs=-1, required=True)
 @_exits
 def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 import os
 import selectors
 import shutil
@@ -103,8 +104,8 @@ class ExecRequest:
     capture_files: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be > 0")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise ValueError("timeout_seconds must be a finite number > 0")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -110,8 +111,8 @@ class BenchmarkSpec:
 
     def __post_init__(self):
         """Check the cross-field invariants; errors name the offending path."""
-        if self.timeout_seconds <= 0:
-            raise SchemaError("timeout_seconds", "must be > 0")
+        if not (math.isfinite(self.timeout_seconds) and self.timeout_seconds > 0):
+            raise SchemaError("timeout_seconds", "must be a finite number > 0")
         if self.trials < 1:
             raise SchemaError("trials", "must be >= 1")
         names_seen: set[str] = set()
@@ -194,6 +195,13 @@ def _enum(cls, message: str):
             raise SchemaError(path, message.format(name)) from None
 
     return _typed(str, load)
+
+
+def _float(value: int | float, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise SchemaError(path, "out of range") from None
 
 
 def _string(value, path: str) -> str:
@@ -343,8 +351,7 @@ _SPEC = _Object(
     _Field("features", "features", _array(_FEATURE.load), dump=_each(_FEATURE.dump)),
     _Field("comparators", "default_comparators", _load_pipeline, default_pipeline(), dump=_dump_pipeline),
     _Field("env", "env", _typed(dict, _env), {}),
-    _Field("timeout_seconds", "timeout_seconds", _typed((int, float), lambda t, _: float(t)),
-           DEFAULT_TIMEOUT_SECONDS),
+    _Field("timeout_seconds", "timeout_seconds", _typed((int, float), _float), DEFAULT_TIMEOUT_SECONDS),
     _Field("trials", "trials", _typed(int), DEFAULT_TRIALS),
 )
 
@@ -355,7 +362,7 @@ def parse_spec(document: bytes) -> BenchmarkSpec:
         obj = json.loads(document.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SpecSyntaxError("", f"document is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SpecSyntaxError("", f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("", "top-level value must be an object")

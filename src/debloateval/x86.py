@@ -6,28 +6,34 @@ lea, leave, ret/ret-imm16, indirect jmp/call through ModRM, syscall,
 int 0x80, and short/near conditional branches. An offset whose bytes do
 not decode under this subset cannot be part of a gadget. One optional REX
 prefix is recognized; other prefixes are treated as undecodable.
+Registers always get their 64-bit names, with or without REX.W: ``89 c8``
+decodes as ``mov rax, rcx`` where objdump prints ``mov eax,ecx``.
 
-Decoding has two layers. The length pass, ``instruction_bounds``, is the
-one definition of what decodes and how long it is: it reads the optional
-REX byte and the opcode, looks up the opcode's form in a 256-entry table
-(the ``0F`` and ``CD`` escapes index a second table by the next byte),
-and from the form reads the ModRM byte, a SIB byte where ModRM asks for
-one, the displacement and the immediate. Truncated bytes, ModRM forms
-outside the subset and unknown opcodes are rejected there and nowhere
-else. The pass returns the length and the length of the header: REX,
-opcode, second opcode byte and ModRM. Every field of the decoded
-instruction but its offset, length, text, immediate value and memory base
-follows from the header, so a caller can key facts that read only those
-fields on it.
+Each opcode group is one row of a 256-entry table; the ``0F`` and ``CD``
+escapes index a second table by the next byte. A row holds the layout of
+the bytes after the opcode and a semantic column, ``_Sem``.
 
-``decode`` runs the length pass, then the semantic handler that the same
-table row names. Handlers build the ``DecodedInstruction`` and never
-reject: every byte they read is known to be there.
+The length pass, ``instruction_bounds``, is the one definition of what
+decodes and how long it is: it reads the optional REX byte and the opcode,
+looks up the row, and from its layout reads the ModRM byte, a SIB byte
+where ModRM asks for one, the displacement and the immediate. Truncated
+bytes, ModRM forms outside the subset and unknown opcodes are rejected
+there and nowhere else. The pass returns the length and the length of the
+header: REX, opcode, second opcode byte and ModRM. Every field of the
+decoded instruction but its offset, length, text, immediate value and
+memory base follows from the header, so a caller can key facts that read
+only those fields on it.
+
+``decode`` runs the length pass, finds the same row through the same
+tables, and builds the ``DecodedInstruction`` from the row's semantic
+column with one generic builder; only ``xchg``, ``leave``, ``ret imm16``
+and ``int`` have builders of their own. No builder rejects: every byte it
+reads is known to be there.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 REGS = (
     "rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi",
@@ -89,12 +95,34 @@ def _modrm_table(regs=range(8), register_rm: bool = True) -> tuple:
     return tuple(table)
 
 
-class _Form(NamedTuple):
-    """How the bytes after an opcode are laid out."""
+class _Sem(NamedTuple):
+    """What an instruction does: the semantic column of its row.
 
-    escape: tuple | None = None  # forms by the next byte, which extends the opcode
+    operands lists the operand kinds, first to last: "r" is the ModRM reg
+    field's register, "rm" the ModRM r/m operand (a register or memory),
+    "o" the register in the opcode's low three bits, "imm" the immediate
+    and "rel" a conditional branch's displacement. mem says how a memory
+    operand is accessed: read "r", written "w", both "rw", or "" when only
+    its address is taken (lea).
+    """
+
+    mnemonic: str
+    operands: tuple[str, ...] = ()
+    writes: bool = False     # the first operand is written
+    mem: str = "r"
+    flags: bool = False      # flags are written
+    terminator: str | None = None
+
+
+class _Form(NamedTuple):
+    """One opcode row: how the bytes after the opcode are laid out, and what it does."""
+
+    escape: tuple | None = None  # rows by the next byte, which extends the opcode
     modrm: tuple | None = None   # a _modrm_table; None: no ModRM byte
     imm: int = 0                 # immediate bytes, the last of the instruction
+    # A _Sem; for a group, a tuple of _Sem or None by the ModRM reg field;
+    # or a builder of its own, called with (offset, length, reg, rm, base, value).
+    sem: _Sem | tuple | Callable | None = None
 
 
 def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
@@ -115,13 +143,13 @@ def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
         form = forms[op]
         if form is None:
             return None
-        escape, modrm, imm = form
+        escape, modrm, imm, _ = form
         if escape is not None:
             form = escape[buf[i]]
             i += 1
             if form is None:
                 return None
-            escape, modrm, imm = form
+            escape, modrm, imm, _ = form
         if modrm is None:
             end = i + imm
         else:
@@ -137,299 +165,203 @@ def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
     return None if end > len(buf) or offset < 0 else (end - offset, i - offset)
 
 
-# --- Semantics ---------------------------------------------------------
-
-class _ModRM(NamedTuple):
-    reg: int            # extended reg field
-    is_mem: bool
-    rm_reg: str | None  # register name for register-direct rm
-    mem_base: str | None
-
-
-def _parse_modrm(buf: bytes, i: int, rex: int) -> _ModRM:
-    m = buf[i]
-    mod, reg, rm = m >> 6, (m >> 3) & 7, m & 7
-    reg += 8 * ((rex >> 2) & 1)  # REX.R
-    if mod == 3:
-        return _ModRM(reg, False, REGS[rm + 8 * (rex & 1)], None)
-    if rm == 4:  # SIB byte
-        base_bits = buf[i + 1] & 7
-        base = None if base_bits == 5 and mod == 0 else REGS[base_bits + 8 * (rex & 1)]
-    elif rm == 5 and mod == 0:
-        base = "rip"
-    else:
-        base = REGS[rm + 8 * (rex & 1)]
-    return _ModRM(reg, True, None, base)
-
-
-def _imm(buf: bytes, start: int, end: int) -> int:
-    return int.from_bytes(buf[start:end], "little", signed=True)
-
-
-def _mem_text(mod: _ModRM) -> str:
-    return f"[{mod.mem_base or 'disp'}]"
-
-
-# Each handler takes (buf, offset, length, i, rex, op): length comes from
-# the length pass, i is the index just past the opcode byte, op the opcode.
-
-def _push_reg(buf, offset, length, i, rex, op):
-    reg = REGS[(op - 0x50) + 8 * (rex & 1)]
-    return DecodedInstruction(offset, length, "push", f"push {reg}", src=reg)
-
-
-def _pop_reg(buf, offset, length, i, rex, op):
-    reg = REGS[(op - 0x58) + 8 * (rex & 1)]
-    return DecodedInstruction(offset, length, "pop", f"pop {reg}", dest=reg)
-
-
-def _mov_modrm(buf, offset, length, i, rex, op):  # 89: mov r/m, r; 8B: mov r, r/m
-    mod = _parse_modrm(buf, i, rex)
-    reg = REGS[mod.reg]
-    if op == 0x89:
-        if mod.is_mem:
-            return DecodedInstruction(offset, length, "mov", f"mov {_mem_text(mod)}, {reg}",
-                                      src=reg, writes_mem=True, mem_base=mod.mem_base)
-        return DecodedInstruction(offset, length, "mov", f"mov {mod.rm_reg}, {reg}",
-                                  dest=mod.rm_reg, src=reg)
-    if mod.is_mem:
-        return DecodedInstruction(offset, length, "mov", f"mov {reg}, {_mem_text(mod)}",
-                                  dest=reg, reads_mem=True, mem_base=mod.mem_base)
-    return DecodedInstruction(offset, length, "mov", f"mov {reg}, {mod.rm_reg}",
-                              dest=reg, src=mod.rm_reg)
-
-
-# Two-operand ALU opcodes: opcode -> (mnemonic, direction reg->rm?)
-_ALU = {
-    0x01: ("add", True), 0x29: ("sub", True), 0x21: ("and", True),
-    0x09: ("or", True), 0x31: ("xor", True), 0x39: ("cmp", True),
-    0x03: ("add", False), 0x2B: ("sub", False), 0x23: ("and", False),
-    0x0B: ("or", False), 0x33: ("xor", False), 0x3B: ("cmp", False),
-}
-
-
-def _alu(buf, offset, length, i, rex, op):
-    mnem, to_rm = _ALU[op]
-    mod = _parse_modrm(buf, i, rex)
-    reg = REGS[mod.reg]
-    compare_only = mnem == "cmp"
-    if mod.is_mem:
-        if to_rm:
-            return DecodedInstruction(offset, length, mnem, f"{mnem} {_mem_text(mod)}, {reg}",
-                                      src=reg, reads_mem=True, writes_mem=not compare_only,
-                                      mem_base=mod.mem_base, writes_flags=True)
-        return DecodedInstruction(offset, length, mnem, f"{mnem} {reg}, {_mem_text(mod)}",
-                                  dest=None if compare_only else reg, reads_mem=True,
-                                  mem_base=mod.mem_base, writes_flags=True)
-    dst, src = (mod.rm_reg, reg) if to_rm else (reg, mod.rm_reg)
-    return DecodedInstruction(offset, length, mnem, f"{mnem} {dst}, {src}",
-                              dest=None if compare_only else dst, src=src, writes_flags=True)
-
-
-def _test(buf, offset, length, i, rex, op):  # 85: test r/m, r
-    mod = _parse_modrm(buf, i, rex)
-    reg = REGS[mod.reg]
-    if mod.is_mem:
-        return DecodedInstruction(offset, length, "test", f"test {_mem_text(mod)}, {reg}",
-                                  src=reg, reads_mem=True, mem_base=mod.mem_base,
-                                  writes_flags=True)
-    return DecodedInstruction(offset, length, "test", f"test {mod.rm_reg}, {reg}",
-                              src=reg, writes_flags=True)
-
-
-# Group-1 immediate arithmetic, indexed by the ModRM reg field.
-_GRP1 = {0: "add", 1: "or", 4: "and", 5: "sub", 6: "xor", 7: "cmp"}
-
-
-def _group1(buf, offset, length, i, rex, op):  # 81: r/m, imm32; 83: r/m, imm8
-    mod = _parse_modrm(buf, i, rex)
-    mnem = _GRP1[mod.reg % 8]
-    end = offset + length
-    value = _imm(buf, end - (4 if op == 0x81 else 1), end)
-    compare_only = mnem == "cmp"
-    if mod.is_mem:
-        return DecodedInstruction(offset, length, mnem, f"{mnem} {_mem_text(mod)}, {value:#x}",
-                                  imm=value, reads_mem=True, writes_mem=not compare_only,
-                                  mem_base=mod.mem_base, writes_flags=True)
-    return DecodedInstruction(offset, length, mnem, f"{mnem} {mod.rm_reg}, {value:#x}",
-                              dest=None if compare_only else mod.rm_reg, imm=value,
-                              writes_flags=True)
-
-
-def _mov_imm(buf, offset, length, i, rex, op):  # B8+r: mov r, imm32/imm64
-    reg = REGS[(op - 0xB8) + 8 * (rex & 1)]
-    value = _imm(buf, i, offset + length)
-    return DecodedInstruction(offset, length, "mov", f"mov {reg}, {value:#x}", dest=reg, imm=value)
-
-
-def _push_imm(buf, offset, length, i, rex, op):  # 68: imm32; 6A: imm8
-    value = _imm(buf, i, offset + length)
-    return DecodedInstruction(offset, length, "push", f"push {value:#x}", imm=value)
-
-
-def _lea(buf, offset, length, i, rex, op):
-    mod = _parse_modrm(buf, i, rex)
-    reg = REGS[mod.reg]
-    return DecodedInstruction(offset, length, "lea", f"lea {reg}, {_mem_text(mod)}",
-                              dest=reg, mem_base=mod.mem_base)
-
-
-def _xchg(buf, offset, length, i, rex, op):  # 87: xchg r/m, r
-    mod = _parse_modrm(buf, i, rex)
-    reg = REGS[mod.reg]
-    if mod.is_mem:
-        return DecodedInstruction(offset, length, "xchg", f"xchg {_mem_text(mod)}, {reg}",
-                                  dest=reg, reads_mem=True, writes_mem=True,
-                                  mem_base=mod.mem_base)
-    return DecodedInstruction(offset, length, "xchg", f"xchg {mod.rm_reg}, {reg}",
-                              dest=mod.rm_reg, src=reg)
-
-
-def _nop(buf, offset, length, i, rex, op):
-    return DecodedInstruction(offset, length, "nop", "nop")
-
-
-def _jcc(buf, offset, length, i, rex, op):  # 70+cc: rel8; 0F 80+cc: rel32
-    value = _imm(buf, i, offset + length)
-    cc = _CC_NAMES[op & 0xF]
-    return DecodedInstruction(offset, length, f"j{cc}", f"j{cc} {value:+#x}",
-                              imm=value, is_cond_branch=True)
-
-
-def _ret(buf, offset, length, i, rex, op):  # C3: ret; C2: ret imm16
-    if op == 0xC3:
-        return DecodedInstruction(offset, length, "ret", "ret", terminator=RET)
-    value = _imm(buf, i, offset + length) & 0xFFFF
-    return DecodedInstruction(offset, length, "ret", f"ret {value:#x}", imm=value, terminator=RET)
-
-
-def _leave(buf, offset, length, i, rex, op):
-    return DecodedInstruction(offset, length, "leave", "leave", dest="rsp")
-
-
-def _int(buf, offset, length, i, rex, op):  # the length pass admits only the 0x80 vector
-    return DecodedInstruction(offset, length, "int", "int 0x80", imm=0x80, terminator=SYSCALL)
-
-
-# Group 5, indexed by the ModRM reg field.
-_GRP5 = {0: "inc", 1: "dec", 2: "call", 4: "jmp", 6: "push"}
-
-
-def _group5(buf, offset, length, i, rex, op):  # FF: inc/dec/call/jmp/push
-    mod = _parse_modrm(buf, i, rex)
-    ext = mod.reg % 8
-    mnem = _GRP5[ext]
-    if ext == 0 or ext == 1:
-        if mod.is_mem:
-            return DecodedInstruction(offset, length, mnem, f"{mnem} {_mem_text(mod)}",
-                                      reads_mem=True, writes_mem=True, mem_base=mod.mem_base,
-                                      writes_flags=True)
-        return DecodedInstruction(offset, length, mnem, f"{mnem} {mod.rm_reg}",
-                                  dest=mod.rm_reg, writes_flags=True)
-    if ext == 2 or ext == 4:
-        kind = CALL_INDIRECT if ext == 2 else JMP_INDIRECT
-        if mod.is_mem:
-            return DecodedInstruction(offset, length, mnem, f"{mnem} {_mem_text(mod)}",
-                                      terminator=kind, branch_mem=True, mem_base=mod.mem_base,
-                                      reads_mem=True)
-        return DecodedInstruction(offset, length, mnem, f"{mnem} {mod.rm_reg}",
-                                  terminator=kind, branch_reg=mod.rm_reg)
-    if mod.is_mem:
-        return DecodedInstruction(offset, length, "push", f"push {_mem_text(mod)}",
-                                  reads_mem=True, mem_base=mod.mem_base)
-    return DecodedInstruction(offset, length, "push", f"push {mod.rm_reg}", src=mod.rm_reg)
-
-
-def _syscall(buf, offset, length, i, rex, op):
-    return DecodedInstruction(offset, length, "syscall", "syscall", terminator=SYSCALL)
-
-
-def _movx(buf, offset, length, i, rex, op):  # 0F B6/B7: movzx; 0F BE/BF: movsx
-    mnem = "movzx" if op in (0xB6, 0xB7) else "movsx"
-    mod = _parse_modrm(buf, i, rex)
-    reg = REGS[mod.reg]
-    if mod.is_mem:
-        return DecodedInstruction(offset, length, mnem, f"{mnem} {reg}, {_mem_text(mod)}",
-                                  dest=reg, reads_mem=True, mem_base=mod.mem_base)
-    return DecodedInstruction(offset, length, mnem, f"{mnem} {reg}, {mod.rm_reg}",
-                              dest=reg, src=mod.rm_reg)
-
-
-# --- Opcode tables -------------------------------------------------------
-#
-# One row per opcode group: its form for the length pass and its handler.
-
-def _tables(rows) -> tuple[tuple, tuple]:
-    forms = [None] * 256
-    handlers = [None] * 256
-    for opcodes, form, handler in rows:
-        for op in opcodes:
-            forms[op] = form
-            handlers[op] = handler
-    return tuple(forms), tuple(handlers)
-
-
-def _with(forms: tuple, opcodes, form: _Form | None) -> tuple:
-    table = list(forms)
-    for op in opcodes:
-        table[op] = form
-    return tuple(table)
-
-
-_ANY_MODRM = _modrm_table()
-
-_TWO_BYTE_FORMS, _TWO_BYTE_HANDLERS = _tables((
-    ((0x05,), _Form(), _syscall),
-    (range(0x80, 0x90), _Form(imm=4), _jcc),
-    ((0xB6, 0xB7, 0xBE, 0xBF), _Form(modrm=_ANY_MODRM), _movx),
-))
-
-
-def _two_byte(buf, offset, length, i, rex, op):  # 0F escape: dispatch on the second byte
-    return _TWO_BYTE_HANDLERS[buf[i]](buf, offset, length, i + 1, rex, buf[i])
-
-
-_INT_VECTORS = _with((None,) * 256, (0x80,), _Form())  # int takes only the 0x80 vector
-
-_FORMS, _HANDLERS = _tables((
-    (range(0x50, 0x58), _Form(), _push_reg),
-    (range(0x58, 0x60), _Form(), _pop_reg),
-    ((0x89, 0x8B), _Form(modrm=_ANY_MODRM), _mov_modrm),
-    (_ALU, _Form(modrm=_ANY_MODRM), _alu),
-    ((0x85,), _Form(modrm=_ANY_MODRM), _test),
-    ((0x81,), _Form(modrm=_modrm_table(_GRP1), imm=4), _group1),
-    ((0x83,), _Form(modrm=_modrm_table(_GRP1), imm=1), _group1),
-    (range(0xB8, 0xC0), _Form(imm=4), _mov_imm),
-    ((0x68,), _Form(imm=4), _push_imm),
-    ((0x6A,), _Form(imm=1), _push_imm),
-    ((0x8D,), _Form(modrm=_modrm_table(register_rm=False)), _lea),
-    ((0x87,), _Form(modrm=_ANY_MODRM), _xchg),
-    ((0x90,), _Form(), _nop),
-    (range(0x70, 0x80), _Form(imm=1), _jcc),
-    ((0xC2,), _Form(imm=2), _ret),
-    ((0xC3,), _Form(), _ret),
-    ((0xC9,), _Form(), _leave),
-    ((0xCD,), _Form(escape=_INT_VECTORS), _int),
-    ((0xFF,), _Form(modrm=_modrm_table(_GRP5)), _group5),
-    ((0x0F,), _Form(escape=_TWO_BYTE_FORMS), _two_byte),
-))
-
-
-# After a REX byte: nop (90) does not decode, and REX.W widens mov r, imm to imm64.
-_REX_FORMS = _with(_FORMS, (0x90,), None)
-_REX_W_FORMS = _with(_REX_FORMS, range(0xB8, 0xC0), _Form(imm=8))
-
+# --- Decoding ------------------------------------------------------------
 
 def decode(buf: bytes, offset: int) -> DecodedInstruction | None:
     """Decode one instruction at offset, or None if the subset cannot."""
     bounds = instruction_bounds(buf, offset)
     if bounds is None:
         return None
+    length = bounds[0]
     i = offset
     rex = 0
-    op = buf[i]
-    if 0x40 <= op <= 0x4F:
-        rex = op
+    forms = _FORMS
+    if 0x40 <= buf[i] <= 0x4F:
+        rex = buf[i]
+        forms = _REX_W_FORMS if rex & 8 else _REX_FORMS
         i += 1
+    op = buf[i]
+    escape, modrm, imm, sem = forms[op]
+    i += 1
+    if escape is not None:
         op = buf[i]
-    return _HANDLERS[op](buf, offset, bounds[0], i + 1, rex, op)
+        escape, modrm, imm, sem = escape[op]
+        i += 1
+    reg = rm = base = None
+    is_mem = False
+    if modrm is not None:
+        m = buf[i]
+        mod, rm_bits = m >> 6, m & 7
+        if type(sem) is tuple:  # a group: the reg field picks the semantics
+            sem = sem[(m >> 3) & 7]
+        reg = REGS[((m >> 3) & 7) + 8 * ((rex >> 2) & 1)]  # REX.R
+        if mod == 3:
+            rm = REGS[rm_bits + 8 * (rex & 1)]
+        else:
+            is_mem = True
+            if rm_bits == 4:  # SIB byte; base 5 under mod 0 means none
+                rm_bits = buf[i + 1] & 7
+                if rm_bits != 5 or mod != 0:
+                    base = REGS[rm_bits + 8 * (rex & 1)]
+            elif rm_bits == 5 and mod == 0:
+                base = "rip"
+            else:
+                base = REGS[rm_bits + 8 * (rex & 1)]
+    value = None
+    if imm:
+        end = offset + length
+        value = int.from_bytes(buf[end - imm : end], "little", signed=True)
+    if type(sem) is not _Sem:
+        return sem(offset, length, reg, rm, base, value)
+
+    # The first operand is the destination if written; a register in the
+    # last place is the source, or the target of an indirect branch.
+    mnemonic, operands, writes, mem, flags, term = sem
+    dest = src = None
+    text = mnemonic
+    if operands:
+        last = len(operands) - 1
+        for pos, kind in enumerate(operands):
+            if kind == "imm":
+                operand = f"{value:#x}"
+            elif kind == "rel":
+                operand = f"{value:+#x}"
+            else:
+                name = reg if kind == "r" else rm if kind == "rm" else REGS[(op & 7) + 8 * (rex & 1)]
+                if name is None:
+                    operand = f"[{base or 'disp'}]"
+                else:
+                    operand = name
+                    if pos == 0 and writes:
+                        dest = name
+                    elif pos == last:
+                        src = name
+            text += (", " if pos else " ") + operand
+    if not is_mem:
+        mem = ""
+    return DecodedInstruction(
+        offset, length, mnemonic, text, dest,
+        None if term else src, value, "r" in mem, "w" in mem, base, flags,
+        term, src if term else None, is_mem and term is not None, operands == ("rel",),
+    )
+
+
+# Builders of their own, for what the semantic column does not describe.
+
+def _xchg(offset, length, reg, rm, base, value):  # 87: xchg r/m, r writes both operands
+    if rm is None:
+        return DecodedInstruction(offset, length, "xchg", f"xchg [{base or 'disp'}], {reg}",
+                                  dest=reg, reads_mem=True, writes_mem=True, mem_base=base)
+    return DecodedInstruction(offset, length, "xchg", f"xchg {rm}, {reg}", dest=rm, src=reg)
+
+
+def _leave(offset, length, reg, rm, base, value):
+    return DecodedInstruction(offset, length, "leave", "leave", dest="rsp")
+
+
+def _ret_imm16(offset, length, reg, rm, base, value):  # C2: the immediate is unsigned
+    value &= 0xFFFF
+    return DecodedInstruction(offset, length, "ret", f"ret {value:#x}", imm=value, terminator=RET)
+
+
+def _int(offset, length, reg, rm, base, value):  # the tables admit only the 0x80 vector
+    return DecodedInstruction(offset, length, "int", "int 0x80", imm=0x80, terminator=SYSCALL)
+
+
+# --- Opcode tables -------------------------------------------------------
+#
+# One row per opcode group: its form and its semantics.
+
+def _table(*rows, base: tuple = (None,) * 256) -> tuple:
+    """base with each row's opcodes set to its form."""
+    table = list(base)
+    for opcodes, form in rows:
+        for op in opcodes:
+            table[op] = form
+    return tuple(table)
+
+
+def _group(sems: tuple, imm: int = 0) -> _Form:
+    """The row of an opcode whose ModRM reg field picks one of sems; None rejects."""
+    regs = {reg for reg, sem in enumerate(sems) if sem is not None}
+    return _Form(modrm=_modrm_table(regs), imm=imm, sem=sems)
+
+
+def _jcc(first: int, imm: int) -> list:
+    """One row per condition code, from opcode first up."""
+    return [((first + cc,), _Form(imm=imm, sem=_Sem(f"j{name}", ("rel",))))
+            for cc, name in enumerate(_CC_NAMES)]
+
+
+_ANY_MODRM = _modrm_table()
+
+# The two-operand ALU opcodes (the name at opcode >> 3) and group 1 (at the
+# ModRM reg field) share these names; adc and sbb are outside the subset.
+_ALU_NAMES = ("add", "or", None, None, "and", "sub", "xor", "cmp")
+
+
+def _alu(name: str | None, operands: tuple) -> _Sem | None:
+    """cmp only reads its operands; the others write the first."""
+    if name is None:
+        return None
+    writes = name != "cmp"
+    return _Sem(name, operands, writes, "rw" if writes and operands[0] == "rm" else "r", flags=True)
+
+
+def _alu_rows(low_bits: int, operands: tuple) -> list:
+    """The row of each ALU name at opcode (index << 3) | low_bits."""
+    return [((index << 3 | low_bits,), _Form(modrm=_ANY_MODRM, sem=_alu(name, operands)))
+            for index, name in enumerate(_ALU_NAMES) if name is not None]
+
+
+_GROUP1 = tuple(_alu(name, ("rm", "imm")) for name in _ALU_NAMES)
+_GROUP5 = (
+    _Sem("inc", ("rm",), writes=True, mem="rw", flags=True),
+    _Sem("dec", ("rm",), writes=True, mem="rw", flags=True),
+    _Sem("call", ("rm",), terminator=CALL_INDIRECT),
+    None,
+    _Sem("jmp", ("rm",), terminator=JMP_INDIRECT),
+    None,
+    _Sem("push", ("rm",)),
+    None,
+)
+
+_TWO_BYTE_FORMS = _table(
+    ((0x05,), _Form(sem=_Sem("syscall", terminator=SYSCALL))),
+    *_jcc(0x80, imm=4),
+    ((0xB6, 0xB7), _Form(modrm=_ANY_MODRM, sem=_Sem("movzx", ("r", "rm"), writes=True))),
+    ((0xBE, 0xBF), _Form(modrm=_ANY_MODRM, sem=_Sem("movsx", ("r", "rm"), writes=True))),
+)
+
+_INT_VECTORS = _table(((0x80,), _Form(sem=_int)))  # int takes only the 0x80 vector
+
+_FORMS = _table(
+    (range(0x50, 0x58), _Form(sem=_Sem("push", ("o",)))),
+    (range(0x58, 0x60), _Form(sem=_Sem("pop", ("o",), writes=True))),
+    ((0x89,), _Form(modrm=_ANY_MODRM, sem=_Sem("mov", ("rm", "r"), writes=True, mem="w"))),
+    ((0x8B,), _Form(modrm=_ANY_MODRM, sem=_Sem("mov", ("r", "rm"), writes=True))),
+    *_alu_rows(0x01, ("rm", "r")),
+    *_alu_rows(0x03, ("r", "rm")),
+    ((0x85,), _Form(modrm=_ANY_MODRM, sem=_Sem("test", ("rm", "r"), flags=True))),
+    ((0x81,), _group(_GROUP1, imm=4)),
+    ((0x83,), _group(_GROUP1, imm=1)),
+    (range(0xB8, 0xC0), _Form(imm=4, sem=_Sem("mov", ("o", "imm"), writes=True))),
+    ((0x68,), _Form(imm=4, sem=_Sem("push", ("imm",)))),
+    ((0x6A,), _Form(imm=1, sem=_Sem("push", ("imm",)))),
+    ((0x8D,), _Form(modrm=_modrm_table(register_rm=False),
+                    sem=_Sem("lea", ("r", "rm"), writes=True, mem=""))),
+    ((0x87,), _Form(modrm=_ANY_MODRM, sem=_xchg)),
+    ((0x90,), _Form(sem=_Sem("nop"))),
+    *_jcc(0x70, imm=1),
+    ((0xC2,), _Form(imm=2, sem=_ret_imm16)),
+    ((0xC3,), _Form(sem=_Sem("ret", terminator=RET))),
+    ((0xC9,), _Form(sem=_leave)),
+    ((0xCD,), _Form(escape=_INT_VECTORS)),
+    ((0xFF,), _group(_GROUP5)),
+    ((0x0F,), _Form(escape=_TWO_BYTE_FORMS)),
+)
+
+
+# After a REX byte: nop (90) does not decode, and REX.W widens mov r, imm to imm64.
+_REX_FORMS = _table(((0x90,), None), base=_FORMS)
+_REX_W_FORMS = _table((range(0xB8, 0xC0), _FORMS[0xB8]._replace(imm=8)), base=_REX_FORMS)

@@ -100,6 +100,8 @@ def test_lone_surrogate_in_a_spec_string_is_exit_2_naming_its_path(runner, tmp_p
         ("differ", "--max-mutants", "-5"),
         ("differ", "--max-seconds", "-1"),
         ("tool-wrap", "--max-seconds", "0"),
+        *(("differ", "--max-seconds", value) for value in ("nan", "inf", "-inf")),
+        *(("tool-wrap", "--max-seconds", value) for value in ("nan", "inf", "-inf")),
     ],
 )
 def test_out_of_range_numeric_option_is_exit_2_naming_it(runner, tmp_path, toy_pair, command, option, value):
@@ -111,6 +113,28 @@ def test_out_of_range_numeric_option_is_exit_2_naming_it(runner, tmp_path, toy_p
     assert result.exit_code == EXIT_ERROR
     assert f"Invalid value for '{option}'" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="400-digit-int")]
+)
+def test_non_finite_timeout_is_exit_2_naming_its_path(runner, tmp_path, literal):
+    # Every run would time out at once, and a variant that does nothing
+    # would then pass: both runs time out, so the outputs are never compared.
+    doc = {
+        "id": "nan",
+        "original": {"label": "original", "exe": "/bin/cat"},
+        "variants": [{"label": "false", "exe": "/bin/false"}],
+        "features": [{"name": "cat", "disposition": "retain", "anchor": True,
+                      "commands": [{"argv": ["-"], "stdin": "hello"}]}],
+        "timeout_seconds": "TIMEOUT",
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc).replace('"TIMEOUT"', literal))
+    result = invoke(runner, "differ", "--spec", spec, "--out", tmp_path / "out")
+    assert result.exit_code == EXIT_ERROR, result.output
+    assert "error: timeout_seconds: " in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 # --- differ --------------------------------------------------------------

@@ -30,6 +30,12 @@ def req(exe: Path, argv=(), **kwargs) -> ExecRequest:
     return ExecRequest(exe_path=exe, argv=list(argv), **kwargs)
 
 
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_timeout_must_be_finite_and_positive(timeout):
+    with pytest.raises(ValueError, match="timeout_seconds"):
+        req(Path("/bin/true"), timeout_seconds=timeout)
+
+
 def test_captures_stdout_and_exit_code(tmp_path):
     exe = make_script(tmp_path, "hi", 'echo hi\n')
     outcome = run_once(req(exe))

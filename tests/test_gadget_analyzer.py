@@ -31,7 +31,15 @@ from debloateval.gadget_analyzer import (
     score_quality,
 )
 from debloateval.spec_model import BinaryRef
-from debloateval.x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, decode, instruction_bounds
+from debloateval.x86 import (
+    CALL_INDIRECT,
+    JMP_INDIRECT,
+    RET,
+    SYSCALL,
+    DecodedInstruction,
+    decode,
+    instruction_bounds,
+)
 
 from conftest import gadget, write_elf
 from oracles import brute_force_scan
@@ -81,6 +89,80 @@ def test_decode_subset(raw, text):
         assert ins is not None
         assert ins.text == text
         assert ins.length == len(raw)
+
+
+# Every field of the decoded instruction, for the register and the memory
+# form of each ModRM row and for each row without ModRM. Fields left out
+# hold their defaults.
+@pytest.mark.parametrize(
+    "hex_bytes,fields",
+    [
+        ("50", dict(mnemonic="push", text="push rax", src="rax")),
+        ("415f", dict(mnemonic="pop", text="pop r15", dest="r15")),
+        ("89c8", dict(mnemonic="mov", text="mov rax, rcx", dest="rax", src="rcx")),
+        ("8908", dict(mnemonic="mov", text="mov [rax], rcx", src="rcx", writes_mem=True, mem_base="rax")),
+        ("8bc1", dict(mnemonic="mov", text="mov rax, rcx", dest="rax", src="rcx")),
+        ("8b0425785634f2", dict(mnemonic="mov", text="mov rax, [disp]", dest="rax", reads_mem=True)),
+        ("4c8b05f0ffffff", dict(mnemonic="mov", text="mov r8, [rip]", dest="r8", reads_mem=True,
+                                 mem_base="rip")),
+        ("0108", dict(mnemonic="add", text="add [rax], rcx", src="rcx", reads_mem=True, writes_mem=True,
+                      mem_base="rax", writes_flags=True)),
+        ("03c8", dict(mnemonic="add", text="add rcx, rax", dest="rcx", src="rax", writes_flags=True)),
+        ("2b4b08", dict(mnemonic="sub", text="sub rcx, [rbx]", dest="rcx", reads_mem=True, mem_base="rbx",
+                        writes_flags=True)),
+        ("39c8", dict(mnemonic="cmp", text="cmp rax, rcx", src="rcx", writes_flags=True)),
+        ("3900", dict(mnemonic="cmp", text="cmp [rax], rax", src="rax", reads_mem=True, mem_base="rax",
+                      writes_flags=True)),
+        ("3bc1", dict(mnemonic="cmp", text="cmp rax, rcx", src="rcx", writes_flags=True)),
+        ("3b00", dict(mnemonic="cmp", text="cmp rax, [rax]", reads_mem=True, mem_base="rax",
+                      writes_flags=True)),
+        ("85c8", dict(mnemonic="test", text="test rax, rcx", src="rcx", writes_flags=True)),
+        ("8500", dict(mnemonic="test", text="test [rax], rax", src="rax", reads_mem=True, mem_base="rax",
+                      writes_flags=True)),
+        ("8138f0debc9a", dict(mnemonic="cmp", text="cmp [rax], -0x65432110", imm=-0x65432110,
+                              reads_mem=True, mem_base="rax", writes_flags=True)),
+        ("8100ff000000", dict(mnemonic="add", text="add [rax], 0xff", imm=0xFF, reads_mem=True,
+                              writes_mem=True, mem_base="rax", writes_flags=True)),
+        ("4883c408", dict(mnemonic="add", text="add rsp, 0x8", dest="rsp", imm=8, writes_flags=True)),
+        ("83f8ff", dict(mnemonic="cmp", text="cmp rax, -0x1", imm=-1, writes_flags=True)),
+        ("b82a000000", dict(mnemonic="mov", text="mov rax, 0x2a", dest="rax", imm=0x2A)),
+        ("49bf0100000000000080", dict(mnemonic="mov", text="mov r15, -0x7fffffffffffffff", dest="r15",
+                                      imm=-0x7FFFFFFFFFFFFFFF)),
+        ("6878563412", dict(mnemonic="push", text="push 0x12345678", imm=0x12345678)),
+        ("6aff", dict(mnemonic="push", text="push -0x1", imm=-1)),
+        ("8d0424", dict(mnemonic="lea", text="lea rax, [rsp]", dest="rax", mem_base="rsp")),
+        ("87c8", dict(mnemonic="xchg", text="xchg rax, rcx", dest="rax", src="rcx")),
+        ("8700", dict(mnemonic="xchg", text="xchg [rax], rax", dest="rax", reads_mem=True, writes_mem=True,
+                      mem_base="rax")),
+        ("90", dict(mnemonic="nop", text="nop")),
+        ("74fe", dict(mnemonic="je", text="je -0x2", imm=-2, is_cond_branch=True)),
+        ("0f8f00010000", dict(mnemonic="jg", text="jg +0x100", imm=0x100, is_cond_branch=True)),
+        ("c3", dict(mnemonic="ret", text="ret", terminator=RET)),
+        ("c20800", dict(mnemonic="ret", text="ret 0x8", imm=8, terminator=RET)),
+        ("c2f0ff", dict(mnemonic="ret", text="ret 0xfff0", imm=0xFFF0, terminator=RET)),
+        ("c9", dict(mnemonic="leave", text="leave", dest="rsp")),
+        ("cd80", dict(mnemonic="int", text="int 0x80", imm=0x80, terminator=SYSCALL)),
+        ("0f05", dict(mnemonic="syscall", text="syscall", terminator=SYSCALL)),
+        ("ffc0", dict(mnemonic="inc", text="inc rax", dest="rax", writes_flags=True)),
+        ("ff08", dict(mnemonic="dec", text="dec [rax]", reads_mem=True, writes_mem=True, mem_base="rax",
+                      writes_flags=True)),
+        ("ffd0", dict(mnemonic="call", text="call rax", terminator=CALL_INDIRECT, branch_reg="rax")),
+        ("ff10", dict(mnemonic="call", text="call [rax]", reads_mem=True, mem_base="rax",
+                      terminator=CALL_INDIRECT, branch_mem=True)),
+        ("41ffe4", dict(mnemonic="jmp", text="jmp r12", terminator=JMP_INDIRECT, branch_reg="r12")),
+        ("41ff2424", dict(mnemonic="jmp", text="jmp [r12]", reads_mem=True, mem_base="r12",
+                          terminator=JMP_INDIRECT, branch_mem=True)),
+        ("fff0", dict(mnemonic="push", text="push rax", src="rax")),
+        ("ff30", dict(mnemonic="push", text="push [rax]", reads_mem=True, mem_base="rax")),
+        ("0fb6c3", dict(mnemonic="movzx", text="movzx rax, rbx", dest="rax", src="rbx")),
+        ("0fbe00", dict(mnemonic="movsx", text="movsx rax, [rax]", dest="rax", reads_mem=True,
+                        mem_base="rax")),
+    ],
+)
+def test_decode_every_field(hex_bytes, fields):
+    raw = bytes.fromhex(hex_bytes)
+    expected = DecodedInstruction(0, len(raw), **fields)
+    assert decode(raw, 0)._asdict() == expected._asdict()
 
 
 def test_decode_terminator_flags():

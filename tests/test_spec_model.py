@@ -50,6 +50,8 @@ def test_minimal_document_defaults():
 def test_malformed_json_is_syntax_error():
     with pytest.raises(SpecSyntaxError):
         parse_spec(b"{not json")
+    with pytest.raises(SpecSyntaxError):  # an integer past the parser's digit limit
+        parse_spec(b'{"trials": ' + b"1" * 5000 + b"}")
 
 
 def test_unknown_top_level_key_rejected():
@@ -108,6 +110,8 @@ def test_constructed_specs_keep_the_parse_invariants():
     a, b, c = spec.features
     cases = [
         ({"timeout_seconds": 0.0}, SchemaError, "timeout_seconds"),
+        ({"timeout_seconds": float("nan")}, SchemaError, "timeout_seconds"),
+        ({"timeout_seconds": float("inf")}, SchemaError, "timeout_seconds"),
         ({"trials": 0}, SchemaError, "trials"),
         ({"features": (a, replace(b, name="a"), c)}, InvariantError, "features[1].name"),
         ({"features": (a, replace(b, aggressive_anchor=True), c)}, InvariantError, "features[1].anchor"),

@@ -1,7 +1,9 @@
-"""The length pass against an independent case analysis, across the subset, and against objdump."""
+"""The length pass against an independent case analysis, across the subset, and against objdump;
+decode's fields against a recorded digest."""
 
 from __future__ import annotations
 
+import hashlib
 import re
 import shutil
 import subprocess
@@ -17,6 +19,16 @@ from oracles import reference_bounds
 # No REX, then REX.W, REX.R and REX.B.
 _PREFIXES = (b"", b"\x48", b"\x44", b"\x41")
 _FILLER = bytes(range(0x11, 0x1A))  # no byte here ends an instruction early
+
+
+def _full_buffer(prefix: bytes, escape: bytes, op: int, modrm: int) -> bytes:
+    """prefix, escape, opcode and ModRM, then a SIB byte and filler.
+
+    Where the ModRM asks for a SIB byte, an odd reg field makes its base 5,
+    which takes a 32-bit displacement under mod 0.
+    """
+    sib = 0x25 if modrm & 8 else 0x24
+    return prefix + escape + bytes([op, modrm, sib]) + _FILLER
 
 
 def _check(buf: bytes, offset: int = 0) -> tuple[int, int] | None:
@@ -51,20 +63,44 @@ def test_negative_offset_is_rejected(buf):
 def test_every_opcode_and_modrm_at_every_truncation(prefix, escape):
     # Bytes past the instruction must not change the result, and any cut
     # inside it must reject. A rejected form is decided by the bytes up to
-    # the SIB byte, so it is cut up to there. A SIB byte follows the ModRM byte;
-    # where the ModRM asks for one, an odd reg field makes its base 5,
-    # which takes a 32-bit displacement under mod 0.
+    # the SIB byte, so it is cut up to there.
     opcode_to_sib = len(prefix + escape) + 3
     for op in range(256):
         for modrm in range(256):
-            sib = 0x25 if modrm & 8 else 0x24
-            full = prefix + escape + bytes([op, modrm, sib]) + _FILLER
+            full = _full_buffer(prefix, escape, op, modrm)
             bounds = _check(full)
             length = opcode_to_sib + 1 if bounds is None else bounds[0]
             for cut in range(1, length):
                 assert instruction_bounds(full[:cut], 0) is None, (full[:cut].hex(), bounds)
             if bounds is not None:
                 _check(full[:length])
+
+
+# sha256 of every repr(decode(buf, 0)) over _field_corpus(), one per line,
+# taken from the decoder before its semantics became table rows. It pins
+# every field of DecodedInstruction; a change that means to move a decoded
+# field changes this digest and says why.
+_FIELD_DIGEST = "1b991a52cb76f427b1b61ccd3ebb62d44ff4d3781f1f957325a0e9b59d5b45b7"
+
+
+def _field_corpus():
+    """Every 1-2 byte string, then every full buffer of the truncation test."""
+    for a in range(256):
+        yield bytes([a])
+        for b in range(256):
+            yield bytes([a, b])
+    for prefix in _PREFIXES:
+        for escape in (b"", b"\x0f"):
+            for op in range(256):
+                for modrm in range(256):
+                    yield _full_buffer(prefix, escape, op, modrm)
+
+
+def test_decoded_fields_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for buf in _field_corpus():
+        digest.update(repr(decode(buf, 0)).encode() + b"\n")
+    assert digest.hexdigest() == _FIELD_DIGEST
 
 
 @pytest.mark.parametrize("path", ["/usr/bin/gzip", "/bin/ls"])
