@@ -391,12 +391,18 @@ def _summary_section(doc: dict) -> list[str]:
     ]
     ec = doc["variants_with_error_or_crash"]
     un = doc["variants_with_unremoved_feature"]
-    return _table("Differential testing", doc["variants"], columns) + [
+    lines = _table("Differential testing", doc["variants"], columns) + [
         f"Variants with errors or crashes: {ec['count']} ({100.0 * ec['fraction']:.1f}%). "
         f"Variants with unremoved features: {un['count']} ({100.0 * un['fraction']:.1f}%). "
         f"Passed: {doc['passed']}.",
         "",
     ]
+    mutual = [f"{label}={entry['mutual_timeouts']}" for label, entry in sorted(doc["variants"].items())
+              if "mutual_timeouts" in entry]
+    if mutual:
+        lines += [f"Mutual timeouts (original and variant both timed out; only output made before "
+                  f"the deadline was compared): {', '.join(mutual)}.", ""]
+    return lines
 
 
 # --- click wiring ------------------------------------------------------
@@ -443,14 +449,15 @@ def validate(spec_path: Path):
 @_spec_opt
 @_seed_opt
 @_out_opt
-@click.option("--jobs", type=click.IntRange(min=1), default=None, help="Worker threads (default: CPU count).")
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="Worker threads (default: the CPUs this process may run on).")
 @click.option("--max-seconds", type=_FiniteFloat(min=0), default=None, help="Fuzzing wall-clock budget.")
 @click.option("--max-mutants", type=click.IntRange(min=0), default=None, help="Total fuzzed-input budget.")
 @click.option("--aggressive", is_flag=True, help="Winnow the spec to its aggressive form first.")
 @_exits
 def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive):
     """Run the differential campaign for every variant."""
-    jobs = jobs or os.cpu_count() or 1
+    jobs = jobs or len(os.sched_getaffinity(0))
     budget = Budget(max_seconds=max_seconds, max_mutants=max_mutants)
     return cmd_differ(spec_path, seed, budget, jobs, out_dir, aggressive)
 

@@ -229,6 +229,8 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
             # Once the child is reaped only its open output pipes stay registered.
             while sel.get_map() and (wait := close_at - time.monotonic()) > 0:
                 for key, _ in sel.select(wait):
+                    if key.fileobj is proc.stdin and proc.stdin.closed:
+                        continue  # dropped when the child was reaped, earlier in this batch
                     if key.fd == pidfd:
                         _, status, rusage = os.wait4(proc.pid, 0)
                         wall = time.monotonic() - start

@@ -15,6 +15,14 @@ side's metrics combine the summaries of its regions. Records are built only
 where gadgets must be told apart: regions that share a base address, and the
 regions locality has to intersect.
 
+A sweep can be bounded to the gadgets that start in [lo, hi): no gadget
+spans more than MAX_GADGET_LEN * _MAX_INSTR_BYTES = 150 bytes, so the bytes
+below hi + 150 decide them all. A large region that is only summarised is
+cut into such chunks, one per CPU the process may run on and none under
+_CHUNK_MIN; each chunk after the first is swept in a forked child that
+writes its summary to a pipe. Records are always built by one sweep in
+this process.
+
 The expressivity class table, special-purpose patterns, and constraint
 taxonomy are this implementation's own; deltas are comparable only between
 reports produced by it.
@@ -23,12 +31,16 @@ reports produced by it.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
 import functools
+import os
 import re
+import signal
+import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from . import elf
 from .spec_model import BinaryRef
@@ -36,6 +48,8 @@ from .x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, DecodedInstruction, 
 
 MAX_GADGET_LEN = 10  # instructions, terminator included
 _MAX_INSTR_BYTES = 15
+# No gadget spans more bytes: one that starts below hi ends before hi + _REACH.
+_REACH = MAX_GADGET_LEN * _MAX_INSTR_BYTES
 
 MINOR_CONSTRAINT = 0.5
 MAJOR_CONSTRAINT = 3.0
@@ -262,9 +276,9 @@ def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
     A start address yields the gadget that ends at the first terminator
     its decode chain reaches within MAX_GADGET_LEN instructions. The scan
     is one downward sweep over the region that measures each offset once
-    with the length pass and fully decodes only terminators and the first
-    body instruction of each header; each gadget's facts are folded in as
-    it is found. The result is
+    with the length pass and fully decodes only each distinct terminator
+    and the first body instruction of each header; each gadget's facts
+    are folded in as it is found. The result is
     cached per (base address, bytes), so a library shared by the original
     and its variants is scanned once per process.
     """
@@ -280,17 +294,18 @@ _TERMINATOR = re.compile(
 )
 
 
-def _terminator_offsets(data: bytes) -> list[int]:
-    """The offsets that hold a terminator's bytes, ascending.
+def _terminator_offsets(data: bytes, lo: int, hi: int) -> list[int]:
+    """The offsets in [lo, hi + _REACH) that hold a terminator's bytes, ascending.
 
     These are the pattern's matches and each REX byte just before one. An
     optional REX byte in the pattern would make the regex scan twice as
-    slow, so the byte before each match is checked here.
+    slow, so the byte before each match is checked here. Every gadget that
+    starts in [lo, hi) ends at one of these offsets.
     """
     offsets = []
-    for match in _TERMINATOR.finditer(data):
+    for match in _TERMINATOR.finditer(data, lo, hi + _REACH):
         start = match.start()
-        if start and 0x40 <= data[start - 1] <= 0x4F:
+        if start > lo and 0x40 <= data[start - 1] <= 0x4F:
             offsets.append(start - 1)
         offsets.append(start)
     return offsets
@@ -349,20 +364,24 @@ def _body_facts(ins: DecodedInstruction, term: DecodedInstruction) -> _BodyFacts
     )
 
 
-def _sweep(data: bytes) -> Iterator[tuple[int, _Chain]]:
-    """Each gadget of the region, as its start offset and chain, top down."""
-    terminators = _terminator_offsets(data)
+def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
+    """Each gadget that starts in [lo, hi), as its start offset and chain, top down."""
+    terminators = _terminator_offsets(data, lo, hi)
 
     # Sweep down from the highest terminator. Decoding at an offset is a
     # function, so an offset starts a gadget iff it holds a terminator or
     # an instruction that ends at a start whose gadget can still grow.
     # Every start above p is known when p is reached. Only terminators are
     # decoded; elsewhere the length pass finds where the instruction ends.
-    # A body instruction's facts follow from its header and the gadget's
-    # terminator kind and target, so each header is decoded once per kind
-    # and target. Below the reach of the lowest growable start, the sweep
-    # jumps to the next terminator.
+    # A terminator's chain follows from its bytes but for where it ends, so
+    # each distinct terminator is decoded once. A body instruction's facts
+    # follow from its header and the gadget's terminator kind and target,
+    # so each header is decoded once per kind and target. Below the reach
+    # of the lowest growable start, the sweep jumps to the next terminator.
     body_facts: dict[tuple[str, str | None], dict[bytes, _BodyFacts]] = {}
+    # By the terminator's bytes; the term of each is decoded at the first
+    # offset that holds them, and only its offset-free fields are read.
+    terminator_chains: dict[bytes, _Chain] = {}
     # The chains shorter than MAX_GADGET_LEN that start in reach of p, in a
     # ring by start: slot s & 15 holds the one at s, for p < s <= p + 15,
     # or None. An offset overwrites its slot when the sweep leaves it.
@@ -370,17 +389,23 @@ def _sweep(data: bytes) -> Iterator[tuple[int, _Chain]]:
     lowest = len(data) + _MAX_INSTR_BYTES  # lowest growable start
     k = len(terminators) - 1  # terminators[k]: the highest at or below p
     next_term = p = terminators[k] if k >= 0 else -1
-    while p >= 0:
+    while p >= lo:
         chain = None
+        bounds = instruction_bounds(data, p)
         if p == next_term:
             k -= 1
             next_term = terminators[k] if k >= 0 else -1
-            term = decode(data, p)
-            if term is not None:
-                key = (term.terminator, term.branch_reg or term.mem_base)
-                chain = _terminator_chain(term, body_facts.setdefault(key, {}))
+            if bounds is not None:
+                end = p + bounds[0]
+                raw = data[p:end]
+                chain = terminator_chains.get(raw)
+                if chain is None:
+                    term = decode(data, p)
+                    key = (term.terminator, term.branch_reg or term.mem_base)
+                    chain = terminator_chains[raw] = _terminator_chain(term, body_facts.setdefault(key, {}))
+                else:  # the same chain, ending past this offset's terminator
+                    chain = _Chain(1, end, *chain[2:])
         else:
-            bounds = instruction_bounds(data, p)
             tail = None if bounds is None else growable[(p + bounds[0]) & 15]
             if tail is not None:
                 header = data[p : p + bounds[1]]
@@ -401,7 +426,8 @@ def _sweep(data: bytes) -> Iterator[tuple[int, _Chain]]:
                     tail.body_facts,
                 )
         if chain is not None:
-            yield p, chain
+            if p < hi:
+                yield p, chain
             if chain.depth < MAX_GADGET_LEN:
                 lowest = p
             else:
@@ -426,18 +452,82 @@ def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
             quality=chain.quality,
             special_mask=chain.special_mask,
         )
-        for p, chain in _sweep(data)
+        for p, chain in _sweep(data, 0, len(data))
     )
+
+
+# A chunk this large sweeps in 50-80 ms, against 1-3 ms to fork, run and reap a child.
+_CHUNK_MIN = 256 * 1024
+# A GadgetSummary as a child writes it to its pipe: 40 bytes, below PIPE_BUF.
+_RECORD = struct.Struct("<qqdqq")
+
+
+def _chunk_summary(data: bytes, lo: int, hi: int) -> GadgetSummary:
+    """The summary of the gadgets that start in [lo, hi)."""
+    return _fold(chain for _, chain in _sweep(data, lo, hi))
+
+
+@contextlib.contextmanager
+def _forked_chunk_summary(data: bytes, lo: int, hi: int) -> Iterator[BinaryIO]:
+    """A child process that writes _chunk_summary(data, lo, hi) to the yielded pipe.
+
+    The child leaves by os._exit, so it flushes no stdio buffer and runs no
+    atexit handler of the parent's. A child that fails, or cannot be
+    forked, leaves the pipe empty. On leaving the context the child is
+    reaped, and killed first if an exception leaves it.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe:
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            status = 1
+            try:
+                os.write(write_fd, _RECORD.pack(*_chunk_summary(data, lo, hi)))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)  # so the pipe ends when the child does
+        try:
+            yield pipe
+        except BaseException:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            if pid is not None:
+                os.waitpid(pid, 0)
 
 
 @functools.lru_cache(maxsize=32)
 def _region_summary(data: bytes) -> GadgetSummary:
     """The summary of the region's gadgets, built without their records.
 
+    The region is cut into one chunk per CPU this process may run on, but
+    no chunk smaller than _CHUNK_MIN. The chunks after the first are swept
+    in forked children while this process sweeps the first, so a region of
+    one chunk forks nothing. A chunk whose child wrote no summary is swept
+    here. Each quality is a multiple of MINOR_CONSTRAINT, so the combined
+    sum equals the serial one exactly. The only threads this program
+    starts are differ's workers, which have ended before any region is
+    summarised, so a child inherits no lock that another thread holds.
+
     A gadget's facts follow from its bytes alone, so the base address plays
     no part and the cache is keyed on the bytes.
     """
-    return _fold(chain for _, chain in _sweep(data))
+    chunks = max(1, min(len(os.sched_getaffinity(0)), len(data) // _CHUNK_MIN))
+    cuts = [len(data) * i // chunks for i in range(chunks + 1)]
+    spans = list(zip(cuts, cuts[1:]))
+    with contextlib.ExitStack() as children:
+        pipes = [children.enter_context(_forked_chunk_summary(data, lo, hi)) for lo, hi in spans[1:]]
+        summaries = [_chunk_summary(data, *spans[0])]
+        records = [pipe.read() for pipe in pipes]
+    for (lo, hi), record in zip(spans[1:], records):
+        ok = len(record) == _RECORD.size
+        summaries.append(GadgetSummary(*_RECORD.unpack(record)) if ok else _chunk_summary(data, lo, hi))
+    return _combine(summaries)
 
 
 def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:

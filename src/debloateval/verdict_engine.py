@@ -59,6 +59,9 @@ class TestVerdict:
     feature_name: str
     disposition: Disposition
     command_index: int
+    # The original and the variant both timed out, so only the output they
+    # made before the deadline was compared. Not part of verdicts.jsonl.
+    mutual_timeout: bool = False
 
 
 @dataclass(frozen=True)
@@ -206,9 +209,10 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> list[TestVer
     if inp.is_fuzzed and deadline is not None and time.monotonic() >= deadline:
         return []
 
-    def verdict(value: Verdict, report: CompareReport, variant) -> TestVerdict:
+    def verdict(value: Verdict, report: CompareReport, variant, mutual_timeout: bool = False) -> TestVerdict:
         return TestVerdict(
-            value, report, inp, inp.is_fuzzed, variant.label, feature.name, feature.disposition, command_index
+            value, report, inp, inp.is_fuzzed, variant.label, feature.name, feature.disposition, command_index,
+            mutual_timeout,
         )
 
     try:
@@ -227,7 +231,8 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> list[TestVer
             variant_out = _synthetic_exit(f"variant failed to launch: {exc}")
         report = compare(original_out, variant_out, pipeline)
         value = classify(feature.disposition, original_out, variant_out, report)
-        verdicts.append(verdict(value, report, variant))
+        mutual = original_out.termination.kind is variant_out.termination.kind is TerminationKind.TIMED_OUT
+        verdicts.append(verdict(value, report, variant, mutual))
     return verdicts
 
 
@@ -291,17 +296,21 @@ def summary_to_json(report: CampaignReport) -> dict:
     count_un, frac_un = report.summary.variants_with_unremoved_feature
     return {
         "spec_id": report.spec_id,
-        "variants": {
-            label: {
-                "passed": report.variant_passed(label),
-                "verdict_counts": _verdict_counts(report.per_variant[label]),
-            }
-            for label in sorted(report.per_variant)
-        },
+        "variants": {label: _variant_summary(report, label) for label in sorted(report.per_variant)},
         "variants_with_error_or_crash": {"count": count_ec, "fraction": frac_ec},
         "variants_with_unremoved_feature": {"count": count_un, "fraction": frac_un},
         "passed": report.summary.passed,
     }
+
+
+def _variant_summary(report: CampaignReport, label: str) -> dict:
+    """A variant's entry; mutual_timeouts appears only when some comparison had one."""
+    verdicts = report.per_variant[label]
+    entry = {"passed": report.variant_passed(label), "verdict_counts": _verdict_counts(verdicts)}
+    mutual = sum(v.mutual_timeout for v in verdicts)
+    if mutual:
+        entry["mutual_timeouts"] = mutual
+    return entry
 
 
 def _verdict_counts(verdicts: list[TestVerdict]) -> dict[str, int]:

@@ -11,6 +11,13 @@ from debloateval.gadget_analyzer import CodeRegion, Gadget, scan_gadgets
 
 ELF_BASE_VADDR = 0x400000
 
+# The C library the system binaries link, where distributions put it; None if absent.
+LIBC = next(
+    (Path(p) for p in ("/lib/x86_64-linux-gnu/libc.so.6", "/usr/lib/x86_64-linux-gnu/libc.so.6", "/lib64/libc.so.6")
+     if Path(p).exists()),
+    None,
+)
+
 
 def make_script(directory: Path, name: str, body: str) -> Path:
     """Write an executable /bin/sh script and return its path."""

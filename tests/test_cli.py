@@ -1,20 +1,24 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from debloateval import cli, gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 from debloateval.elf import executable_segments
 from debloateval.spec_model import BinaryRef, parse_spec
 
-from conftest import make_script, toy_spec_doc, write_elf, write_spec
+from conftest import LIBC, make_script, toy_spec_doc, write_elf, write_spec
 
 
 @pytest.fixture
@@ -121,20 +125,104 @@ def test_out_of_range_numeric_option_is_exit_2_naming_it(runner, tmp_path, toy_p
 def test_non_finite_timeout_is_exit_2_naming_its_path(runner, tmp_path, literal):
     # Every run would time out at once, and a variant that does nothing
     # would then pass: both runs time out, so the outputs are never compared.
-    doc = {
-        "id": "nan",
-        "original": {"label": "original", "exe": "/bin/cat"},
-        "variants": [{"label": "false", "exe": "/bin/false"}],
-        "features": [{"name": "cat", "disposition": "retain", "anchor": True,
-                      "commands": [{"argv": ["-"], "stdin": "hello"}]}],
-        "timeout_seconds": "TIMEOUT",
-    }
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(doc).replace('"TIMEOUT"', literal))
+    spec = _cat_false_spec(tmp_path, literal)
     result = invoke(runner, "differ", "--spec", spec, "--out", tmp_path / "out")
     assert result.exit_code == EXIT_ERROR, result.output
     assert "error: timeout_seconds: " in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def _cat_false_spec(tmp_path: Path, timeout: str, fuzz_count: str | None = None) -> Path:
+    """A spec whose variant, /bin/false, keeps none of /bin/cat's retained feature.
+
+    timeout and fuzz_count are JSON number literals, written as given.
+    """
+    command = {"argv": ["-"], "stdin": "hello"}
+    if fuzz_count is not None:
+        command = {"argv": ["-"], "stdin": "he{{ascii:1..4}}", "fuzz_count": "FUZZ"}
+    doc = {
+        "id": "cat-false",
+        "original": {"label": "original", "exe": "/bin/cat"},
+        "variants": [{"label": "false", "exe": "/bin/false"}],
+        "features": [{"name": "cat", "disposition": "retain", "anchor": True, "commands": [command]}],
+        "timeout_seconds": "TIMEOUT",
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc).replace('"TIMEOUT"', timeout).replace('"FUZZ"', str(fuzz_count)))
+    return spec
+
+
+def test_mutual_timeouts_are_counted_in_summary_and_report(runner, tmp_path):
+    # Both sides time out on every input, so nothing real is compared and
+    # the decision table lets a variant that does nothing pass; the count
+    # says so, and verdicts.jsonl keeps its bytes.
+    out = tmp_path / "out"
+    result = invoke(runner, "differ", "--spec", _cat_false_spec(tmp_path, "1e-6", "1"), "--out", out)
+    assert result.exit_code == EXIT_OK, result.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] == 1
+    assert summary["variants"]["false"] == {
+        "passed": True, "verdict_counts": {"expected_match": 2}, "mutual_timeouts": 2,
+    }
+    assert "mutual" not in (out / "verdicts.jsonl").read_text()
+    assert "Mutual timeouts (original and variant both timed out; " in (out / "report.md").read_text()
+    assert "): false=2." in (out / "report.md").read_text()
+
+
+def test_no_mutual_timeout_writes_no_count(runner, tmp_path, toy_pair):
+    out = tmp_path / "out"
+    result = invoke(runner, "differ", "--spec", write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"])), "--out", out)
+    assert result.exit_code == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["variants"]["no_b"]) == {"passed", "verdict_counts"}
+    assert "Mutual timeouts" not in (out / "report.md").read_text()
+
+
+@given(
+    timeout=st.sampled_from(["NaN", "Infinity", "0", "1e-6", "1e-300", "0.001", "0.5", "5"]),
+    fuzz_count=st.sampled_from(["0", "1", "2", "-1"]),
+    seed=st.integers(0, 2**32),
+    max_mutants=st.sampled_from([None, "0", "1", "7"]),
+    jobs=st.sampled_from(["1", "2"]),
+)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_variant_that_does_nothing_never_passes_unremarked(tmp_path_factory, timeout, fuzz_count, seed,
+                                                             max_mutants, jobs):
+    # /bin/false keeps none of /bin/cat's retained feature. Whatever the
+    # numbers, differ names the bad one, fails the variant, or passes it
+    # only where summary.json shows the mutual timeouts that let it pass.
+    tmp_path = tmp_path_factory.mktemp("metamorphic")
+    out = tmp_path / "out"
+    args = ["differ", "--spec", _cat_false_spec(tmp_path, timeout, fuzz_count), "--out", out,
+            "--seed", seed, "--jobs", jobs]
+    if max_mutants is not None:
+        args += ["--max-mutants", max_mutants]
+    result = invoke(CliRunner(), *args)
+    event(f"exit {result.exit_code}")
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    if result.exit_code == EXIT_ERROR:
+        assert re.search(r"error: (timeout_seconds|features\[0\]\.commands\[0\](\.fuzz_count)?): ", result.output), result.output
+        return
+    summary = json.loads((out / "summary.json").read_text())
+    entry = summary["variants"]["false"]
+    if result.exit_code == EXIT_ANOMALIES:
+        assert entry["passed"] is False
+    else:
+        assert result.exit_code == EXIT_OK, result.output
+        assert entry["passed"] is True
+        assert entry["mutual_timeouts"] == sum(entry["verdict_counts"].values())
+
+
+def test_differ_jobs_default_is_the_cpus_this_process_may_run_on(runner, tmp_path, toy_pair, monkeypatch):
+    seen = []
+    real = cli.run_campaign
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "run_campaign", lambda *args, jobs: seen.append(jobs) or real(*args, jobs=jobs))
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    result = invoke(runner, "differ", "--spec", spec, "--out", tmp_path / "out")
+    assert result.exit_code == EXIT_OK
+    assert seen == [1]
 
 
 # --- differ --------------------------------------------------------------
@@ -343,6 +431,23 @@ def test_gadgets_compare_outputs_delta_json(runner, tmp_path):
     assert doc["variant"]["gadgets"] == 1
     assert doc["delta"]["syscall_event"] == "eliminated"
     assert doc["delta"]["locality_pct"] == 0.0
+
+
+@pytest.mark.skipif(LIBC is None, reason="libc.so.6 unavailable")
+def test_gadgets_compare_on_libc_prints_exactly_one_document():
+    # libc is summarised in chunks, each after the first in a forked child
+    # when this host lets the process run on more than one CPU. A child
+    # must add nothing to stdout or stderr, nor leave the exit status to chance.
+    src = Path(gadget_analyzer.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from debloateval.cli import main; main()",
+         "gadgets", "compare", "--original", str(LIBC), "--variant", str(LIBC)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    doc = json.loads(proc.stdout)  # a second document would be "Extra data"
+    assert doc["original"] == doc["variant"]
+    assert doc["delta"]["locality_pct"] == 100.0
 
 
 def test_gadgets_compare_rejects_non_elf(runner, tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,19 @@ def test_stdin_larger_than_a_pipe_buffer_round_trips(tmp_path):
     exe = make_script(tmp_path, "cat", "cat\n")
     payload = bytes(range(256)) * 4096
     assert run_once(req(exe, stdin=payload)).stdout == payload
+
+
+def test_child_that_exits_before_reading_stdin_on_a_busy_host(tmp_path):
+    # When the child is reaped in the same select batch that finds its
+    # stdin writable, the reap closes stdin first; the write must then be
+    # skipped. With two runs at once this batch is common, and a write to
+    # the closed descriptor raised EBADF (or hit another run's reused one).
+    def run(i: int) -> bytes:
+        return run_once(req(Path("/bin/false" if i % 2 else "/bin/cat"), ["-"], stdin=b"hello")).stdout
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outputs = list(pool.map(run, range(100)))
+    assert outputs == [b"hello", b""] * 50
 
 
 def test_spawn_error_for_missing_binary(tmp_path):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import errno
+import os
 import random
 import statistics
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -41,7 +44,7 @@ from debloateval.x86 import (
     instruction_bounds,
 )
 
-from conftest import gadget, write_elf
+from conftest import LIBC, gadget, write_elf
 from oracles import brute_force_scan
 
 
@@ -584,7 +587,7 @@ def test_composed_sides_equal_the_set_based_metrics(sides):
 def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(monkeypatch):
     swept, recorded = Counter(), Counter()
     sweep, scan = gadget_analyzer._sweep, gadget_analyzer.scan_gadgets
-    monkeypatch.setattr(gadget_analyzer, "_sweep", lambda data: swept.update([data]) or sweep(data))
+    monkeypatch.setattr(gadget_analyzer, "_sweep", lambda data, *span: swept.update([data]) or sweep(data, *span))
     monkeypatch.setattr(gadget_analyzer, "scan_gadgets", lambda r: recorded.update([r.data]) or scan(r))
     gadget_analyzer._scan.cache_clear()
     gadget_analyzer._region_summary.cache_clear()
@@ -597,6 +600,151 @@ def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(
     assert lib not in recorded and set(recorded) == {exe, slim, m, n}
     # 2 of slim's 3 gadgets are local, and the 5 of lib, m and n (m and n share a ret).
     assert [pct for _, pct in results] == [100.0 * 7 / 8, 100.0]
+
+
+# --- Bounded sweeps and forked chunk summaries ----------------------------
+
+def _chain_facts(data: bytes, spans) -> list[tuple]:
+    """Each gadget the sweeps of spans yield, with every fact of its chain, sorted by start."""
+    return sorted(
+        (p, c.end, c.depth, c.terminator, c.class_mask, c.quality, c.special_mask)
+        for lo, hi in spans
+        for p, c in gadget_analyzer._sweep(data, lo, hi)
+    )
+
+
+def _serial_summary(data: bytes):
+    return gadget_analyzer._fold(chain for _, chain in gadget_analyzer._sweep(data, 0, len(data)))
+
+
+def _spans(data: bytes, cuts) -> list[tuple[int, int]]:
+    cuts = sorted(cuts)
+    return list(zip([0] + cuts, cuts + [len(data)]))
+
+
+# The longest gadget the decoder admits, 116 bytes: nine 12-byte bodies
+# (add [rsp+disp32], imm32) and an 8-byte call [rsp+disp32] with REX. The
+# terminator's pattern ends 111 bytes after the gadget starts.
+_LONGEST = b"\x48\x81\x84\x24" + bytes(8)
+_LONGEST = _LONGEST * 9 + b"\x48\xff\x94\x24" + bytes(4)
+# Around two of them: REX bytes before terminators, pieces that straddle
+# any cut, and undecodable runs the sweep must jump.
+_STRADDLES = (
+    b"\x06" * 16 + _LONGEST + b"\x06" * 16 + b"\x5f\x41\xff\xe0" + b"\x06" * 16 + b"\x48\xc3"
+    + b"\x48\x89\x03\x0f\x05" + _LONGEST + b"\x58\xc2\x08\x00" + b"\x06" * 40 + b"\x5e\xff\x24\x25" + bytes(4)
+)
+
+
+def test_the_longest_gadget_spans_116_bytes():
+    starts = {p: c for p, c in gadget_analyzer._sweep(_STRADDLES, 0, len(_STRADDLES))}
+    assert starts[16].depth == MAX_GADGET_LEN and starts[16].end - 16 == len(_LONGEST) == 116
+
+
+def test_a_sweep_cut_anywhere_finds_the_gadgets_of_the_whole_sweep():
+    # Every cut: inside instructions, between a REX byte and its
+    # terminator, and where a terminator straddles hi + 150. A gadget that
+    # starts just below a cut reaches 116 bytes past its start.
+    whole = _chain_facts(_STRADDLES, [(0, len(_STRADDLES))])
+    summary = _serial_summary(_STRADDLES)
+    for cut in range(len(_STRADDLES) + 1):
+        spans = _spans(_STRADDLES, [cut])
+        assert _chain_facts(_STRADDLES, spans) == whole, cut
+        assert gadget_analyzer._combine(gadget_analyzer._chunk_summary(_STRADDLES, *span) for span in spans) == summary
+
+
+def _rex_terminator_cuts(data: bytes) -> list[int]:
+    """The offsets of terminator matches that follow a REX byte."""
+    return [m.start() for m in gadget_analyzer._TERMINATOR.finditer(data, 1) if 0x40 <= data[m.start() - 1] <= 0x4F]
+
+
+@given(st.lists(st.sampled_from(_DENSE_PIECES + [_LONGEST]), min_size=1, max_size=48).map(b"".join), st.data())
+@settings(max_examples=200, deadline=None)
+def test_chunk_summaries_combine_to_the_serial_summary(data, draw):
+    at_rex = _rex_terminator_cuts(data)
+    cut = st.integers(0, len(data)) | (st.sampled_from(at_rex) if at_rex else st.nothing())
+    spans = _spans(data, draw.draw(st.lists(cut, max_size=6)))
+    chunks = [gadget_analyzer._chunk_summary(data, lo, hi) for lo, hi in spans]
+    assert gadget_analyzer._combine(chunks) == _serial_summary(data)
+    assert _chain_facts(data, spans) == _chain_facts(data, [(0, len(data))])
+
+
+# Gadget-dense, 4 KB: forced into four chunks of 1 KB.
+_FORKED = bytes(random.Random(11).choices(b"\xc3\x5f\x5e\x58\x90\x48\x89\xff\xe0\x0f\x05", k=4096))
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four CPUs and 1 KB chunks; the os.fork calls made are counted in the yielded list."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(gadget_analyzer, "_CHUNK_MIN", 1024)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    gadget_analyzer._region_summary.cache_clear()
+    yield forks
+    gadget_analyzer._region_summary.cache_clear()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("child", ["sweeps", "fails", "cannot be forked"])
+def test_forked_chunk_summaries_equal_the_serial_one(four_cpus, monkeypatch, child):
+    parent = os.getpid()
+    if child == "fails":
+        chunk_summary = gadget_analyzer._chunk_summary
+
+        def failing(data, lo, hi):
+            if os.getpid() != parent:
+                raise RuntimeError("a child that fails writes no summary")
+            return chunk_summary(data, lo, hi)
+
+        monkeypatch.setattr(gadget_analyzer, "_chunk_summary", failing)
+    if child == "cannot be forked":
+
+        def no_fork():
+            four_cpus.append(parent)
+            raise BlockingIOError(errno.EAGAIN, "no process can be made")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert gadget_analyzer._region_summary(_FORKED) == _serial_summary(_FORKED)
+    assert four_cpus == [parent] * 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, size", [(1, 4096), (4, 1024), (4, 2047)])
+def test_a_region_of_one_chunk_forks_nothing(four_cpus, monkeypatch, cpus, size):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert gadget_analyzer._region_summary(_FORKED[:size]) == _serial_summary(_FORKED[:size])
+    assert four_cpus == []
+
+
+def test_an_interrupted_summary_kills_and_reaps_its_children(four_cpus, monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(data, lo, hi):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed long before
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gadget_analyzer, "_chunk_summary", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        gadget_analyzer._region_summary(_FORKED)
+    assert time.monotonic() - start < 30
+    assert len(four_cpus) == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(LIBC is None, reason="libc.so.6 unavailable")
+def test_libc_summary_in_forked_chunks_equals_the_serial_one(four_cpus, monkeypatch):
+    monkeypatch.setattr(gadget_analyzer, "_CHUNK_MIN", 256 * 1024)
+    (_, data), = executable_segments(LIBC)
+    assert gadget_analyzer._region_summary(data) == _serial_summary(data)
+    assert len(four_cpus) == 3
+    _assert_no_child_left()
 
 
 def test_compare_sets_deltas_and_significance():
