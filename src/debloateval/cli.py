@@ -402,6 +402,10 @@ def _summary_section(doc: dict) -> list[str]:
     if mutual:
         lines += [f"Mutual timeouts (original and variant both timed out; only output made before "
                   f"the deadline was compared): {', '.join(mutual)}.", ""]
+    unrepeated = [f"{c['feature']}#{c['command_index']}" for c in doc.get("nondeterministic_original", [])]
+    if unrepeated:
+        lines += [f"Nondeterministic original (two runs of the seed input differ under the feature's "
+                  f"comparators, so its verdicts may blame the variant): {', '.join(unrepeated)}.", ""]
     return lines
 
 

@@ -28,6 +28,16 @@ class ComparatorKind(enum.Enum):
     FILE_SET = "file_set"
 
 
+class FieldError(ValueError):
+    """A broken rule about one field of a spec dataclass: attr names the
+    field, and index an item of it when the rule is about that item."""
+
+    def __init__(self, attr: str, message: str, index: int | None = None):
+        super().__init__(message)
+        self.attr = attr
+        self.index = index
+
+
 _NORMALIZED_KINDS = {ComparatorKind.STDOUT_NORMALIZED, ComparatorKind.STDERR_NORMALIZED}
 
 
@@ -55,9 +65,9 @@ class ComparatorConfig:
 
     def __post_init__(self):
         if (self.kind in _NORMALIZED_KINDS) != bool(self.normalizers):
-            raise ValueError("normalizers required exactly for *_normalized kinds")
+            raise FieldError("normalizers", "required exactly for *_normalized kinds")
         if (self.kind is ComparatorKind.FILE_DIGEST) != (self.path is not None):
-            raise ValueError("path required exactly for file_digest kind")
+            raise FieldError("path", "required exactly for the file_digest kind")
 
     def describe(self) -> str:
         if self.kind is ComparatorKind.FILE_DIGEST:

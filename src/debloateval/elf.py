@@ -74,31 +74,51 @@ def _read_headers(data: bytes, source: str, file_size: int | None = None) -> lis
     return headers
 
 
+# (st_dev, st_ino, st_size, st_mtime_ns) -> segments, least recently used
+# first; bounded like gadget_analyzer's scan cache. Like that scan, ELF
+# files are read on one thread at a time.
+_SEGMENTS: dict[tuple[int, int, int, int], list[tuple[int, bytes]]] = {}
+_SEGMENTS_MAX = 32
+
+
 def executable_segments(path: Path) -> list[tuple[int, bytes]]:
     """(vaddr, file bytes) of every executable PT_LOAD segment of an x86-64 ELF.
 
     Only the ELF header, the program header table and the returned
-    segments are read from the file.
+    segments are read from the file, and only once per process while the
+    file keeps its identity: a library that many binaries list is read
+    once. Each call returns a new list; an ElfParseError is never cached.
     """
     with open(path, "rb") as file:
         fd = file.fileno()
-        size = os.fstat(fd).st_size
-        head = os.pread(fd, _EHDR.size, 0)
-        if len(head) == _EHDR.size:
-            fields = _EHDR.unpack_from(head)
-            table_end = fields[5] + fields[9] * fields[10]  # e_phoff + e_phentsize * e_phnum
-            head = os.pread(fd, min(size, max(_EHDR.size, table_end)), 0)
-        headers = _read_headers(head, str(path), size)
-        machine = _EHDR.unpack_from(head)[2]
-        if machine != EM_X86_64:
-            raise ElfParseError(
-                f"{path}: e_machine {machine} is not x86-64 ({EM_X86_64}); its code cannot be scanned"
-            )
-        return [
-            (ph.p_vaddr, os.pread(fd, ph.p_filesz, ph.p_offset))
-            for ph in headers
-            if ph.p_type == PT_LOAD and ph.p_flags & PF_X and ph.p_filesz > 0
-        ]
+        st = os.fstat(fd)
+        identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        segments = _SEGMENTS.pop(identity, None)
+        if segments is None:
+            segments = _read_segments(fd, st.st_size, path)
+        _SEGMENTS[identity] = segments
+        if len(_SEGMENTS) > _SEGMENTS_MAX:
+            del _SEGMENTS[next(iter(_SEGMENTS))]
+        return list(segments)
+
+
+def _read_segments(fd: int, size: int, path: Path) -> list[tuple[int, bytes]]:
+    head = os.pread(fd, _EHDR.size, 0)
+    if len(head) == _EHDR.size:
+        fields = _EHDR.unpack_from(head)
+        table_end = fields[5] + fields[9] * fields[10]  # e_phoff + e_phentsize * e_phnum
+        head = os.pread(fd, min(size, max(_EHDR.size, table_end)), 0)
+    headers = _read_headers(head, str(path), size)
+    machine = _EHDR.unpack_from(head)[2]
+    if machine != EM_X86_64:
+        raise ElfParseError(
+            f"{path}: e_machine {machine} is not x86-64 ({EM_X86_64}); its code cannot be scanned"
+        )
+    return [
+        (ph.p_vaddr, os.pread(fd, ph.p_filesz, ph.p_offset))
+        for ph in headers
+        if ph.p_type == PT_LOAD and ph.p_flags & PF_X and ph.p_filesz > 0
+    ]
 
 
 def _vaddr_to_offset(headers: list[ProgramHeader], vaddr: int) -> int | None:

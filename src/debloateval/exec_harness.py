@@ -17,7 +17,6 @@ pipes are closed too. ``wall_seconds`` is taken when the child is reaped.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import os
 import selectors
@@ -31,6 +30,8 @@ import uuid
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .digest import Hash, sha256
 
 SCRATCH_ENV_VAR = "DV_SCRATCH"
 
@@ -148,12 +149,12 @@ class _Capture:
     them, a running sha256 of the whole stream."""
 
     data: bytearray = field(default_factory=bytearray)
-    overflow: "hashlib._Hash | None" = None
+    overflow: Hash | None = None
 
     def feed(self, chunk: bytes) -> None:
         room = CAPTURE_CAP_BYTES - len(self.data)
         if self.overflow is None and len(chunk) > room:
-            self.overflow = hashlib.sha256(self.data)
+            self.overflow = sha256(self.data)
         if self.overflow is not None:
             self.overflow.update(chunk)
         self.data += chunk[:room]
@@ -164,7 +165,7 @@ def _digest_files(sandbox: Path, rel_paths: list[str]) -> dict[str, tuple[bool, 
     for rel in rel_paths:
         target = sandbox / rel
         if target.is_file():
-            digests[rel] = (True, hashlib.sha256(target.read_bytes()).digest())
+            digests[rel] = (True, sha256(target.read_bytes()).digest())
         else:
             digests[rel] = (False, b"\x00" * 32)
     return digests

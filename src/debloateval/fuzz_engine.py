@@ -11,10 +11,11 @@ bit-identical across runs and platforms and independent across commands.
 from __future__ import annotations
 
 import enum
-import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .digest import sha256
 
 if TYPE_CHECKING:  # spec_model parses templates with this module at import time
     from .spec_model import TestCommand
@@ -106,7 +107,7 @@ class SplitMix64:
 def stream_seed(global_seed: int, feature_name: str, command_index: int) -> int:
     """Key an independent RNG stream; adding commands never perturbs others."""
     key = f"{global_seed & _U64}:{feature_name}:{command_index}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
+    return int.from_bytes(sha256(key).digest()[:8], "little")
 
 
 @dataclass(frozen=True)

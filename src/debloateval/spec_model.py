@@ -19,7 +19,14 @@ from operator import attrgetter
 from pathlib import Path, PurePosixPath
 from typing import Callable, NamedTuple
 
-from .comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline, Normalizer, default_pipeline
+from .comparator import (
+    ComparatorConfig,
+    ComparatorKind,
+    ComparatorPipeline,
+    FieldError,
+    Normalizer,
+    default_pipeline,
+)
 from .fuzz_engine import TemplateSyntaxError, parse_template
 
 DEFAULT_TRIALS = 10
@@ -64,7 +71,7 @@ class BinaryRef:
 
     def __post_init__(self):
         if self.statically_linked and self.lib_paths:
-            raise ValueError("statically linked binaries cannot list lib_paths")
+            raise FieldError("lib_paths", "a statically linked binary lists no libraries")
 
 
 @dataclass(frozen=True)
@@ -76,13 +83,13 @@ class TestCommand:
 
     def __post_init__(self):
         if not self.argv_template:
-            raise ValueError("argv_template must be non-empty")
+            raise FieldError("argv_template", "must be non-empty")
         if self.fuzz_count < 0:
-            raise ValueError("fuzz_count must be >= 0")
-        for rel in self.expected_output_files:
+            raise FieldError("fuzz_count", "must be >= 0")
+        for k, rel in enumerate(self.expected_output_files):
             p = PurePosixPath(rel)
             if p.is_absolute() or ".." in p.parts:
-                raise ValueError(f"expected output file {rel!r} must be a relative path")
+                raise FieldError("expected_output_files", f"must be a relative path without '..', got {rel!r}", k)
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,7 @@ class Feature:
 
     def __post_init__(self):
         if not self.commands:
-            raise ValueError("feature needs at least one command")
+            raise FieldError("commands", "a feature needs at least one command")
 
 
 @dataclass(frozen=True)
@@ -169,12 +176,24 @@ def _utf8(value: str, path: str) -> str:
     return value
 
 
+# The JSON name of each Python type that json.loads makes, and of a number.
+_JSON_TYPES = {
+    str: "string", int: "integer", (int, float): "number", float: "number", bool: "boolean",
+    list: "array", dict: "object", type(None): "null",
+}
+
+
+def _expect(types, value, path: str) -> None:
+    """Raise a SchemaError at path unless value has the JSON type types (a bool is no number)."""
+    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+        raise SchemaError(path, f"expected {_JSON_TYPES[types]}, got {_JSON_TYPES[type(value)]}")
+
+
 def _typed(types, then=None):
-    """Loader that checks the JSON type (a bool is no number) and UTF-8, then applies then(value, path)."""
+    """Loader that checks the JSON type and UTF-8, then applies then(value, path)."""
 
     def load(value, path: str):
-        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-            raise SchemaError(path, f"expected {types}, got {type(value).__name__}")
+        _expect(types, value, path)
         if isinstance(value, str):
             _utf8(value, path)
         return value if then is None else then(value, path)
@@ -204,14 +223,8 @@ def _float(value: int | float, path: str) -> float:
         raise SchemaError(path, "out of range") from None
 
 
-def _string(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, "expected string")
-    return _utf8(value, path)
-
-
-def _path(value, path: str) -> Path:
-    return Path(_string(value, path))
+_string = _typed(str)
+_path = _typed(str, lambda value, _: Path(value))
 
 
 def _regex(pattern: str, path: str) -> str:
@@ -238,12 +251,21 @@ def _each(dump_item):
 _value = attrgetter("value")
 
 
-def _build(cls, kwargs: dict, path: str):
-    """cls(**kwargs); a ValueError from its invariants is an InvariantError at path."""
+def _build(cls, kwargs: dict, path: str, keys: dict[str, str] | None = None):
+    """cls(**kwargs); a ValueError from its invariants is an InvariantError at path.
+
+    keys maps cls's fields to their JSON keys: a FieldError names the path
+    of its field, or of the field's item.
+    """
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise InvariantError(path, str(exc)) from exc
+        where = path
+        if keys and isinstance(exc, FieldError):
+            where = f"{path}.{keys[exc.attr]}" if path else keys[exc.attr]
+            if exc.index is not None:
+                where += f"[{exc.index}]"
+        raise InvariantError(where, str(exc)) from exc
 
 
 class _Field(NamedTuple):
@@ -267,10 +289,10 @@ class _Object:
     def __init__(self, cls: type, *fields: _Field):
         self.cls = cls
         self.fields = {f.key: f for f in fields}
+        self.keys = {f.attr: f.key for f in fields}
 
     def load(self, obj, path: str):
-        if not isinstance(obj, dict):
-            raise SchemaError(path, "expected object")
+        _expect(dict, obj, path)
         prefix = f"{path}." if path else ""
         if not obj.keys() <= self.fields.keys():
             unknown = next(key for key in obj if key not in self.fields)
@@ -281,7 +303,7 @@ class _Object:
                 kwargs[attr] = load(obj[key], prefix + key)
             elif default is _REQUIRED:
                 raise SchemaError(prefix + key, "missing required field")
-        return _build(self.cls, kwargs, path)
+        return _build(self.cls, kwargs, path, self.keys)
 
     def dump(self, value) -> dict:
         out = {}
@@ -307,8 +329,7 @@ _COMPARATOR = _Object(
 
 
 def _load_pipeline(items, path: str) -> ComparatorPipeline:
-    if not isinstance(items, list):
-        raise SchemaError(path, "expected array")
+    _expect(list, items, path)
     configs = tuple(_COMPARATOR.load(c, f"{path}[{i}]") for i, c in enumerate(items))
     return _build(ComparatorPipeline, {"comparators": configs}, path)
 
@@ -338,7 +359,7 @@ _FEATURE = _Object(
 _BINARY = _Object(
     BinaryRef,
     _Field("label", "label", _typed(str)),
-    _Field("exe", "exe_path", _typed(str, _path), dump=str),
+    _Field("exe", "exe_path", _path, dump=str),
     _Field("libs", "lib_paths", _array(_path), (), dump=_each(str)),
     _Field("static", "statically_linked", _typed(bool), False),
 )

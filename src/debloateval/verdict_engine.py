@@ -7,7 +7,10 @@ runs every derived input (seed plus fuzzed mutants) once against the
 original and once against each variant, compares every variant with that
 one original outcome (so with a nondeterministic original, all variants
 see the same original run), classifies each comparison, and aggregates a
-pass/fail summary per variant.
+pass/fail summary per variant. The seed input of each command runs the
+original a second time, and a command whose two original runs differ
+under its pipeline is reported: its verdicts may blame the variant for
+the original's own nondeterminism.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ class CampaignReport:
     spec_id: str
     per_variant: dict[str, list[TestVerdict]]
     summary: CampaignSummary
+    # (feature name, command index) of each command whose original ran its
+    # seed input twice with different outcomes, in canonical order.
+    nondeterministic_original: tuple[tuple[str, int], ...] = ()
 
     def variant_passed(self, label: str) -> bool:
         return all(v.value not in FAILING_VERDICTS for v in self.per_variant[label])
@@ -179,12 +185,16 @@ def run_campaign(
     deadline = time.monotonic() + budget.max_seconds if budget.max_seconds is not None else None
 
     per_variant: dict[str, list[TestVerdict]] = {v.label: [] for v in spec.variants}
+    nondeterministic = []
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for verdicts in pool.map(lambda task: _run_task(spec, task, deadline), tasks):
+        results = pool.map(lambda task: _run_task(spec, task, deadline), tasks)
+        for (feature, command_index, *_), (verdicts, repeated) in zip(tasks, results):
             for verdict in verdicts:
                 per_variant[verdict.variant_label].append(verdict)
+            if not repeated:
+                nondeterministic.append((feature.name, command_index))
 
-    return CampaignReport(spec.id, per_variant, _summarize(spec, per_variant))
+    return CampaignReport(spec.id, per_variant, _summarize(spec, per_variant), tuple(nondeterministic))
 
 
 def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestCommand) -> ExecRequest:
@@ -199,15 +209,17 @@ def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestComm
     )
 
 
-def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> list[TestVerdict]:
+def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[TestVerdict], bool]:
     """One derived input, run once against the original and once per variant.
 
-    The campaign's first input doubles as its preflight: if the original
+    Returns the verdicts, and whether the original repeated itself: a seed
+    input runs the original again and compares the two runs. The
+    campaign's first input doubles as its preflight: if the original
     cannot start on it, the campaign is aborted.
     """
     feature, command_index, cmd, inp, variants = task
     if inp.is_fuzzed and deadline is not None and time.monotonic() >= deadline:
-        return []
+        return [], True
 
     def verdict(value: Verdict, report: CompareReport, variant, mutual_timeout: bool = False) -> TestVerdict:
         return TestVerdict(
@@ -221,7 +233,7 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> list[TestVer
         if feature is spec.features[0] and command_index == inp.mutant_index == 0:
             raise CampaignAborted(f"original binary cannot run seed input: {exc}") from exc
         # Baseline failed to launch for this input: inconclusive.
-        return [verdict(Verdict.ORIGINAL_CRASH, CompareReport((), False), v) for v in variants]
+        return [verdict(Verdict.ORIGINAL_CRASH, CompareReport((), False), v) for v in variants], True
     pipeline = spec.pipeline_for(feature)
     verdicts = []
     for variant in variants:
@@ -233,7 +245,13 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> list[TestVer
         value = classify(feature.disposition, original_out, variant_out, report)
         mutual = original_out.termination.kind is variant_out.termination.kind is TerminationKind.TIMED_OUT
         verdicts.append(verdict(value, report, variant, mutual))
-    return verdicts
+    if inp.mutant_index > 0:
+        return verdicts, True
+    try:
+        again = run_once(exec_request(spec, spec.original.exe_path, inp, cmd))
+    except SpawnError as exc:
+        again = _synthetic_exit(f"original failed to launch: {exc}")
+    return verdicts, compare(original_out, again, pipeline).all_matched
 
 
 def _summarize(spec: BenchmarkSpec, per_variant: dict[str, list[TestVerdict]]) -> CampaignSummary:
@@ -292,15 +310,21 @@ def report_to_jsonl(report: CampaignReport) -> bytes:
 
 
 def summary_to_json(report: CampaignReport) -> dict:
+    """The summary; nondeterministic_original appears only when some command's original did not repeat itself."""
     count_ec, frac_ec = report.summary.variants_with_error_or_crash
     count_un, frac_un = report.summary.variants_with_unremoved_feature
-    return {
+    doc = {
         "spec_id": report.spec_id,
         "variants": {label: _variant_summary(report, label) for label in sorted(report.per_variant)},
         "variants_with_error_or_crash": {"count": count_ec, "fraction": frac_ec},
         "variants_with_unremoved_feature": {"count": count_un, "fraction": frac_un},
         "passed": report.summary.passed,
     }
+    if report.nondeterministic_original:
+        doc["nondeterministic_original"] = [
+            {"feature": feature, "command_index": index} for feature, index in report.nondeterministic_original
+        ]
+    return doc
 
 
 def _variant_summary(report: CampaignReport, label: str) -> dict:

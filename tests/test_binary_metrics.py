@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 import shutil
 import struct
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debloateval import elf
 from debloateval.binary_metrics import lib_delta, size_change
 from debloateval.elf import ElfParseError, executable_segments, needed_libraries
 from debloateval.exec_harness import NotComparableError
@@ -90,6 +92,70 @@ def test_executable_segment_extraction(tmp_path):
     vaddr, data = segments[0]
     assert vaddr == 0x400000
     assert data.endswith(code)
+
+
+class _CountingReads:
+    """Stands in for os.pread in debloateval.elf and counts the calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self._pread = os.pread
+        monkeypatch.setattr(elf.os, "pread", self)
+
+    def __call__(self, fd, n, offset):
+        self.calls += 1
+        return self._pread(fd, n, offset)
+
+    def reads(self, parse) -> int:
+        before = self.calls
+        parse()
+        return self.calls - before
+
+
+def test_executable_segments_reads_a_file_once_while_it_keeps_its_identity(tmp_path, monkeypatch):
+    path = write_elf(tmp_path, "prog", code=b"\x5f\xc3")
+    reads = _CountingReads(monkeypatch)
+    assert reads.reads(lambda: executable_segments(path)) > 0
+    first = executable_segments(path)
+    assert reads.reads(lambda: executable_segments(path)) == 0
+    second = executable_segments(path)
+    assert second == first and second is not first  # a new list each call
+    second.clear()
+    assert executable_segments(path) == first
+
+    # The same size with another mtime, then another size: read again each time.
+    stat = path.stat()
+    path.write_bytes(build_elf(b"\x5e\xc3"))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+    assert reads.reads(lambda: executable_segments(path)) > 0
+    assert executable_segments(path)[0][1].endswith(b"\x5e\xc3")
+    path.write_bytes(build_elf(b"\x5a\x5e\xc3"))
+    assert reads.reads(lambda: executable_segments(path)) > 0
+    assert executable_segments(path)[0][1].endswith(b"\x5a\x5e\xc3")
+
+    # A copy is another inode, read on its own.
+    copy = tmp_path / "copy"
+    shutil.copy2(path, copy)
+    assert reads.reads(lambda: executable_segments(copy)) > 0
+    assert executable_segments(copy) == executable_segments(path)
+
+
+def test_executable_segments_raises_again_on_a_malformed_file(tmp_path, monkeypatch):
+    path = tmp_path / "short"
+    path.write_bytes(build_elf()[:40])
+    reads = _CountingReads(monkeypatch)
+    for _ in range(2):
+        before = reads.calls
+        with pytest.raises(ElfParseError):
+            executable_segments(path)
+        assert reads.calls > before
+
+
+def test_executable_segments_keeps_a_bounded_number_of_files(tmp_path):
+    paths = [write_elf(tmp_path, f"prog{i}", code=bytes([0x58 + i % 8, 0xC3])) for i in range(2 * elf._SEGMENTS_MAX)]
+    for path in paths:
+        executable_segments(path)
+    assert len(elf._SEGMENTS) <= elf._SEGMENTS_MAX
 
 
 def test_executable_segments_rejects_other_machines(tmp_path):

@@ -175,7 +175,27 @@ def test_no_mutual_timeout_writes_no_count(runner, tmp_path, toy_pair):
     assert result.exit_code == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["variants"]["no_b"]) == {"passed", "verdict_counts"}
+    assert "nondeterministic_original" not in summary
     assert "Mutual timeouts" not in (out / "report.md").read_text()
+    assert "Nondeterministic original" not in (out / "report.md").read_text()
+
+
+def test_an_original_that_does_not_repeat_itself_is_named_in_summary_and_report(runner, tmp_path):
+    clock = make_script(tmp_path, "clock", "date +%N\n")
+    doc = {
+        "id": "clock",
+        "original": {"label": "original", "exe": str(clock)},
+        "variants": [{"label": "copy", "exe": str(clock)}],
+        "features": [{"name": "now", "disposition": "retain", "commands": [{"argv": ["x"]}]}],
+    }
+    out = tmp_path / "out"
+    result = invoke(runner, "differ", "--spec", write_spec(tmp_path, doc), "--out", out)
+    assert result.exit_code == EXIT_ANOMALIES  # the copy differs from the original's first run
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["nondeterministic_original"] == [{"feature": "now", "command_index": 0}]
+    report = (out / "report.md").read_text()
+    assert "Nondeterministic original (two runs of the seed input differ" in report
+    assert "): now#0." in report
 
 
 @given(
@@ -202,7 +222,7 @@ def test_a_variant_that_does_nothing_never_passes_unremarked(tmp_path_factory, t
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
     assert "Traceback" not in result.output
     if result.exit_code == EXIT_ERROR:
-        assert re.search(r"error: (timeout_seconds|features\[0\]\.commands\[0\](\.fuzz_count)?): ", result.output), result.output
+        assert re.search(r"error: (timeout_seconds|features\[0\]\.commands\[0\]\.fuzz_count): ", result.output), result.output
         return
     summary = json.loads((out / "summary.json").read_text())
     entry = summary["variants"]["false"]
@@ -566,3 +586,40 @@ def test_report_on_metrics_missing_a_key_is_exit_2(runner, tmp_path):
 def test_version_flag(runner):
     result = invoke(runner, "--version")
     assert result.exit_code == EXIT_OK
+
+
+# --- memory floor --------------------------------------------------------
+
+_REPORT_LOADED = """\
+import sys
+from debloateval.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exit:
+    code = exit.code
+with open("/proc/self/maps") as maps:
+    libcrypto = "libcrypto" in maps.read()
+print(code, "_hashlib" in sys.modules, libcrypto)
+"""
+
+
+def test_no_cli_command_loads_openssl(tmp_path, toy_pair):
+    # hashlib would map OpenSSL's libcrypto, about 3.4 MiB, for a few short digests.
+    lib = write_elf(tmp_path, "libc.so.6", code=b"\x5f\xc3")
+    elves = json.loads(elf_spec(tmp_path).read_text())
+    for ref in [elves["original"], *elves["variants"]]:
+        ref["libs"] = [str(lib)]
+    toy = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]), "toy.json")
+    commands = [
+        ["validate", "--spec", toy],
+        ["differ", "--spec", toy, "--out", tmp_path / "differ"],
+        ["metrics", "--spec", write_spec(tmp_path, elves, "elves.json"), "--out", tmp_path / "metrics",
+         "--no-perf", "--aggregate-libs"],
+    ]
+    src = Path(gadget_analyzer.__file__).parents[1]
+    for args in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_LOADED, *map(str, args)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False False", (args[0], proc.stdout, proc.stderr)

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debloateval import digest
 from debloateval.fuzz_engine import (
     ASCII_HI,
     ASCII_LO,
@@ -131,6 +139,44 @@ def test_stream_seed_is_stable_and_distinct():
     assert a != stream_seed(0, "compress", 1)
     assert a != stream_seed(0, "extract", 0)
     assert a != stream_seed(1, "compress", 0)
+
+
+def test_stream_seed_keeps_its_recorded_values():
+    # Values recorded from hashlib.sha256; the built-in SHA-256 must give the same streams.
+    assert stream_seed(0, "compress", 0) == 0xF429412C3E68F159
+    assert stream_seed(1, "compress", 0) == 0x7E225BA677754AE2
+    assert stream_seed(2**64 - 1, "ünï", 7) == 0x57C96F009EFB4A1D
+    assert stream_seed(-1, "", 0) == 0xBD8E6E2B7C629746
+    assert stream_seed(12345, "passthru", 3) == 0x6735EFBEB4BB6932
+
+
+@given(st.binary(max_size=300), st.integers(0, 300))
+@settings(max_examples=200)
+def test_builtin_sha256_equals_hashlib(data, cut):
+    assert digest.sha256(data).digest() == hashlib.sha256(data).digest()
+    running = digest.sha256(bytearray(data[:cut]))
+    running.update(data[cut:])
+    assert running.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "blocked", [(), ("_sha2",), ("_sha2", "_sha256")], ids=["as-is", "no-_sha2", "neither"]
+)
+def test_each_sha256_import_gives_the_same_digest(blocked):
+    # Python 3.12+ has _sha2, 3.10 and 3.11 _sha256; hashlib is the last resort.
+    script = (
+        "import sys\n"
+        f"for name in {blocked!r}: sys.modules[name] = None\n"
+        "from debloateval import digest\n"
+        "print(digest.sha256(b'abc').hexdigest(), '_hashlib' in sys.modules)\n"
+    )
+    src = Path(digest.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    hexdigest, loaded_openssl = proc.stdout.split()
+    assert hexdigest == hashlib.sha256(b"abc").hexdigest()
+    builtin = [name for name in ("_sha2", "_sha256") if name not in blocked and importlib.util.find_spec(name)]
+    assert loaded_openssl == str(not builtin)
 
 
 # --- generate ------------------------------------------------------------

@@ -193,6 +193,60 @@ def test_every_single_fault_is_a_spec_error_at_its_key():
             assert may_parse, key_path
 
 
+# Arrays that may be empty; every other array of FULL must hold an item.
+MAY_BE_EMPTY = {"libs", "files"}
+_TYPE_ERROR = re.compile(r"expected (string|integer|number|boolean|array|object), got (string|integer|number|boolean|array|object|null)")
+
+
+def _parse_error(document) -> SpecError | None:
+    try:
+        parse_spec(json.dumps(document).encode())
+    except SpecError as exc:
+        return exc
+    return None
+
+
+def test_every_numeric_and_array_key_names_its_own_path():
+    checked = 0
+    for object_path, obj in _objects(FULL):
+        prefix = f"{object_path}." if object_path else ""
+        for key, value in obj.items():
+            path = prefix + key
+            set_to = lambda bad: _with(object_path, lambda o: o.update({key: bad}))  # noqa: E731
+            if type(value) in (int, float):
+                for bad in (-1, "1"):
+                    exc = _parse_error(set_to(bad))
+                    assert exc is not None and exc.path == path, (path, bad, exc)
+                integer = type(value) is int
+                exc = _parse_error(set_to(2.5))
+                assert (exc is not None) == integer, path
+                if integer:
+                    assert (exc.path, str(exc)) == (path, f"{path}: expected integer, got number")
+            elif type(value) is list:
+                exc = _parse_error(set_to({}))
+                assert (exc.path, str(exc)) == (path, f"{path}: expected array, got object")
+                exc = _parse_error(set_to([]))
+                assert (exc is None) == (key in MAY_BE_EMPTY), path
+                assert exc is None or exc.path == path, (path, exc)
+                exc = _parse_error(set_to([None, *value[1:]]))
+                assert exc.path == f"{path}[0]" and _TYPE_ERROR.search(str(exc)), (path, exc)
+            else:
+                continue
+            checked += 1
+    assert checked == 15  # 3 numeric keys and 12 arrays
+    for bad in ("/abs", "../up", "a/../b"):
+        document = copy.deepcopy(FULL)
+        document["features"][0]["commands"][0]["files"] = ["ok.txt", bad]
+        assert _parse_error(document).path == "features[0].commands[0].files[1]"
+
+
+def test_type_errors_name_json_types():
+    for key_path, _, document in _faults():
+        exc = _parse_error(document)
+        if exc is not None and "expected" in str(exc):
+            assert "<class" not in str(exc) and _TYPE_ERROR.search(str(exc)), (key_path, str(exc))
+
+
 def _with_surrogate(node, target: str, path: str = ""):
     """A copy of node whose string at path target ends in a lone surrogate."""
     if isinstance(node, dict):

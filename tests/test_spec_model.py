@@ -169,7 +169,7 @@ def test_unknown_comparator_kind():
     "normalizer,key,message",
     [
         ({"pattern": "[0-9]+"}, "replacement", "missing required field"),
-        ({"pattern": 5, "replacement": "N"}, "pattern", "expected <class 'str'>, got int"),
+        ({"pattern": 5, "replacement": "N"}, "pattern", "expected string, got integer"),
         ({"pattern": "(", "replacement": "N"}, "pattern", "invalid regex: missing ), unterminated subpattern"),
     ],
     ids=["missing-replacement", "non-string-pattern", "bad-regex"],

@@ -34,7 +34,7 @@ from debloateval.verdict_engine import (
     summary_to_json,
 )
 
-from conftest import toy_spec_doc, write_spec
+from conftest import make_script, toy_spec_doc, write_spec
 from oracles import reference_jsonl
 
 
@@ -219,11 +219,13 @@ def test_original_runs_once_per_input_for_every_variant(tmp_path, toy_pair, monk
         blobs.append(report_to_jsonl(report))
         rows = [json.loads(line) for line in blobs[-1].splitlines()]
         inputs = {(r["feature"], r["command_index"], r["mutant_index"]) for r in rows}
-        assert runs.count(toy_pair["original"]) == len(inputs)
-        assert len(runs) == len(inputs) + len(rows)
+        seeds = sum(mutant_index == 0 for _, _, mutant_index in inputs)
+        # Once per input, whatever the number of variants, and once more on each seed input.
+        assert runs.count(toy_pair["original"]) == len(inputs) + seeds
+        assert len(runs) == len(inputs) + seeds + len(rows)
         if max_mutants is None:
             assert len(inputs) == 8  # (1 seed + 3 mutants) x 2 features
-            assert len(runs) == (1 + len(variants)) * 8
+            assert len(runs) == (1 + len(variants)) * 8 + 2
     assert blobs[0] == blobs[1]
 
 
@@ -240,9 +242,12 @@ def test_original_spawn_failure_after_preflight_is_original_crash_per_variant(tm
 
     monkeypatch.setattr(verdict_engine, "run_once", flaky_original)
     report = run_toy(tmp_path, toy_pair, ["no_b", "same", "crash_a"])
-    assert len(original_runs) == 2  # one per derived input; the preflight is the first
+    # The preflight, the preflight input's second run (which cannot
+    # start either, so the original did not repeat itself), and feature-b's input.
+    assert len(original_runs) == 3
     for label, verdicts in report.per_variant.items():
         assert [v.value for v in verdicts][1:] == [Verdict.ORIGINAL_CRASH], label
+    assert report.nondeterministic_original == (("feature-a", 0),)
 
 
 def test_budget_bounds_the_derived_inputs_and_keeps_their_verdicts(tmp_path, toy_pair, monkeypatch):
@@ -278,6 +283,42 @@ def test_parallel_campaign_matches_serial(tmp_path, toy_pair):
     serial = run_toy(tmp_path, toy_pair, ["no_b", "same"], fuzz_count=3, jobs=1)
     parallel = run_toy(tmp_path, toy_pair, ["no_b", "same"], fuzz_count=3, jobs=4)
     assert report_to_jsonl(serial) == report_to_jsonl(parallel)
+
+
+def clock_spec(tmp_path, comparators=None) -> dict:
+    """A spec whose original prints the clock's nanoseconds for "now" and a constant otherwise."""
+    clock = make_script(tmp_path, "clock", '''\
+        case "$1" in
+          now) date +%N;;
+          *) echo fixed;;
+        esac
+        ''')
+    feature = {"name": "clock", "disposition": "retain",
+               "commands": [{"argv": ["now"], "fuzz_count": 2}, {"argv": ["fixed"], "fuzz_count": 2}]}
+    if comparators is not None:
+        feature["comparators"] = comparators
+    return {
+        "id": "clock",
+        "original": {"label": "original", "exe": str(clock)},
+        "variants": [{"label": "a", "exe": str(clock)}, {"label": "b", "exe": str(clock)}],
+        "features": [feature],
+    }
+
+
+def test_an_original_that_does_not_repeat_itself_is_reported(tmp_path):
+    spec = parse_spec(write_spec(tmp_path, clock_spec(tmp_path)).read_bytes())
+    for jobs in (1, 3):
+        report = run_campaign(spec, MutationPlan(seed=0), jobs=jobs)
+        assert report.nondeterministic_original == (("clock", 0),)
+        assert summary_to_json(report)["nondeterministic_original"] == [{"feature": "clock", "command_index": 0}]
+
+
+def test_the_repeat_check_compares_under_the_features_pipeline(tmp_path):
+    digits = [{"kind": "stdout_normalized", "normalizers": [{"pattern": "[0-9]+", "replacement": "N"}]}]
+    spec = parse_spec(write_spec(tmp_path, clock_spec(tmp_path, digits)).read_bytes())
+    report = run_campaign(spec, MutationPlan(seed=0))
+    assert report.nondeterministic_original == ()
+    assert "nondeterministic_original" not in summary_to_json(report)
 
 
 def test_missing_original_aborts_campaign(tmp_path, toy_pair):
