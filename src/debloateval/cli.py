@@ -110,9 +110,7 @@ def cmd_differ(
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "verdicts.jsonl").write_bytes(report_to_jsonl(report))
-    summary = summary_to_json(report)
-    summary["seed"] = seed
-    summary["toolkit_version"] = __version__
+    summary = summary_to_json(report, seed)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     render_report(out_dir)
 
@@ -199,7 +197,10 @@ def cmd_metrics(
     with_perf: bool = True,
 ) -> int:
     spec = parse_spec(spec_path.read_bytes())
+    # Every side's trials run before any code is read: a child's peak memory
+    # starts at this process's high-water mark, which reading code raises.
     original_perf = _perf_totals(spec, spec.original.exe_path, seed) if with_perf else None
+    perfs = {v.label: _perf_totals(spec, v.exe_path, seed) for v in spec.variants} if original_perf else {}
     # Every side's code is read before any is scanned, so the gadget sets
     # are composed in one pass that sweeps each distinct region once.
     original_regions = _code_regions(spec.original, aggregate_libs)
@@ -229,8 +230,7 @@ def cmd_metrics(
             row.libs_eliminated = sorted(libs.eliminated)
         except ElfParseError:
             pass
-        variant_perf = _perf_totals(spec, variant.exe_path, seed) if original_perf is not None else None
-        if variant_perf is not None:
+        if (variant_perf := perfs.get(variant.label)) is not None:
             try:
                 perf = perf_delta(original_perf, variant_perf)
                 row.runtime_pct, row.memory_pct = perf.runtime_pct, perf.memory_pct
@@ -269,6 +269,15 @@ class ToolPerfRecord:
     termination: str
 
 
+def _file_identity(path: Path) -> tuple[int, int, int] | None:
+    """Inode, size and mtime of the file at path; None if there is none."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def cmd_tool_wrap(
     tool_cmdline: list[str],
     spec_path: Path,
@@ -294,11 +303,13 @@ def cmd_tool_wrap(
         argv=tool_cmdline[1:],
         timeout_seconds=max_seconds,
     )
+    before = _file_identity(output_path)
     outcome = run_once(req)
     exited_ok = (
         outcome.termination.kind is TerminationKind.EXITED and outcome.termination.code == 0
     )
-    produced = output_path.is_file()
+    # A file the tool left as it found it is stale, not produced.
+    produced = output_path.is_file() and _file_identity(output_path) != before
     record = ToolPerfRecord(
         cpu_minutes=outcome.cpu_seconds / 60.0,
         peak_mb=outcome.peak_rss_bytes / (1024.0 * 1024.0),

@@ -47,7 +47,14 @@ class Normalizer:
     replacement: str
 
     def __post_init__(self):
-        re.compile(self.pattern)
+        # Checked as apply uses them: a bad escape may be valid in a str
+        # pattern and not in a bytes one, and sub checks a replacement's
+        # group references before it looks for a match.
+        regex = re.compile(self.pattern.encode("utf-8", "surrogateescape"))
+        try:
+            regex.sub(self.replacement.encode("utf-8", "surrogateescape"), b"")
+        except re.error as exc:
+            raise FieldError("replacement", f"invalid replacement: {exc}") from exc
 
     def apply(self, data: bytes) -> bytes:
         return re.sub(
@@ -176,12 +183,9 @@ def _evaluate(cfg: ComparatorConfig, a: ExecOutcome, b: ExecOutcome) -> Comparat
     left, left_overflow = _streams(a, cfg.kind)
     right, right_overflow = _streams(b, cfg.kind)
     if cfg.kind in _NORMALIZED_KINDS:
-        try:
-            for norm in cfg.normalizers:
-                left = norm.apply(left)
-                right = norm.apply(right)
-        except re.error as exc:
-            return ComparatorResult(cfg, False, f"normalizer error: {exc}"[:EVIDENCE_LIMIT])
+        for norm in cfg.normalizers:
+            left = norm.apply(left)
+            right = norm.apply(right)
     if left != right:
         return ComparatorResult(cfg, False, _first_difference_excerpt(left, right))
     if left_overflow != right_overflow:

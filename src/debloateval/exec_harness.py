@@ -120,7 +120,6 @@ class ExecOutcome:
     peak_rss_bytes: int
     stdout_overflow_sha256: bytes | None = None
     stderr_overflow_sha256: bytes | None = None
-    spawn_error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,12 @@ class TrialSummary:
 class PerfDelta:
     runtime_pct: float
     memory_pct: float
+
+
+def unstarted(termination: Termination, message: str) -> ExecOutcome:
+    """The outcome that stands in for a run whose program could not be
+    started: message on stderr, no other output, no resources used."""
+    return ExecOutcome(termination, b"", message.encode(), {}, 0.0, 0.0, 0)
 
 
 def scratch_root() -> Path:
@@ -293,7 +298,7 @@ def run_trials(req: ExecRequest, n: int) -> TrialSummary:
     Means and standard deviations (population) cover only cleanly exited
     trials; crashes and timeouts pollute timing and are listed but excluded
     from the aggregates. A spawn failure on the first trial propagates;
-    later spawn failures become synthetic outcomes so n is preserved.
+    later spawn failures become unstarted outcomes so n is preserved.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -301,21 +306,10 @@ def run_trials(req: ExecRequest, n: int) -> TrialSummary:
     for i in range(n):
         try:
             outcomes.append(run_once(req))
-        except SpawnError:
+        except SpawnError as exc:
             if i == 0:
                 raise
-            outcomes.append(
-                ExecOutcome(
-                    termination=Termination.spawn_failed(),
-                    stdout=b"",
-                    stderr=b"",
-                    file_digests={},
-                    cpu_seconds=0.0,
-                    wall_seconds=0.0,
-                    peak_rss_bytes=0,
-                    spawn_error="spawn failed on retry",
-                )
-            )
+            outcomes.append(unstarted(Termination.spawn_failed(), str(exc)))
     clean = [o for o in outcomes if o.termination.kind is TerminationKind.EXITED]
     cpus = [o.cpu_seconds for o in clean]
     rsses = [float(o.peak_rss_bytes) for o in clean]

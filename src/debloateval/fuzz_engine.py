@@ -25,8 +25,6 @@ _U64 = (1 << 64) - 1
 ASCII_LO = 0x20
 ASCII_HI = 0x7E
 
-ALL_OPERATORS = frozenset({"bitflip", "byteflip", "insert", "delete", "dict_substitute", "arith_step"})
-
 _MAX_OPS_PER_MUTANT = 3
 _ARITH_STEPS = (1, 2, 4, 8, 16)
 
@@ -79,10 +77,6 @@ class Template:
     def holes(self) -> tuple[Hole, ...]:
         return tuple(t for t in self.tokens if isinstance(t, Hole))
 
-    def skeleton(self) -> tuple[bytes, ...]:
-        """Literal byte runs, in order, with hole regions removed."""
-        return tuple(t.data for t in self.tokens if isinstance(t, Literal))
-
 
 class SplitMix64:
     """Portable 64-bit PRNG (splitmix64); deterministic across platforms."""
@@ -114,13 +108,10 @@ def stream_seed(global_seed: int, feature_name: str, command_index: int) -> int:
 class MutationPlan:
     seed: int = 0
     count: int = 0
-    operators: frozenset[str] = ALL_OPERATORS
 
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if not self.operators or not self.operators <= ALL_OPERATORS:
-            raise ValueError(f"operators must be a nonempty subset of {sorted(ALL_OPERATORS)}")
 
 
 # --- Template parsing --------------------------------------------------
@@ -235,14 +226,12 @@ def render(template: Template, values: Iterable[bytes]) -> bytes:
 
 # --- Mutation ----------------------------------------------------------
 
-def _mutable_ops(hole: Hole, allowed: frozenset[str]) -> tuple[str, ...]:
+def _mutable_ops(hole: Hole) -> tuple[str, ...]:
     if hole.kind is HoleKind.DICT:
-        ops = ("dict_substitute",) if len(hole.words) > 1 else ()
-    elif hole.kind is HoleKind.INT:
-        ops = ("arith_step",)
-    else:
-        ops = ("bitflip", "byteflip", "insert", "delete")
-    return tuple(op for op in ops if op in allowed)
+        return ("dict_substitute",) if len(hole.words) > 1 else ()
+    if hole.kind is HoleKind.INT:
+        return ("arith_step",)
+    return ("bitflip", "byteflip", "insert", "delete")
 
 
 def _rand_byte(rng: SplitMix64, hole: Hole) -> int:
@@ -288,19 +277,14 @@ def _mutate_value(rng: SplitMix64, hole: Hole, value: bytes, op: str) -> bytes:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _mutate_values(
-    rng: SplitMix64,
-    holes: tuple[Hole, ...],
-    seed_values: list[bytes],
-    operators: frozenset[str],
-) -> list[bytes]:
+def _mutate_values(rng: SplitMix64, holes: tuple[Hole, ...], seed_values: list[bytes]) -> list[bytes]:
     values = list(seed_values)
-    candidates = [i for i, h in enumerate(holes) if _mutable_ops(h, operators)]
+    candidates = [i for i, h in enumerate(holes) if _mutable_ops(h)]
     if not candidates:
         return values
     for _ in range(1 + rng.below(_MAX_OPS_PER_MUTANT)):
         idx = rng.choice(candidates)
-        op = rng.choice(_mutable_ops(holes[idx], operators))
+        op = rng.choice(_mutable_ops(holes[idx]))
         values[idx] = _mutate_value(rng, holes[idx], values[idx], op)
     return values
 
@@ -316,7 +300,7 @@ def generate(template: Template, seed_values: list[bytes], plan: MutationPlan) -
     holes = template.holes
     mutants = []
     for _ in range(plan.count):
-        values = _mutate_values(rng, holes, seed_values, plan.operators)
+        values = _mutate_values(rng, holes, seed_values)
         mutants.append(render(template, values))
     return mutants
 
@@ -382,6 +366,6 @@ def derive_commands(
     count = cmd.fuzz_count + 1 if limit is None else min(limit, cmd.fuzz_count + 1)
     rng = SplitMix64(stream_seed(plan.seed, feature_name, command_index))
     return [
-        materialize(_mutate_values(rng, holes, seed_values, plan.operators) if index else seed_values, index)
+        materialize(_mutate_values(rng, holes, seed_values) if index else seed_values, index)
         for index in range(count)
     ]

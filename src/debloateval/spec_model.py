@@ -229,7 +229,7 @@ _path = _typed(str, lambda value, _: Path(value))
 
 def _regex(pattern: str, path: str) -> str:
     try:
-        re.compile(pattern)
+        re.compile(pattern.encode("utf-8"))  # Normalizer.apply matches bytes
     except re.error as exc:
         raise SchemaError(path, f"invalid regex: {exc}") from exc
     return pattern

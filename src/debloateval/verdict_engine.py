@@ -20,11 +20,13 @@ import enum
 import io
 import json
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import __version__
 from .comparator import CompareReport, compare
-from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once
+from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once, unstarted
 from .fuzz_engine import DerivedInput, MutationPlan, derive_commands
 from .spec_model import BenchmarkSpec, Disposition, TestCommand
 
@@ -50,6 +52,9 @@ class Verdict(enum.Enum):
 FAILING_VERDICTS = frozenset(
     {Verdict.UNEXPECTED_DIFFERENCE, Verdict.UNEXPECTED_MATCH, Verdict.VARIANT_CRASH, Verdict.VARIANT_TIMEOUT}
 )
+# The failing verdicts that summary.json counts as an error or crash: all
+# but UnexpectedMatch, which it counts as a feature left in.
+ERROR_OR_CRASH_VERDICTS = FAILING_VERDICTS - {Verdict.UNEXPECTED_MATCH}
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,6 @@ class TestVerdict:
     value: Verdict
     evidence: CompareReport
     input_used: DerivedInput
-    is_fuzzed: bool
     variant_label: str
     feature_name: str
     disposition: Disposition
@@ -68,17 +72,9 @@ class TestVerdict:
 
 
 @dataclass(frozen=True)
-class CampaignSummary:
-    variants_with_error_or_crash: tuple[int, float]
-    variants_with_unremoved_feature: tuple[int, float]
-    passed: int
-
-
-@dataclass(frozen=True)
 class CampaignReport:
     spec_id: str
     per_variant: dict[str, list[TestVerdict]]
-    summary: CampaignSummary
     # (feature name, command index) of each command whose original ran its
     # seed input twice with different outcomes, in canonical order.
     nondeterministic_original: tuple[tuple[str, int], ...] = ()
@@ -139,19 +135,6 @@ def _deal_mutants(wants: dict[TaskKey, int], max_mutants: int | None) -> dict[Ta
     return caps
 
 
-def _synthetic_exit(message: str, code: int = 127) -> ExecOutcome:
-    return ExecOutcome(
-        termination=Termination.exited(code),
-        stdout=b"",
-        stderr=message.encode(),
-        file_digests={},
-        cpu_seconds=0.0,
-        wall_seconds=0.0,
-        peak_rss_bytes=0,
-        spawn_error=message,
-    )
-
-
 def run_campaign(
     spec: BenchmarkSpec,
     plan: MutationPlan,
@@ -194,7 +177,7 @@ def run_campaign(
             if not repeated:
                 nondeterministic.append((feature.name, command_index))
 
-    return CampaignReport(spec.id, per_variant, _summarize(spec, per_variant), tuple(nondeterministic))
+    return CampaignReport(spec.id, per_variant, tuple(nondeterministic))
 
 
 def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestCommand) -> ExecRequest:
@@ -223,8 +206,7 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[T
 
     def verdict(value: Verdict, report: CompareReport, variant, mutual_timeout: bool = False) -> TestVerdict:
         return TestVerdict(
-            value, report, inp, inp.is_fuzzed, variant.label, feature.name, feature.disposition, command_index,
-            mutual_timeout,
+            value, report, inp, variant.label, feature.name, feature.disposition, command_index, mutual_timeout
         )
 
     try:
@@ -240,7 +222,7 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[T
         try:
             variant_out = run_once(exec_request(spec, variant.exe_path, inp, cmd))
         except SpawnError as exc:
-            variant_out = _synthetic_exit(f"variant failed to launch: {exc}")
+            variant_out = unstarted(Termination.exited(127), f"variant failed to launch: {exc}")
         report = compare(original_out, variant_out, pipeline)
         value = classify(feature.disposition, original_out, variant_out, report)
         mutual = original_out.termination.kind is variant_out.termination.kind is TerminationKind.TIMED_OUT
@@ -250,28 +232,8 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[T
     try:
         again = run_once(exec_request(spec, spec.original.exe_path, inp, cmd))
     except SpawnError as exc:
-        again = _synthetic_exit(f"original failed to launch: {exc}")
+        again = unstarted(Termination.exited(127), f"original failed to launch: {exc}")
     return verdicts, compare(original_out, again, pipeline).all_matched
-
-
-def _summarize(spec: BenchmarkSpec, per_variant: dict[str, list[TestVerdict]]) -> CampaignSummary:
-    n = len(spec.variants)
-    error_or_crash = 0
-    unremoved = 0
-    passed = 0
-    for label in per_variant:
-        values = {v.value for v in per_variant[label]}
-        if values & {Verdict.VARIANT_CRASH, Verdict.VARIANT_TIMEOUT, Verdict.UNEXPECTED_DIFFERENCE}:
-            error_or_crash += 1
-        if Verdict.UNEXPECTED_MATCH in values:
-            unremoved += 1
-        if not values & FAILING_VERDICTS:
-            passed += 1
-    return CampaignSummary(
-        variants_with_error_or_crash=(error_or_crash, error_or_crash / n),
-        variants_with_unremoved_feature=(unremoved, unremoved / n),
-        passed=passed,
-    )
 
 
 # --- Report serialization ----------------------------------------------
@@ -283,7 +245,7 @@ def verdict_to_json(v: TestVerdict) -> dict:
         "disposition": v.disposition.value,
         "command_index": v.command_index,
         "mutant_index": v.input_used.mutant_index,
-        "is_fuzzed": v.is_fuzzed,
+        "is_fuzzed": v.input_used.is_fuzzed,
         "verdict": v.value.value,
         "argv": list(v.input_used.argv),
         "stdin_b64": base64.b64encode(v.input_used.stdin).decode("ascii"),
@@ -309,16 +271,26 @@ def report_to_jsonl(report: CampaignReport) -> bytes:
     return out.getvalue()
 
 
-def summary_to_json(report: CampaignReport) -> dict:
-    """The summary; nondeterministic_original appears only when some command's original did not repeat itself."""
-    count_ec, frac_ec = report.summary.variants_with_error_or_crash
-    count_un, frac_un = report.summary.variants_with_unremoved_feature
+def summary_to_json(report: CampaignReport, seed: int) -> dict:
+    """summary.json, every count derived from the verdicts.
+
+    nondeterministic_original appears only when some command's original
+    did not repeat itself.
+    """
+    labels = sorted(report.per_variant)
+
+    def share(values: frozenset[Verdict]) -> dict:
+        count = sum(any(v.value in values for v in report.per_variant[label]) for label in labels)
+        return {"count": count, "fraction": count / len(labels)}
+
     doc = {
         "spec_id": report.spec_id,
-        "variants": {label: _variant_summary(report, label) for label in sorted(report.per_variant)},
-        "variants_with_error_or_crash": {"count": count_ec, "fraction": frac_ec},
-        "variants_with_unremoved_feature": {"count": count_un, "fraction": frac_un},
-        "passed": report.summary.passed,
+        "seed": seed,
+        "toolkit_version": __version__,
+        "variants": {label: _variant_summary(report, label) for label in labels},
+        "variants_with_error_or_crash": share(ERROR_OR_CRASH_VERDICTS),
+        "variants_with_unremoved_feature": share(frozenset({Verdict.UNEXPECTED_MATCH})),
+        "passed": sum(map(report.variant_passed, labels)),
     }
     if report.nondeterministic_original:
         doc["nondeterministic_original"] = [
@@ -330,15 +302,8 @@ def summary_to_json(report: CampaignReport) -> dict:
 def _variant_summary(report: CampaignReport, label: str) -> dict:
     """A variant's entry; mutual_timeouts appears only when some comparison had one."""
     verdicts = report.per_variant[label]
-    entry = {"passed": report.variant_passed(label), "verdict_counts": _verdict_counts(verdicts)}
+    entry = {"passed": report.variant_passed(label), "verdict_counts": Counter(v.value.value for v in verdicts)}
     mutual = sum(v.mutual_timeout for v in verdicts)
     if mutual:
         entry["mutual_timeouts"] = mutual
     return entry
-
-
-def _verdict_counts(verdicts: list[TestVerdict]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for v in verdicts:
-        counts[v.value.value] = counts.get(v.value.value, 0) + 1
-    return dict(sorted(counts.items()))

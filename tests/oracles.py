@@ -17,7 +17,7 @@ from debloateval.gadget_analyzer import (
     _is_major,
     _terminator_special_types,
 )
-from debloateval.verdict_engine import CampaignReport, verdict_to_json
+from debloateval.verdict_engine import CampaignReport, TestVerdict, Verdict, verdict_to_json
 from debloateval.x86 import decode
 
 
@@ -163,3 +163,27 @@ def reference_jsonl(report: CampaignReport) -> bytes:
         for v in report.per_variant[label]:
             lines.append(json.dumps(verdict_to_json(v), sort_keys=True))
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+
+
+def reference_summary(per_variant: dict[str, list[TestVerdict]]) -> dict:
+    """summary.json's counts and fractions as first computed: one pass over
+    each variant's set of verdict values, with the failing sets spelled out."""
+    n = len(per_variant)
+    error_or_crash = 0
+    unremoved = 0
+    passed = 0
+    for label in per_variant:
+        values = {v.value for v in per_variant[label]}
+        if values & {Verdict.VARIANT_CRASH, Verdict.VARIANT_TIMEOUT, Verdict.UNEXPECTED_DIFFERENCE}:
+            error_or_crash += 1
+        if Verdict.UNEXPECTED_MATCH in values:
+            unremoved += 1
+        if not values & {
+            Verdict.UNEXPECTED_DIFFERENCE, Verdict.UNEXPECTED_MATCH, Verdict.VARIANT_CRASH, Verdict.VARIANT_TIMEOUT
+        }:
+            passed += 1
+    return {
+        "variants_with_error_or_crash": {"count": error_or_crash, "fraction": error_or_crash / n},
+        "variants_with_unremoved_feature": {"count": unremoved, "fraction": unremoved / n},
+        "passed": passed,
+    }

@@ -372,6 +372,35 @@ def test_metrics_with_perf_on_scripts(runner, tmp_path, toy_pair):
     assert row["locality_pct"] is None
 
 
+GZIP = Path("/usr/bin/gzip")
+
+
+@pytest.mark.skipif(LIBC is None or not GZIP.is_file(), reason="needs /usr/bin/gzip and libc.so.6")
+@pytest.mark.parametrize("flags", [[], ["--aggregate-libs"]])
+def test_a_variant_identical_to_its_original_peaks_at_the_same_memory(tmp_path, flags):
+    # A child's peak memory starts at the CLI's high-water mark, which reading
+    # code raises, so every side's trials must run before any code is read. The
+    # CLI runs in its own process, whose high-water mark is its own.
+    def side(label):
+        return {"label": label, "exe": str(GZIP), "libs": [str(LIBC)]}
+
+    command = {"argv": ["-c"], "stdin": "some text to compress"}
+    doc = {
+        "id": "gzip", "original": side("orig"), "variants": [side("same")], "trials": 3,
+        "features": [{"name": "compress", "disposition": "retain", "commands": [command]}],
+    }
+    out = tmp_path / "out"
+    src = Path(gadget_analyzer.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from debloateval.cli import main; main()",
+         "metrics", "--spec", str(write_spec(tmp_path, doc)), "--out", str(out), *flags],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    row = json.loads((out / "metrics.json").read_text())["variants"]["same"]
+    assert row["memory_pct"] == pytest.approx(100.0, abs=1.0)
+
+
 def test_seed_requests_derive_only_the_seed_input(tmp_path, toy_pair, monkeypatch):
     derived = []
     real_derive = cli.derive_commands
@@ -540,6 +569,18 @@ def test_tool_wrap_failing_tool_records_failure(runner, tmp_path, toy_pair):
     assert result.exit_code == EXIT_OK
     perf = json.loads((out / "tool_perf.json").read_text())
     assert perf["succeeded"] is False
+    assert not (out / "spec.updated.json").exists()
+
+
+@pytest.mark.parametrize("tool", ["/bin/false", "/bin/true"])
+def test_tool_wrap_does_not_count_a_stale_output_as_produced(runner, tmp_path, toy_pair, tool):
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    stale = tmp_path / "debloated"
+    stale.write_bytes(b"left by an earlier run")
+    out = tmp_path / "out"
+    result = invoke(runner, "tool-wrap", "--spec", spec, "--out", out, "--output", stale, tool)
+    assert result.exit_code == EXIT_OK
+    assert json.loads((out / "tool_perf.json").read_text())["succeeded"] is False
     assert not (out / "spec.updated.json").exists()
 
 

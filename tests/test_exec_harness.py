@@ -189,6 +189,31 @@ def test_run_trials_spawn_error_on_first_trial(tmp_path):
         run_trials(req(tmp_path / "nope"), 3)
 
 
+def test_run_trials_keeps_n_through_a_later_spawn_failure(monkeypatch):
+    clean = iter([
+        ExecOutcome(Termination.exited(0), b"", b"", {}, 1.0, 1.0, 1000),
+        ExecOutcome(Termination.exited(0), b"", b"", {}, 3.0, 3.0, 3000),
+    ])
+    calls = []
+
+    def second_call_fails(request):
+        calls.append(request)
+        if len(calls) == 2:
+            raise SpawnError("cannot exec: gone")
+        return next(clean)
+
+    monkeypatch.setattr(exec_harness, "run_once", second_call_fails)
+    summary = run_trials(req(Path("/bin/true")), 3)
+    assert summary.n == len(summary.outcomes) == 3
+    kinds = [o.termination.kind for o in summary.outcomes]
+    assert kinds == [TerminationKind.EXITED, TerminationKind.SPAWN_FAILED, TerminationKind.EXITED]
+    assert summary.outcomes[1].stderr == b"cannot exec: gone"
+    # The unstarted trial is listed but left out of the means.
+    assert summary.mean_cpu_seconds == 2.0
+    assert summary.mean_peak_rss_bytes == 2000.0
+    assert summary.stdev_cpu_seconds == 1.0
+
+
 def _summary(cpu: float, rss: float) -> TrialSummary:
     outcome = ExecOutcome(Termination.exited(0), b"", b"", {}, cpu, cpu, int(rss))
     return TrialSummary(1, cpu, rss, 0.0, 0.0, [outcome])

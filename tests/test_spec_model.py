@@ -171,8 +171,10 @@ def test_unknown_comparator_kind():
         ({"pattern": "[0-9]+"}, "replacement", "missing required field"),
         ({"pattern": 5, "replacement": "N"}, "pattern", "expected string, got integer"),
         ({"pattern": "(", "replacement": "N"}, "pattern", "invalid regex: missing ), unterminated subpattern"),
+        # Valid as a str pattern; Normalizer.apply matches bytes, where \u is a bad escape.
+        ({"pattern": "\\u0068", "replacement": "N"}, "pattern", "invalid regex: bad escape \\u at position 0"),
     ],
-    ids=["missing-replacement", "non-string-pattern", "bad-regex"],
+    ids=["missing-replacement", "non-string-pattern", "bad-regex", "bad-bytes-escape"],
 )
 def test_normalizer_faults_name_their_own_key(normalizer, key, message):
     comparators = [{"kind": "stdout_normalized", "normalizers": [normalizer]}]
@@ -181,6 +183,15 @@ def test_normalizer_faults_name_their_own_key(normalizer, key, message):
     path = f"comparators[0].normalizers[0].{key}"
     assert exc.value.path == path
     assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_normalizer_replacement_with_a_bad_group_reference_names_its_key():
+    comparators = [{"kind": "stdout_normalized", "normalizers": [{"pattern": "x", "replacement": "\\9"}]}]
+    with pytest.raises(InvariantError) as exc:
+        parse_spec(doc(comparators=comparators))
+    path = "comparators[0].normalizers[0].replacement"
+    assert exc.value.path == path
+    assert str(exc.value).startswith(f"{path}: invalid replacement: invalid group reference 9")
 
 
 def test_template_that_is_not_utf8_is_schema_error():

@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from debloateval.comparator import (
     ComparatorConfig,
@@ -24,7 +26,6 @@ from debloateval.verdict_engine import (
     Budget,
     CampaignAborted,
     CampaignReport,
-    CampaignSummary,
     FAILING_VERDICTS,
     TestVerdict,
     Verdict,
@@ -35,7 +36,7 @@ from debloateval.verdict_engine import (
 )
 
 from conftest import make_script, toy_spec_doc, write_spec
-from oracles import reference_jsonl
+from oracles import reference_jsonl, reference_summary
 
 
 def outcome(termination=None, stdout=b"") -> ExecOutcome:
@@ -148,24 +149,42 @@ def test_crashing_variant_fails_with_variant_crash(tmp_path, toy_pair):
 
 def test_summary_counts_and_fractions(tmp_path, toy_pair):
     report = run_toy(tmp_path, toy_pair, ["no_b", "same", "crash_a"])
-    assert report.summary.passed == 1
-    assert report.summary.variants_with_error_or_crash == (1, pytest.approx(1 / 3))
-    assert report.summary.variants_with_unremoved_feature == (1, pytest.approx(1 / 3))
+    summary = summary_to_json(report, 0)
+    assert summary["passed"] == 1
+    assert summary["variants_with_error_or_crash"] == {"count": 1, "fraction": pytest.approx(1 / 3)}
+    assert summary["variants_with_unremoved_feature"] == {"count": 1, "fraction": pytest.approx(1 / 3)}
+
+
+_ANY_INPUT = DerivedInput(("-",), b"", False, 0)
+
+
+@given(st.lists(st.lists(st.sampled_from(Verdict), max_size=6), min_size=1, max_size=4))
+def test_summary_counts_equal_their_first_definition(mixes):
+    per_variant = {
+        f"v{i}": [
+            TestVerdict(value, CompareReport((), True), _ANY_INPUT, f"v{i}", "f", Disposition.RETAIN, 0)
+            for value in values
+        ]
+        for i, values in enumerate(mixes)
+    }
+    summary = summary_to_json(CampaignReport("mix", per_variant), 0)
+    reference = reference_summary(per_variant)
+    assert {key: summary[key] for key in reference} == reference
 
 
 def test_fuzzed_inputs_extend_campaign(tmp_path, toy_pair):
     report = run_toy(tmp_path, toy_pair, ["no_b"], fuzz_count=5)
     verdicts = report.per_variant["no_b"]
     assert len(verdicts) == 12  # (1 seed + 5 mutants) x 2 features
-    assert sum(v.is_fuzzed for v in verdicts) == 10
+    assert sum(v.input_used.is_fuzzed for v in verdicts) == 10
     assert report.variant_passed("no_b")
 
 
 def test_mutant_budget_caps_fuzzing(tmp_path, toy_pair):
     report = run_toy(tmp_path, toy_pair, ["no_b"], fuzz_count=5, budget=Budget(max_mutants=3))
     verdicts = report.per_variant["no_b"]
-    assert sum(v.is_fuzzed for v in verdicts) == 3
-    assert sum(not v.is_fuzzed for v in verdicts) == 2  # seeds are never charged
+    assert sum(v.input_used.is_fuzzed for v in verdicts) == 3
+    assert sum(not v.input_used.is_fuzzed for v in verdicts) == 2  # seeds are never charged
 
 
 def test_mutant_budget_is_shared_fairly_across_variants(tmp_path):
@@ -186,7 +205,7 @@ def test_mutant_budget_is_shared_fairly_across_variants(tmp_path):
     spec = parse_spec(write_spec(tmp_path, doc).read_bytes())
     report = run_campaign(spec, MutationPlan(seed=0), Budget(max_mutants=4), jobs=1)
     for label in ("v1", "v2"):
-        assert sum(v.is_fuzzed for v in report.per_variant[label]) == 2
+        assert sum(v.input_used.is_fuzzed for v in report.per_variant[label]) == 2
 
 
 def test_budgeted_parallel_campaign_matches_serial(tmp_path, toy_pair):
@@ -275,7 +294,7 @@ def test_budget_bounds_the_derived_inputs_and_keeps_their_verdicts(tmp_path, toy
 def test_exhausted_time_budget_still_runs_seeds(tmp_path, toy_pair):
     report = run_toy(tmp_path, toy_pair, ["no_b"], fuzz_count=5, budget=Budget(max_seconds=0.0))
     verdicts = report.per_variant["no_b"]
-    assert sum(v.is_fuzzed for v in verdicts) == 0
+    assert sum(v.input_used.is_fuzzed for v in verdicts) == 0
     assert len(verdicts) == 2
 
 
@@ -310,7 +329,7 @@ def test_an_original_that_does_not_repeat_itself_is_reported(tmp_path):
     for jobs in (1, 3):
         report = run_campaign(spec, MutationPlan(seed=0), jobs=jobs)
         assert report.nondeterministic_original == (("clock", 0),)
-        assert summary_to_json(report)["nondeterministic_original"] == [{"feature": "clock", "command_index": 0}]
+        assert summary_to_json(report, 0)["nondeterministic_original"] == [{"feature": "clock", "command_index": 0}]
 
 
 def test_the_repeat_check_compares_under_the_features_pipeline(tmp_path):
@@ -318,7 +337,7 @@ def test_the_repeat_check_compares_under_the_features_pipeline(tmp_path):
     spec = parse_spec(write_spec(tmp_path, clock_spec(tmp_path, digits)).read_bytes())
     report = run_campaign(spec, MutationPlan(seed=0))
     assert report.nondeterministic_original == ()
-    assert "nondeterministic_original" not in summary_to_json(report)
+    assert "nondeterministic_original" not in summary_to_json(report, 0)
 
 
 def test_missing_original_aborts_campaign(tmp_path, toy_pair):
@@ -354,7 +373,7 @@ def test_jsonl_is_valid_sorted_and_stable(tmp_path, toy_pair):
 
 def test_summary_json_shape(tmp_path, toy_pair):
     report = run_toy(tmp_path, toy_pair, ["no_b", "same"])
-    summary = summary_to_json(report)
+    summary = summary_to_json(report, 0)
     assert summary["spec_id"] == "toy"
     assert summary["variants"]["no_b"]["passed"] is True
     assert summary["variants"]["same"]["passed"] is False
@@ -380,14 +399,14 @@ def _bulk_report(verdicts: int, stdin_size: int) -> CampaignReport:
         inp = DerivedInput(("-w", str(i)), rng.randbytes(stdin_size), i > 0, i)
         label = "v1" if i % 2 else "v0"
         per_variant[label].append(
-            TestVerdict(Verdict.UNEXPECTED_DIFFERENCE, evidence, inp, i > 0, label, "encode", Disposition.RETAIN, 0)
+            TestVerdict(Verdict.UNEXPECTED_DIFFERENCE, evidence, inp, label, "encode", Disposition.RETAIN, 0)
         )
-    return CampaignReport("bulk", per_variant, CampaignSummary((2, 1.0), (0, 0.0), 0))
+    return CampaignReport("bulk", per_variant)
 
 
 def test_jsonl_equals_its_first_definition(tmp_path, toy_pair):
     budgeted = run_toy(tmp_path, toy_pair, ["no_b", "same", "crash_a"], fuzz_count=3, budget=Budget(max_mutants=7))
-    silent = CampaignReport("empty", {"v0": [], "v1": []}, CampaignSummary((0, 0.0), (0, 0.0), 2))
+    silent = CampaignReport("empty", {"v0": [], "v1": []})
     assert report_to_jsonl(silent) == reference_jsonl(silent) == b""
     for report in (budgeted, _bulk_report(4, 64 * 1024)):
         blob = report_to_jsonl(report)
