@@ -5,3 +5,8 @@ size/library metrics, and code-reuse gadget set analysis.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(Exception):
+    """Bad input or an unusable environment: the CLI exits 2 with the message,
+    which names the offending path, instead of a traceback."""

@@ -16,58 +16,59 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__, binary_metrics, gadget_analyzer
-from .elf import ElfParseError
-from .exec_harness import (
-    ExecRequest,
-    NotComparableError,
-    SandboxError,
-    SpawnError,
-    TerminationKind,
-    TrialSummary,
-    perf_delta,
-    run_once,
-    run_trials,
-)
+from . import InputError, __version__
 from .fuzz_engine import MutationPlan, derive_commands
 from .spec_model import (
     BenchmarkSpec,
     BinaryRef,
     Disposition,
-    NoAnchorError,
     SpecError,
     parse_spec,
     serialize_spec,
     validate_spec_against_binaries,
     winnow_to_aggressive,
 )
-from .verdict_engine import (
-    Budget,
-    CampaignAborted,
-    exec_request,
-    report_to_jsonl,
-    run_campaign,
-    summary_to_json,
-)
+
+if TYPE_CHECKING:
+    from . import gadget_analyzer
+    from .exec_harness import ExecOutcome, ExecRequest, TrialSummary
+    from .verdict_engine import Budget, CampaignReport
 
 EXIT_OK = 0
 EXIT_ANOMALIES = 1
 EXIT_ERROR = 2
 
 
-class ArtifactError(Exception):
+class ArtifactError(InputError):
     """A JSON artifact in the output directory cannot be read back."""
 
 
-# Bad input or an unusable environment: exit 2 with the message, which names
-# the offending path, instead of a traceback.
-_INPUT_ERRORS = (
-    OSError, SpecError, NoAnchorError, ElfParseError, CampaignAborted, SandboxError, SpawnError,
-    ArtifactError,
-)
+# A command imports the layers it runs only when it runs them: where bytecode
+# is not cached, each import compiles its source afresh. These four stay cli
+# attributes that the commands look up, so a caller can replace them.
+
+def run_campaign(spec: BenchmarkSpec, plan: MutationPlan, budget: Budget, jobs: int) -> CampaignReport:
+    from . import verdict_engine
+    return verdict_engine.run_campaign(spec, plan, budget, jobs=jobs)
+
+
+def report_to_jsonl(report: CampaignReport) -> bytes:
+    from . import verdict_engine
+    return verdict_engine.report_to_jsonl(report)
+
+
+def summary_to_json(report: CampaignReport, seed: int) -> dict:
+    from . import verdict_engine
+    return verdict_engine.summary_to_json(report, seed)
+
+
+def run_once(req: ExecRequest) -> ExecOutcome:
+    from . import exec_harness
+    return exec_harness.run_once(req)
 
 
 def _exits(command):
@@ -77,12 +78,22 @@ def _exits(command):
     def run(*args, **kwargs):
         try:
             code = command(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
+        except (OSError, InputError) as exc:
             click.echo(f"error: {exc}", err=True)
             code = EXIT_ERROR
         sys.exit(code)
 
     return run
+
+
+def _read_spec(spec_path: Path) -> BenchmarkSpec:
+    """The spec in spec_path; a SpecError's message ends by naming the file."""
+    data = spec_path.read_bytes()
+    try:
+        return parse_spec(data)
+    except SpecError as exc:
+        exc.args = (f"{exc} (in {spec_path})",)
+        raise
 
 
 def _fmt_pct(value: float | None) -> str:
@@ -103,7 +114,7 @@ def cmd_differ(
     out_dir: Path,
     aggressive: bool = False,
 ) -> int:
-    spec = parse_spec(spec_path.read_bytes())
+    spec = _read_spec(spec_path)
     if aggressive:
         spec = winnow_to_aggressive(spec)
     report = run_campaign(spec, MutationPlan(seed=seed), budget, jobs=jobs)
@@ -137,6 +148,7 @@ class _VariantMetrics:
 
 
 def _seed_requests(spec: BenchmarkSpec, exe_path: Path, seed: int) -> list[ExecRequest]:
+    from .verdict_engine import exec_request
     plan = MutationPlan(seed=seed)
     return [
         exec_request(spec, exe_path, derive_commands(cmd, plan, feature.name, ci, 1)[0], cmd)
@@ -152,6 +164,7 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> TrialSummary
     Its mean CPU is the sum of the per-command means and its mean peak RSS
     the largest per-command mean; its standard deviations are left at 0.
     """
+    from .exec_harness import SpawnError, TerminationKind, TrialSummary, run_trials
     total_cpu = 0.0
     max_rss = 0.0
     outcomes = []
@@ -173,6 +186,8 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> TrialSummary
 
 def _code_regions(ref: BinaryRef, aggregate_libs: bool) -> list[gadget_analyzer.CodeRegion] | None:
     """The binary's code regions; None if it cannot be read as an x86-64 ELF."""
+    from . import gadget_analyzer
+    from .elf import ElfParseError
     try:
         return gadget_analyzer.extract_code_regions(ref, aggregate_libs)
     except (ElfParseError, OSError):
@@ -196,11 +211,15 @@ def cmd_metrics(
     aggregate_libs: bool = False,
     with_perf: bool = True,
 ) -> int:
-    spec = parse_spec(spec_path.read_bytes())
-    # Every side's trials run before any code is read: a child's peak memory
-    # starts at this process's high-water mark, which reading code raises.
+    spec = _read_spec(spec_path)
+    # Every side's trials run before any code is read or the gadget layers are
+    # loaded: a child's peak memory starts at this process's high-water mark.
     original_perf = _perf_totals(spec, spec.original.exe_path, seed) if with_perf else None
     perfs = {v.label: _perf_totals(spec, v.exe_path, seed) for v in spec.variants} if original_perf else {}
+    from . import binary_metrics, gadget_analyzer
+    from .elf import ElfParseError
+    from .exec_harness import NotComparableError, perf_delta
+
     # Every side's code is read before any is scanned, so the gadget sets
     # are composed in one pass that sweeps each distinct region once.
     original_regions = _code_regions(spec.original, aggregate_libs)
@@ -290,7 +309,8 @@ def cmd_tool_wrap(
     Failures are still timed and recorded; a produced output binary is
     registered as a new variant in an updated copy of the spec.
     """
-    spec = parse_spec(spec_path.read_bytes())
+    from .exec_harness import ExecRequest, TerminationKind
+    spec = _read_spec(spec_path)
     # Built before the tool runs, so a spec that cannot take the new variant
     # is rejected at once, not after a run of up to max_seconds.
     updated = replace(
@@ -452,7 +472,7 @@ _out_opt = click.option(
 @_exits
 def validate(spec_path: Path):
     """Parse a spec and check its binaries on disk."""
-    spec = parse_spec(spec_path.read_bytes())
+    spec = _read_spec(spec_path)
     warnings = validate_spec_against_binaries(spec)
     for w in warnings:
         click.echo(f"warning: {w}")
@@ -472,6 +492,7 @@ def validate(spec_path: Path):
 @_exits
 def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive):
     """Run the differential campaign for every variant."""
+    from .verdict_engine import Budget
     jobs = jobs or len(os.sched_getaffinity(0))
     budget = Budget(max_seconds=max_seconds, max_mutants=max_mutants)
     return cmd_differ(spec_path, seed, budget, jobs, out_dir, aggressive)
@@ -500,6 +521,7 @@ def gadgets():
 @_exits
 def gadgets_compare(original_path: Path, variant_path: Path):
     """Compare the gadget sets of two binaries' own code, without libraries."""
+    from . import gadget_analyzer
     orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path))
     var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path))
     orig_report, [(var_report, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])

@@ -11,8 +11,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .exec_harness import ExecOutcome
+if TYPE_CHECKING:
+    from .exec_harness import ExecOutcome
 
 EVIDENCE_LIMIT = 1024
 _CONTEXT = 32

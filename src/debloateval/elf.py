@@ -12,6 +12,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import InputError
+
 ELF_MAGIC = b"\x7fELF"
 ELFCLASS64 = 2
 ELFDATA2LSB = 1
@@ -30,7 +32,7 @@ _PHDR = struct.Struct("<IIQQQQQQ")
 _DYN = struct.Struct("<qQ")
 
 
-class ElfParseError(Exception):
+class ElfParseError(InputError):
     pass
 
 

@@ -31,6 +31,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import InputError
 from .digest import Hash, sha256
 
 SCRATCH_ENV_VAR = "DV_SCRATCH"
@@ -44,11 +45,11 @@ _READ_CHUNK = 65536
 EXIT_GRACE_SECONDS = 0.05
 
 
-class SpawnError(Exception):
+class SpawnError(InputError):
     """The child process could not be started at all."""
 
 
-class SandboxError(Exception):
+class SandboxError(InputError):
     """The private sandbox directory could not be made."""
 
 

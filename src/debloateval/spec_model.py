@@ -19,6 +19,7 @@ from operator import attrgetter
 from pathlib import Path, PurePosixPath
 from typing import Callable, NamedTuple
 
+from . import InputError
 from .comparator import (
     ComparatorConfig,
     ComparatorKind,
@@ -33,7 +34,7 @@ DEFAULT_TRIALS = 10
 DEFAULT_TIMEOUT_SECONDS = 30.0
 
 
-class SpecError(Exception):
+class SpecError(InputError):
     """Base for specification loading failures; carries the offending path."""
 
     def __init__(self, path: str, message: str):
@@ -53,7 +54,7 @@ class InvariantError(SpecError):
     """Fields parse individually but violate a cross-field invariant."""
 
 
-class NoAnchorError(Exception):
+class NoAnchorError(InputError):
     pass
 
 

@@ -24,14 +24,14 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import __version__
+from . import InputError, __version__
 from .comparator import CompareReport, compare
 from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once, unstarted
 from .fuzz_engine import DerivedInput, MutationPlan, derive_commands
 from .spec_model import BenchmarkSpec, Disposition, TestCommand
 
 
-class CampaignAborted(Exception):
+class CampaignAborted(InputError):
     """The original binary could not run any seed input."""
 
 

@@ -60,16 +60,39 @@ def test_validate_missing_spec_file_is_exit_2(runner, tmp_path):
     assert result.exit_code == EXIT_ERROR
 
 
-@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
-def test_malformed_command_template_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
-    doc = toy_spec_doc(toy_pair, ["no_b"])
-    doc["features"][1]["commands"][0]["argv"] = ["b", "{{ascii:1..}}"]
-    args = [command, "--spec", write_spec(tmp_path, doc)]
+def _spec_command(command: str, spec: Path, tmp_path: Path) -> list:
+    """The arguments that run command on spec; tool-wrap's tool is /bin/true."""
+    args = [command, "--spec", spec]
     if command != "validate":
         args += ["--out", tmp_path / "out"]
     if command == "tool-wrap":
         args += ["--output", tmp_path / "never", "/bin/true"]
-    result = invoke(runner, *args)
+    return args
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{nope", "malformed JSON: "),
+        ("[1]", "top-level value must be an object"),
+        ('{"id": 5}', "id: expected string, got integer"),
+    ],
+)
+def test_spec_errors_name_the_spec_file(runner, tmp_path, command, text, message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    result = invoke(runner, *_spec_command(command, spec, tmp_path))
+    assert result.exit_code == EXIT_ERROR
+    assert f"error: {message}" in result.output
+    assert f"(in {spec})" in result.output
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_malformed_command_template_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    doc["features"][1]["commands"][0]["argv"] = ["b", "{{ascii:1..}}"]
+    result = invoke(runner, *_spec_command(command, write_spec(tmp_path, doc), tmp_path))
     assert result.exit_code == EXIT_ERROR
     assert "features[1].commands[0].argv[1]" in result.output
 
@@ -86,12 +109,7 @@ def test_lone_surrogate_in_a_spec_string_is_exit_2_naming_its_path(runner, tmp_p
     for path, plant in places.items():
         doc = toy_spec_doc(toy_pair, ["no_b"])
         plant(doc)
-        args = [command, "--spec", write_spec(tmp_path, doc)]
-        if command != "validate":
-            args += ["--out", tmp_path / "out"]
-        if command == "tool-wrap":
-            args += ["--output", tmp_path / "never", "/bin/true"]
-        result = invoke(runner, *args)
+        result = invoke(runner, *_spec_command(command, write_spec(tmp_path, doc), tmp_path))
         assert result.exit_code == EXIT_ERROR, path
         assert f"error: {path}: not UTF-8" in result.output
 
@@ -629,10 +647,10 @@ def test_version_flag(runner):
     assert result.exit_code == EXIT_OK
 
 
-# --- memory floor --------------------------------------------------------
+# --- memory floor and start-up ------------------------------------------
 
 _REPORT_LOADED = """\
-import sys
+import json, sys
 from debloateval.cli import main
 try:
     main(sys.argv[1:])
@@ -640,27 +658,106 @@ except SystemExit as exit:
     code = exit.code
 with open("/proc/self/maps") as maps:
     libcrypto = "libcrypto" in maps.read()
+print(json.dumps({
+    "layers": sorted(m.partition(".")[2] for m in sys.modules if m.startswith("debloateval.")),
+    "stdlib": [m for m in ("concurrent.futures", "subprocess") if m in sys.modules],
+}))
 print(code, "_hashlib" in sys.modules, libcrypto)
 """
 
 
-def test_no_cli_command_loads_openssl(tmp_path, toy_pair):
-    # hashlib would map OpenSSL's libcrypto, about 3.4 MiB, for a few short digests.
+def _fresh(script: str, *args) -> list[str]:
+    """The stdout lines of script run with args in a new interpreter on this checkout's source."""
+    src = Path(gadget_analyzer.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert proc.returncode == 0, (args, proc.stdout, proc.stderr)
+    return proc.stdout.splitlines()
+
+
+def _elves_with_libc(tmp_path: Path) -> Path:
     lib = write_elf(tmp_path, "libc.so.6", code=b"\x5f\xc3")
     elves = json.loads(elf_spec(tmp_path).read_text())
     for ref in [elves["original"], *elves["variants"]]:
         ref["libs"] = [str(lib)]
+    return write_spec(tmp_path, elves, "elves.json")
+
+
+def test_no_cli_command_loads_openssl(tmp_path, toy_pair):
+    # hashlib would map OpenSSL's libcrypto, about 3.4 MiB, for a few short digests.
     toy = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]), "toy.json")
     commands = [
         ["validate", "--spec", toy],
         ["differ", "--spec", toy, "--out", tmp_path / "differ"],
-        ["metrics", "--spec", write_spec(tmp_path, elves, "elves.json"), "--out", tmp_path / "metrics",
+        ["metrics", "--spec", _elves_with_libc(tmp_path), "--out", tmp_path / "metrics",
          "--no-perf", "--aggregate-libs"],
     ]
-    src = Path(gadget_analyzer.__file__).parents[1]
     for args in commands:
-        proc = subprocess.run(
-            [sys.executable, "-c", _REPORT_LOADED, *map(str, args)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-        )
-        assert proc.stdout.splitlines()[-1] == "0 False False", (args[0], proc.stdout, proc.stderr)
+        assert _fresh(_REPORT_LOADED, *args)[-1] == "0 False False", args[0]
+
+
+SPEC_LAYERS = ["cli", "comparator", "digest", "fuzz_engine", "spec_model"]
+GADGET_LAYERS = ["elf", "gadget_analyzer", "x86"]
+
+
+def test_each_command_loads_only_its_own_layers(tmp_path, toy_pair):
+    # The source is compiled on every call where bytecode is not cached, so
+    # each layer a command does not run costs it start-up time.
+    toy = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]), "toy.json")
+    elves = _elves_with_libc(tmp_path)
+    exes = json.loads(elves.read_text())
+    commands = [
+        (["validate", "--spec", toy], SPEC_LAYERS, []),
+        (["differ", "--spec", toy, "--out", tmp_path / "differ"],
+         SPEC_LAYERS + ["exec_harness", "verdict_engine"], ["concurrent.futures", "subprocess"]),
+        (["report", "--out", tmp_path / "differ"], SPEC_LAYERS, []),
+        (["metrics", "--spec", elves, "--out", tmp_path / "metrics", "--no-perf", "--aggregate-libs"],
+         SPEC_LAYERS + GADGET_LAYERS + ["binary_metrics", "exec_harness"], ["subprocess"]),
+        (["gadgets", "compare", "--original", exes["original"]["exe"], "--variant", exes["variants"][0]["exe"]],
+         SPEC_LAYERS + GADGET_LAYERS, []),
+        (["tool-wrap", "--spec", toy, "--out", tmp_path / "wrap", "--output", tmp_path / "never", "/bin/true"],
+         SPEC_LAYERS + ["exec_harness"], ["subprocess"]),
+    ]
+    for args, layers, stdlib in commands:
+        *_, loaded, status = _fresh(_REPORT_LOADED, *args)
+        assert status.startswith("0 "), args[:2]
+        assert json.loads(loaded) == {"layers": sorted(layers), "stdlib": stdlib}, args[:2]
+
+
+_COUNT_CALLS = """\
+import json, sys
+from debloateval import cli
+calls = {"verdict_engine loaded at import": "debloateval.verdict_engine" in sys.modules}
+def counting(name, real):
+    def call(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+    return call
+for name in ("run_campaign", "report_to_jsonl", "summary_to_json", "run_once"):
+    setattr(cli, name, counting(name, getattr(cli, name)))
+for args in json.loads(sys.argv[1]):
+    try:
+        cli.main(args)
+    except SystemExit as exit:
+        calls[args[0]] = exit.code
+print(json.dumps(calls))
+"""
+
+
+def test_commands_call_the_layers_through_the_cli_names(tmp_path, toy_pair):
+    # perfbench/tracer.py times a layer by replacing the cli attribute its
+    # command looks up, so a command that imports a layer late must still
+    # call it through that attribute.
+    toy = str(write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]), "toy.json"))
+    commands = [
+        ["differ", "--spec", toy, "--out", str(tmp_path / "differ")],
+        ["tool-wrap", "--spec", toy, "--out", str(tmp_path / "wrap"), "--output", str(tmp_path / "never"),
+         "/bin/true"],
+    ]
+    assert json.loads(_fresh(_COUNT_CALLS, json.dumps(commands))[-1]) == {
+        "verdict_engine loaded at import": False,
+        "run_campaign": 1, "report_to_jsonl": 1, "summary_to_json": 1, "differ": 0,
+        "run_once": 1, "tool-wrap": 0,
+    }

@@ -38,13 +38,15 @@ _template = _plain | st.sampled_from(["{{int:1..9}}", "-{{int:0..3}}x", "{{bytes
 _relative = st.sampled_from(["out", "out.txt", "dir/log", "a/b/c"])
 _path = st.builds(Path, _text.filter(bool))
 _pattern = st.sampled_from([r"[0-9]+", r"\d{4}-\d{2}", "a|b", r"\s+$", "(x)?"])
+# A backslash in a replacement starts an escape, and a bad one is no valid spec.
+_replacement = _text.filter(lambda s: "\\" not in s) | st.sampled_from([r"\\", r"\g<0>", r"<\n>"])
 
 
 def _comparator(kind: ComparatorKind):
     normalizers = st.just(())
     path = st.none()
     if kind in (ComparatorKind.STDOUT_NORMALIZED, ComparatorKind.STDERR_NORMALIZED):
-        normalizers = st.lists(st.builds(Normalizer, _pattern, _text), min_size=1, max_size=2).map(tuple)
+        normalizers = st.lists(st.builds(Normalizer, _pattern, _replacement), min_size=1, max_size=2).map(tuple)
     if kind is ComparatorKind.FILE_DIGEST:
         path = _relative
     return st.builds(ComparatorConfig, st.just(kind), normalizers, path)
