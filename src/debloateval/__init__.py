@@ -10,3 +10,7 @@ __version__ = "0.1.0"
 class InputError(Exception):
     """Bad input or an unusable environment: the CLI exits 2 with the message,
     which names the offending path, instead of a traceback."""
+
+
+class NotComparableError(Exception):
+    """A percentage delta is undefined because its baseline is zero."""

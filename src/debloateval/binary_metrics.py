@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import elf
-from .exec_harness import NotComparableError
+from . import NotComparableError, elf
 from .spec_model import BinaryRef
 
 

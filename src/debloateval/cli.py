@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import InputError, __version__
+from . import InputError, NotComparableError, __version__
 from .fuzz_engine import MutationPlan, derive_commands
 from .spec_model import (
     BenchmarkSpec,
@@ -218,7 +218,6 @@ def cmd_metrics(
     perfs = {v.label: _perf_totals(spec, v.exe_path, seed) for v in spec.variants} if original_perf else {}
     from . import binary_metrics, gadget_analyzer
     from .elf import ElfParseError
-    from .exec_harness import NotComparableError, perf_delta
 
     # Every side's code is read before any is scanned, so the gadget sets
     # are composed in one pass that sweeps each distinct region once.
@@ -250,6 +249,7 @@ def cmd_metrics(
         except ElfParseError:
             pass
         if (variant_perf := perfs.get(variant.label)) is not None:
+            from .exec_harness import perf_delta
             try:
                 perf = perf_delta(original_perf, variant_perf)
                 row.runtime_pct, row.memory_pct = perf.runtime_pct, perf.memory_pct

@@ -1,21 +1,44 @@
 """Controlled execution of candidate binaries with behavior and resource capture.
 
-Every run happens inside a fresh, empty private working directory (the
-sandbox), so concurrent or repeated runs never observe each other's file
-artifacts. Resource accounting (CPU time, peak RSS) comes from
-the child's rusage at reap time via ``os.wait4``.
+Every run starts in an empty private working directory (the sandbox) that
+no concurrent run uses, so concurrent or repeated runs never observe each
+other's file artifacts. Sandboxes come from a small pool of idle
+directories, kept per scratch root; with N runs at once it holds at most N.
+
+- A pooled directory is handed out only if it still has the mode it was
+  made with (so it is no symlink and was not made read-only) and
+  ``os.scandir`` finds it empty at that moment. Otherwise it is removed
+  and a new ``dv-sandbox-<uuid4>`` is made. The check also catches files
+  written between runs.
+- At the end of every run the child's whole process group is killed while
+  the child is still an unreaped zombie, so the group id cannot have been
+  reused.
+- The directory goes back to the pool only if the run neither timed out
+  nor needed the exit-grace kill; after either, a descendant may still be
+  alive, so the directory is removed.
+- Idle directories are removed at process exit (``atexit``).
+
+One case stays open: a descendant that leaves the run's group with
+``setsid`` and closes its pipes is not killed. It can litter a pooled
+directory during a later run; what it leaves between runs is caught at
+hand-out.
+
+Resource accounting (CPU time, peak RSS) comes from the child's rusage at
+reap time via ``os.wait4``.
 
 One selector loop per run writes stdin, reads stdout and stderr, and waits
 on a pidfd for the child's exit. ``timeout_seconds`` is a hard bound on a
 run's wall time: at the deadline the child's process group is killed and
 the pipes are closed, even when a descendant outside the group still holds
 one. A child that exits while descendants hold its pipes open gets
-EXIT_GRACE_SECONDS for them to close; then its group is killed and the
-pipes are closed too. ``wall_seconds`` is taken when the child is reaped.
+EXIT_GRACE_SECONDS for them to close; then the pipes are closed.
+``wall_seconds`` is taken when the pidfd reports the child's exit, before
+the reap.
 """
 
 from __future__ import annotations
 
+import atexit
 import enum
 import math
 import os
@@ -25,13 +48,14 @@ import signal
 import statistics
 import subprocess
 import tempfile
+import threading
 import time
 import uuid
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError
+from . import InputError, NotComparableError
 from .digest import Hash, sha256
 
 SCRATCH_ENV_VAR = "DV_SCRATCH"
@@ -51,10 +75,6 @@ class SpawnError(InputError):
 
 class SandboxError(InputError):
     """The private sandbox directory could not be made."""
-
-
-class NotComparableError(Exception):
-    """A percentage delta is undefined because the baseline mean is zero."""
 
 
 class TerminationKind(enum.Enum):
@@ -177,27 +197,66 @@ def _digest_files(sandbox: Path, rel_paths: list[str]) -> dict[str, tuple[bool, 
     return digests
 
 
-def run_once(req: ExecRequest) -> ExecOutcome:
-    """Execute the request once in a fresh sandbox and account for it.
+# Idle sandboxes by scratch root, each with the st_mode it was made with.
+_idle: dict[Path, list[tuple[Path, int]]] = {}
+_idle_lock = threading.Lock()
 
-    Raises SpawnError if the program cannot be started and SandboxError if
-    the sandbox directory cannot be created. A timed-out child is killed
-    together with its whole process group.
-    """
-    root = scratch_root()
+
+def _take_sandbox(root: Path) -> tuple[Path, int]:
+    """An idle sandbox under root that is still empty, or else a new one."""
+    with _idle_lock:
+        pooled = _idle.get(root)
+        entry = pooled.pop() if pooled else None
+    if entry is not None:
+        sandbox, mode = entry
+        try:
+            with os.scandir(sandbox) as entries:
+                if os.lstat(sandbox).st_mode == mode and next(entries, None) is None:
+                    return entry
+        except OSError:
+            pass
+        shutil.rmtree(sandbox, ignore_errors=True)
     sandbox = root / f"dv-sandbox-{uuid.uuid4().hex}"
     try:
         sandbox.mkdir(parents=True)
+        return sandbox, os.lstat(sandbox).st_mode
     except OSError as exc:
         raise SandboxError(f"cannot prepare sandbox under {root}: {exc}") from exc
 
+
+@atexit.register
+def _remove_idle_sandboxes() -> None:
+    with _idle_lock:
+        for pooled in _idle.values():
+            for sandbox, _ in pooled:
+                shutil.rmtree(sandbox, ignore_errors=True)
+        _idle.clear()
+
+
+def run_once(req: ExecRequest) -> ExecOutcome:
+    """Execute the request once in an empty private sandbox and account for it.
+
+    Raises SpawnError if the program cannot be started and SandboxError if
+    the sandbox directory cannot be created. The child's whole process
+    group is killed when the run ends.
+    """
+    root = scratch_root()
+    sandbox, mode = _take_sandbox(root)
+    settled = False
     try:
-        return _run_in_sandbox(req, sandbox)
+        outcome, settled = _run_in_sandbox(req, sandbox)
+        return outcome
     finally:
-        shutil.rmtree(sandbox, ignore_errors=True)
+        if settled:
+            with _idle_lock:
+                _idle.setdefault(root, []).append((sandbox, mode))
+        else:
+            shutil.rmtree(sandbox, ignore_errors=True)
 
 
-def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
+def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> tuple[ExecOutcome, bool]:
+    """The run's outcome, and whether it settled: the child exited and its
+    pipes closed before the deadline and the exit grace ran out."""
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
@@ -215,7 +274,7 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
     captures = {proc.stdout.fileno(): _Capture(), proc.stderr.fileno(): _Capture()}
     pending = memoryview(req.stdin)
     close_at = start + req.timeout_seconds
-    status = None
+    wall = None
     pidfd = os.pidfd_open(proc.pid)
     try:
         with selectors.DefaultSelector() as sel:
@@ -233,13 +292,12 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
                 sel.register(proc.stdin, selectors.EVENT_WRITE)
             else:
                 proc.stdin.close()
-            # Once the child is reaped only its open output pipes stay registered.
+            # Once the child has exited only its open output pipes stay registered.
             while sel.get_map() and (wait := close_at - time.monotonic()) > 0:
                 for key, _ in sel.select(wait):
                     if key.fileobj is proc.stdin and proc.stdin.closed:
-                        continue  # dropped when the child was reaped, earlier in this batch
+                        continue  # dropped when the child exited, earlier in this batch
                     if key.fd == pidfd:
-                        _, status, rusage = os.wait4(proc.pid, 0)
                         wall = time.monotonic() - start
                         close_at = min(close_at, start + wall + EXIT_GRACE_SECONDS)
                         sel.unregister(pidfd)
@@ -258,13 +316,14 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
                     else:
                         drop(key.fileobj)
     finally:
-        # The deadline or the exit grace ran out (or the loop failed).
-        timed_out = status is None
-        if timed_out or not (proc.stdout.closed and proc.stderr.closed):
-            with suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
+        # Whatever is left of the group is killed while the child is still an
+        # unreaped zombie: its pid, and so the group id, cannot have been reused.
+        timed_out = wall is None
+        settled = not timed_out and proc.stdout.closed and proc.stderr.closed
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        _, status, rusage = os.wait4(proc.pid, 0)
         if timed_out:
-            _, status, rusage = os.wait4(proc.pid, 0)
             wall = max(time.monotonic() - start, req.timeout_seconds)
         # Reaped via wait4; stop Popen from waiting again on destruction.
         proc.returncode = 0
@@ -290,7 +349,7 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> ExecOutcome:
         peak_rss_bytes=rusage.ru_maxrss * 1024,
         stdout_overflow_sha256=out.overflow and out.overflow.digest(),
         stderr_overflow_sha256=err.overflow and err.overflow.digest(),
-    )
+    ), settled
 
 
 def run_trials(req: ExecRequest, n: int) -> TrialSummary:

@@ -714,7 +714,7 @@ def test_each_command_loads_only_its_own_layers(tmp_path, toy_pair):
          SPEC_LAYERS + ["exec_harness", "verdict_engine"], ["concurrent.futures", "subprocess"]),
         (["report", "--out", tmp_path / "differ"], SPEC_LAYERS, []),
         (["metrics", "--spec", elves, "--out", tmp_path / "metrics", "--no-perf", "--aggregate-libs"],
-         SPEC_LAYERS + GADGET_LAYERS + ["binary_metrics", "exec_harness"], ["subprocess"]),
+         SPEC_LAYERS + GADGET_LAYERS + ["binary_metrics"], []),
         (["gadgets", "compare", "--original", exes["original"]["exe"], "--variant", exes["variants"][0]["exe"]],
          SPEC_LAYERS + GADGET_LAYERS, []),
         (["tool-wrap", "--spec", toy, "--out", tmp_path / "wrap", "--output", tmp_path / "never", "/bin/true"],

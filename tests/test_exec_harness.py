@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -132,6 +134,97 @@ def test_each_run_starts_in_a_fresh_empty_sandbox(tmp_path):
     first = run_once(req(exe))
     second = run_once(req(exe))
     assert first.stdout == second.stdout == b""
+
+
+def test_concurrent_runs_reuse_only_empty_sandboxes_and_never_share_one(tmp_path):
+    # Even runs litter their sandbox, odd runs leave it empty for the next.
+    exe = make_script(tmp_path, "probe", 'ls -A; pwd; [ "$1" = litter ] && echo x > left-behind.txt; exit 0\n')
+
+    def run(i: int) -> tuple[float, float, list[str]]:
+        start = time.monotonic()
+        outcome = run_once(req(exe, ["litter" if i % 2 == 0 else "clean"]))
+        return start, time.monotonic(), outcome.stdout.decode().splitlines()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often, to expose a lost pool update
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(run, range(100)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(lines) == 1 for *_, lines in runs)  # `ls -A` printed nothing
+    pwds = [lines[0] for *_, lines in runs]
+    for i, (start_a, end_a, _) in enumerate(runs):
+        for j, (start_b, end_b, _) in enumerate(runs[:i]):
+            if start_a < end_b and start_b < end_a:
+                assert pwds[i] != pwds[j]
+    assert len(set(pwds)) < len(pwds)  # the clean runs' sandboxes were reused
+
+
+def test_a_timed_out_run_never_passes_its_sandbox_on(tmp_path):
+    # The setsid descendant outlives the timeout and writes after it.
+    exe = make_script(
+        tmp_path, "detached",
+        "pwd; setsid sh -c 'sleep 0.6; touch late' </dev/null >/dev/null 2>&1 &\nsleep 10\n",
+    )
+    later = make_script(tmp_path, "later", "pwd; sleep 0.8; ls -A\n")
+    run_once(req(Path("/bin/true")))  # leaves one sandbox idle for the timed-out run
+    timed_out = run_once(req(exe, timeout_seconds=0.3))
+    assert timed_out.termination.kind is TerminationKind.TIMED_OUT
+    pwd, *listing = run_once(req(later)).stdout.decode().splitlines()
+    assert pwd != timed_out.stdout.decode().strip()
+    assert listing == []
+
+
+def test_an_in_group_background_child_is_killed_when_the_run_ends(tmp_path):
+    mark = tmp_path / "mark"
+    exe = make_script(tmp_path, "bg", f'(sleep 0.3; touch "{mark}") >/dev/null 2>&1 &\n')
+    assert run_once(req(exe)).termination == Termination.exited(0)
+    time.sleep(0.6)
+    assert not mark.exists()
+
+
+@pytest.mark.parametrize("tamper", ["chmod 500 .", 'd=$PWD; cd /; rmdir "$d" && ln -s "$ELSEWHERE" "$d"'])
+def test_a_sandbox_made_read_only_or_swapped_for_a_symlink_is_not_reused(tmp_path, scratch_env, tamper):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    probe = make_script(tmp_path, "probe", "pwd -P; stat -c %a .\n")
+    vandal = make_script(tmp_path, "vandal", tamper + "\n")
+    before = run_once(req(probe)).stdout.decode().split()
+    assert run_once(req(vandal, env={"ELSEWHERE": str(elsewhere)})).termination == Termination.exited(0)
+    after = run_once(req(probe)).stdout.decode().split()
+    assert Path(after[0]).parent == scratch_env.resolve()
+    assert after[1] == before[1]
+
+
+_CLI = "from debloateval.cli import main; main(prog_name='debloateval')"
+
+
+def test_a_differ_campaign_uses_one_sandbox_per_job_and_leaves_scratch_empty(tmp_path):
+    log = tmp_path / "pwd.log"
+    programs = {
+        name: str(make_script(tmp_path, name, f'pwd >> "{log}"\necho "$1"\n')) for name in ("original", "variant")
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "id": "pool",
+        "original": {"label": "original", "exe": programs["original"]},
+        "variants": [{"label": "variant", "exe": programs["variant"]}],
+        "features": [{"name": "echo", "disposition": "retain",
+                      "commands": [{"argv": ["{{dict:a|b|c}}"], "fuzz_count": 20}]}],
+    }))
+    scratch = tmp_path / "fresh-scratch"
+    scratch.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI, "differ", "--spec", str(spec), "--out", str(tmp_path / "out"), "--jobs", "2"],
+        capture_output=True, timeout=120,
+        env={**os.environ, "DV_SCRATCH": str(scratch), "PYTHONPATH": str(Path(exec_harness.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    pwds = log.read_text().splitlines()
+    assert len(pwds) > 40
+    assert len(set(pwds)) <= 2
+    assert list(scratch.iterdir()) == []
 
 
 def test_capture_files_report_existence_and_digest(tmp_path):
