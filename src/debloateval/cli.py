@@ -96,6 +96,10 @@ def _read_spec(spec_path: Path) -> BenchmarkSpec:
         raise
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _fmt_pct(value: float | None) -> str:
     return "N/A" if value is None else f"{value:.1f}%"
 
@@ -104,16 +108,63 @@ def _fmt_num(value: float | None, digits: int = 1) -> str:
     return "N/A" if value is None else f"{value:.{digits}f}"
 
 
+# --- click group and shared options ------------------------------------
+
+@click.group()
+@click.version_option(version=__version__)
+def main():
+    """Validate and measure debloated program variants."""
+
+
+class _FiniteFloat(click.FloatRange):
+    """A FloatRange that also rejects nan, which passes every bound, and +-inf."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+
+_spec_opt = click.option(
+    "--spec", "spec_path", type=click.Path(path_type=Path), required=True, help="Spec JSON file."
+)
+_seed_opt = click.option("--seed", type=int, default=0, show_default=True, help="Global fuzz seed.")
+_out_opt = click.option(
+    "--out", "out_dir", type=click.Path(path_type=Path), default=Path("dv-out"), show_default=True
+)
+
+
+@main.command()
+@_spec_opt
+@_exits
+def validate(spec_path: Path):
+    """Parse a spec and check its binaries on disk."""
+    spec = _read_spec(spec_path)
+    warnings = validate_spec_against_binaries(spec)
+    for w in warnings:
+        click.echo(f"warning: {w}")
+    click.echo(f"spec {spec.id!r}: {len(spec.variants)} variant(s), {len(spec.features)} feature(s)")
+    return EXIT_OK
+
+
 # --- differ ------------------------------------------------------------
 
-def cmd_differ(
-    spec_path: Path,
-    seed: int,
-    budget: Budget,
-    jobs: int,
-    out_dir: Path,
-    aggressive: bool = False,
-) -> int:
+@main.command()
+@_spec_opt
+@_seed_opt
+@_out_opt
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="Worker threads (default: the CPUs this process may run on).")
+@click.option("--max-seconds", type=_FiniteFloat(min=0), default=None, help="Fuzzing wall-clock budget.")
+@click.option("--max-mutants", type=click.IntRange(min=0), default=None, help="Total fuzzed-input budget.")
+@click.option("--aggressive", is_flag=True, help="Winnow the spec to its aggressive form first.")
+@_exits
+def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive):
+    """Run the differential campaign for every variant."""
+    from .verdict_engine import Budget
+    jobs = jobs or len(os.sched_getaffinity(0))
+    budget = Budget(max_seconds=max_seconds, max_mutants=max_mutants)
     spec = _read_spec(spec_path)
     if aggressive:
         spec = winnow_to_aggressive(spec)
@@ -121,12 +172,9 @@ def cmd_differ(
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "verdicts.jsonl").write_bytes(report_to_jsonl(report))
-    summary = summary_to_json(report, seed)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "summary.json", summary_to_json(report, seed))
     render_report(out_dir)
-
-    all_passed = all(report.variant_passed(label) for label in report.per_variant)
-    return EXIT_OK if all_passed else EXIT_ANOMALIES
+    return EXIT_OK if all(report.variant_passed(label) for label in report.per_variant) else EXIT_ANOMALIES
 
 
 # --- metrics -----------------------------------------------------------
@@ -194,27 +242,19 @@ def _code_regions(ref: BinaryRef, aggregate_libs: bool) -> list[gadget_analyzer.
         return None
 
 
-def _gadget_summary(report: gadget_analyzer.GadgetSetReport) -> dict:
-    return {
-        "gadgets": report.gadget_count,
-        "expressivity": report.expressivity.count,
-        "mean_quality": report.mean_quality,
-        "special_types": sorted(report.special_types),
-        "syscall_gadgets": report.syscall_gadget_count,
-    }
-
-
-def cmd_metrics(
-    spec_path: Path,
-    seed: int,
-    out_dir: Path,
-    aggregate_libs: bool = False,
-    with_perf: bool = True,
-) -> int:
+@main.command()
+@_spec_opt
+@_seed_opt
+@_out_opt
+@click.option("--aggregate-libs", is_flag=True, help="Include libraries in gadget comparisons.")
+@click.option("--no-perf", is_flag=True, help="Skip run-time/memory trials.")
+@_exits
+def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
+    """Compute size, library, performance, and security metrics."""
     spec = _read_spec(spec_path)
     # Every side's trials run before any code is read or the gadget layers are
     # loaded: a child's peak memory starts at this process's high-water mark.
-    original_perf = _perf_totals(spec, spec.original.exe_path, seed) if with_perf else None
+    original_perf = None if no_perf else _perf_totals(spec, spec.original.exe_path, seed)
     perfs = {v.label: _perf_totals(spec, v.exe_path, seed) for v in spec.variants} if original_perf else {}
     from . import binary_metrics, gadget_analyzer
     from .elf import ElfParseError
@@ -273,8 +313,52 @@ def cmd_metrics(
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "variants": {label: asdict(row) for label, row in rows.items()},
     }
-    (out_dir / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "metrics.json", doc)
     render_report(out_dir)
+    return EXIT_OK
+
+
+# --- gadgets compare ---------------------------------------------------
+
+def _gadget_summary(report: gadget_analyzer.GadgetSetReport) -> dict:
+    return {
+        "gadgets": report.gadget_count,
+        "expressivity": report.expressivity.count,
+        "mean_quality": report.mean_quality,
+        "special_types": sorted(report.special_types),
+        "syscall_gadgets": report.syscall_gadget_count,
+    }
+
+
+@main.group()
+def gadgets():
+    """Gadget-set analysis commands."""
+
+
+@gadgets.command("compare")
+@click.option("--original", "original_path", type=click.Path(path_type=Path), required=True)
+@click.option("--variant", "variant_path", type=click.Path(path_type=Path), required=True)
+@_exits
+def gadgets_compare(original_path: Path, variant_path: Path):
+    """Compare the gadget sets of two binaries' own code, without libraries."""
+    from . import gadget_analyzer
+    orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path))
+    var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path))
+    orig_report, [(var_report, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])
+    delta = gadget_analyzer.compare_sets(orig_report, var_report)
+    doc = {
+        "original": _gadget_summary(orig_report),
+        "variant": _gadget_summary(var_report),
+        "delta": {
+            "expressivity": delta.expressivity_delta,
+            "quality": delta.quality_delta,
+            "quality_significant": delta.quality_significant,
+            "sp_types": delta.sp_types_delta,
+            "syscall_event": delta.syscall_event.value,
+            "locality_pct": locality_pct,
+        },
+    }
+    click.echo(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -297,18 +381,18 @@ def _file_identity(path: Path) -> tuple[int, int, int] | None:
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def cmd_tool_wrap(
-    tool_cmdline: list[str],
-    spec_path: Path,
-    output_path: Path,
-    out_dir: Path,
-    max_seconds: float = 48 * 3600.0,
-) -> int:
-    """Run an external debloater under resource accounting.
-
-    Failures are still timed and recorded; a produced output binary is
-    registered as a new variant in an updated copy of the spec.
-    """
+@main.command("tool-wrap")
+@_spec_opt
+@_out_opt
+@click.option("--output", "output_path", type=click.Path(path_type=Path), required=True,
+              help="Path where the tool is expected to produce the variant.")
+@click.option("--max-seconds", type=_FiniteFloat(min=0, min_open=True), default=48 * 3600.0, show_default=True)
+@click.argument("tool_cmdline", nargs=-1, required=True)
+@_exits
+def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
+    """Run a debloating tool under CPU/memory accounting."""
+    # Failures are still timed and recorded; a produced output binary is
+    # registered as a new variant in an updated copy of the spec.
     from .exec_harness import ExecRequest, TerminationKind
     spec = _read_spec(spec_path)
     # Built before the tool runs, so a spec that cannot take the new variant
@@ -318,16 +402,11 @@ def cmd_tool_wrap(
     )
     # The tool runs in an empty sandbox directory, so it must address the
     # target program and its output via absolute paths.
-    req = ExecRequest(
-        exe_path=Path(tool_cmdline[0]),
-        argv=tool_cmdline[1:],
-        timeout_seconds=max_seconds,
-    )
+    req = ExecRequest(exe_path=Path(tool_cmdline[0]), argv=list(tool_cmdline[1:]),
+                      timeout_seconds=max_seconds)
     before = _file_identity(output_path)
     outcome = run_once(req)
-    exited_ok = (
-        outcome.termination.kind is TerminationKind.EXITED and outcome.termination.code == 0
-    )
+    exited_ok = outcome.termination.kind is TerminationKind.EXITED and outcome.termination.code == 0
     # A file the tool left as it found it is stale, not produced.
     produced = output_path.is_file() and _file_identity(output_path) != before
     record = ToolPerfRecord(
@@ -337,7 +416,7 @@ def cmd_tool_wrap(
         termination=outcome.termination.describe(),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tool_perf.json").write_text(json.dumps(asdict(record), indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "tool_perf.json", asdict(record))
     if produced:
         (out_dir / "spec.updated.json").write_bytes(serialize_spec(updated))
     click.echo(
@@ -438,121 +517,6 @@ def _summary_section(doc: dict) -> list[str]:
         lines += [f"Nondeterministic original (two runs of the seed input differ under the feature's "
                   f"comparators, so its verdicts may blame the variant): {', '.join(unrepeated)}.", ""]
     return lines
-
-
-# --- click wiring ------------------------------------------------------
-
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Validate and measure debloated program variants."""
-
-
-class _FiniteFloat(click.FloatRange):
-    """A FloatRange that also rejects nan, which passes every bound, and +-inf."""
-
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{number} is not a finite number.", param, ctx)
-        return number
-
-
-_spec_opt = click.option(
-    "--spec", "spec_path", type=click.Path(path_type=Path), required=True, help="Spec JSON file."
-)
-_seed_opt = click.option("--seed", type=int, default=0, show_default=True, help="Global fuzz seed.")
-_out_opt = click.option(
-    "--out", "out_dir", type=click.Path(path_type=Path), default=Path("dv-out"), show_default=True
-)
-
-
-@main.command()
-@_spec_opt
-@_exits
-def validate(spec_path: Path):
-    """Parse a spec and check its binaries on disk."""
-    spec = _read_spec(spec_path)
-    warnings = validate_spec_against_binaries(spec)
-    for w in warnings:
-        click.echo(f"warning: {w}")
-    click.echo(f"spec {spec.id!r}: {len(spec.variants)} variant(s), {len(spec.features)} feature(s)")
-    return EXIT_OK
-
-
-@main.command()
-@_spec_opt
-@_seed_opt
-@_out_opt
-@click.option("--jobs", type=click.IntRange(min=1), default=None,
-              help="Worker threads (default: the CPUs this process may run on).")
-@click.option("--max-seconds", type=_FiniteFloat(min=0), default=None, help="Fuzzing wall-clock budget.")
-@click.option("--max-mutants", type=click.IntRange(min=0), default=None, help="Total fuzzed-input budget.")
-@click.option("--aggressive", is_flag=True, help="Winnow the spec to its aggressive form first.")
-@_exits
-def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive):
-    """Run the differential campaign for every variant."""
-    from .verdict_engine import Budget
-    jobs = jobs or len(os.sched_getaffinity(0))
-    budget = Budget(max_seconds=max_seconds, max_mutants=max_mutants)
-    return cmd_differ(spec_path, seed, budget, jobs, out_dir, aggressive)
-
-
-@main.command()
-@_spec_opt
-@_seed_opt
-@_out_opt
-@click.option("--aggregate-libs", is_flag=True, help="Include libraries in gadget comparisons.")
-@click.option("--no-perf", is_flag=True, help="Skip run-time/memory trials.")
-@_exits
-def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
-    """Compute size, library, performance, and security metrics."""
-    return cmd_metrics(spec_path, seed, out_dir, aggregate_libs, with_perf=not no_perf)
-
-
-@main.group()
-def gadgets():
-    """Gadget-set analysis commands."""
-
-
-@gadgets.command("compare")
-@click.option("--original", "original_path", type=click.Path(path_type=Path), required=True)
-@click.option("--variant", "variant_path", type=click.Path(path_type=Path), required=True)
-@_exits
-def gadgets_compare(original_path: Path, variant_path: Path):
-    """Compare the gadget sets of two binaries' own code, without libraries."""
-    from . import gadget_analyzer
-    orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path))
-    var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path))
-    orig_report, [(var_report, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])
-    delta = gadget_analyzer.compare_sets(orig_report, var_report)
-    doc = {
-        "original": _gadget_summary(orig_report),
-        "variant": _gadget_summary(var_report),
-        "delta": {
-            "expressivity": delta.expressivity_delta,
-            "quality": delta.quality_delta,
-            "quality_significant": delta.quality_significant,
-            "sp_types": delta.sp_types_delta,
-            "syscall_event": delta.syscall_event.value,
-            "locality_pct": locality_pct,
-        },
-    }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-@main.command("tool-wrap")
-@_spec_opt
-@_out_opt
-@click.option("--output", "output_path", type=click.Path(path_type=Path), required=True,
-              help="Path where the tool is expected to produce the variant.")
-@click.option("--max-seconds", type=_FiniteFloat(min=0, min_open=True), default=48 * 3600.0, show_default=True)
-@click.argument("tool_cmdline", nargs=-1, required=True)
-@_exits
-def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
-    """Run a debloating tool under CPU/memory accounting."""
-    return cmd_tool_wrap(list(tool_cmdline), spec_path, output_path, out_dir, max_seconds)
 
 
 @main.command()

@@ -8,8 +8,9 @@ directories, kept per scratch root; with N runs at once it holds at most N.
 - A pooled directory is handed out only if it still has the mode it was
   made with (so it is no symlink and was not made read-only) and
   ``os.scandir`` finds it empty at that moment. Otherwise it is removed
-  and a new ``dv-sandbox-<uuid4>`` is made. The check also catches files
-  written between runs.
+  (a symlink left in its place is unlinked, never followed) and a new
+  ``dv-sandbox-<uuid4>`` is made. The check also catches files written
+  between runs.
 - At the end of every run the child's whole process group is killed while
   the child is still an unreaped zombie, so the group id cannot have been
   reused.
@@ -215,7 +216,7 @@ def _take_sandbox(root: Path) -> tuple[Path, int]:
                     return entry
         except OSError:
             pass
-        shutil.rmtree(sandbox, ignore_errors=True)
+        _remove_sandbox(sandbox)
     sandbox = root / f"dv-sandbox-{uuid.uuid4().hex}"
     try:
         sandbox.mkdir(parents=True)
@@ -224,12 +225,20 @@ def _take_sandbox(root: Path) -> tuple[Path, int]:
         raise SandboxError(f"cannot prepare sandbox under {root}: {exc}") from exc
 
 
+def _remove_sandbox(sandbox: Path) -> None:
+    """Remove a sandbox; a symlink or file its program left in its place is unlinked, never followed."""
+    try:
+        sandbox.unlink()
+    except OSError:
+        shutil.rmtree(sandbox, ignore_errors=True)
+
+
 @atexit.register
 def _remove_idle_sandboxes() -> None:
     with _idle_lock:
         for pooled in _idle.values():
             for sandbox, _ in pooled:
-                shutil.rmtree(sandbox, ignore_errors=True)
+                _remove_sandbox(sandbox)
         _idle.clear()
 
 
@@ -251,7 +260,7 @@ def run_once(req: ExecRequest) -> ExecOutcome:
             with _idle_lock:
                 _idle.setdefault(root, []).append((sandbox, mode))
         else:
-            shutil.rmtree(sandbox, ignore_errors=True)
+            _remove_sandbox(sandbox)
 
 
 def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> tuple[ExecOutcome, bool]:

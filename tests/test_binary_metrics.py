@@ -17,7 +17,7 @@ from debloateval.elf import ElfParseError, executable_segments, needed_libraries
 from debloateval.exec_harness import NotComparableError
 from debloateval.spec_model import BinaryRef
 
-from conftest import build_elf, write_elf
+from conftest import LIBC, build_elf, write_elf
 
 
 def ref(path: Path, libs: tuple[Path, ...] = (), static: bool = False) -> BinaryRef:
@@ -95,16 +95,19 @@ def test_executable_segment_extraction(tmp_path):
 
 
 class _CountingReads:
-    """Stands in for os.pread in debloateval.elf and counts the calls."""
+    """Stands in for os.pread in debloateval.elf and counts the calls and the bytes read."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.bytes = 0
         self._pread = os.pread
         monkeypatch.setattr(elf.os, "pread", self)
 
     def __call__(self, fd, n, offset):
         self.calls += 1
-        return self._pread(fd, n, offset)
+        data = self._pread(fd, n, offset)
+        self.bytes += len(data)
+        return data
 
     def reads(self, parse) -> int:
         before = self.calls
@@ -169,6 +172,28 @@ def test_executable_segments_rejects_other_machines(tmp_path):
     assert needed_libraries(path) == ["libc.so.6"]
 
 
+def test_needed_libraries_reads_only_the_headers_and_the_dynamic_data(tmp_path, monkeypatch):
+    image = build_elf(b"\x5f\xc3", needed=["libc.so.6", "libm.so.6"])
+    path = tmp_path / "prog"
+    path.write_bytes(image + bytes(4 << 20))  # a 4 MiB tail that no segment maps
+    reads = _CountingReads(monkeypatch)
+    assert needed_libraries(path) == ["libc.so.6", "libm.so.6"]
+    assert 0 < reads.bytes < len(image)
+
+
+def test_a_program_header_table_claimed_larger_than_the_file_is_rejected(tmp_path, monkeypatch):
+    # e_phnum * e_phentsize claims about 4 GiB; no read may ask for more than the file holds.
+    image = bytearray(build_elf(b"\x5f\xc3", needed=["libc.so.6"]).ljust(4096, b"\x00"))
+    struct.pack_into("<HH", image, 54, 0xFFFF, 0xFFFF)  # e_phentsize, e_phnum
+    path = tmp_path / "huge-table"
+    path.write_bytes(image)
+    reads = _CountingReads(monkeypatch)
+    for parse in (executable_segments, needed_libraries):
+        with pytest.raises(ElfParseError, match=re.escape(str(path))):
+            parse(path)
+    assert reads.bytes <= 2 * len(image)
+
+
 def test_dynamic_elf_lists_needed_in_order(tmp_path):
     path = write_elf(tmp_path, "prog", needed=["libm.so.6", "libc.so.6"])
     assert needed_libraries(path) == ["libm.so.6", "libc.so.6"]
@@ -191,10 +216,12 @@ def test_needed_matches_readelf(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("readelf") is None, reason="readelf unavailable")
-def test_needed_matches_readelf_on_system_binary():
-    path = Path("/bin/ls")
-    if not path.exists():
-        pytest.skip("/bin/ls unavailable")
+@pytest.mark.parametrize("name", ["/bin/ls", "gzip", "base64", "libc.so.6"])
+def test_needed_matches_readelf_on_system_binary(name):
+    found = str(LIBC) if name == "libc.so.6" and LIBC else shutil.which(name)
+    if found is None:
+        pytest.skip(f"{name} unavailable")
+    path = Path(found)
     out = subprocess.run(
         ["readelf", "-d", str(path)], capture_output=True, text=True, check=True
     ).stdout

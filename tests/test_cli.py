@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -15,10 +16,14 @@ from hypothesis import strategies as st
 
 from debloateval import cli, gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+from debloateval.comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline
 from debloateval.elf import executable_segments
-from debloateval.spec_model import BinaryRef, parse_spec
+from debloateval.spec_model import (
+    BenchmarkSpec, BinaryRef, Disposition, Feature, TestCommand, parse_spec, serialize_spec,
+)
 
 from conftest import LIBC, make_script, toy_spec_doc, write_elf, write_spec
+from test_spec_format import _pipeline, _relative, _template, _text
 
 
 @pytest.fixture
@@ -244,6 +249,76 @@ def test_a_variant_that_does_nothing_never_passes_unremarked(tmp_path_factory, t
         return
     summary = json.loads((out / "summary.json").read_text())
     entry = summary["variants"]["false"]
+    if result.exit_code == EXIT_ANOMALIES:
+        assert entry["passed"] is False
+    else:
+        assert result.exit_code == EXIT_OK, result.output
+        assert entry["passed"] is True
+        assert entry["mutual_timeouts"] == sum(entry["verdict_counts"].values())
+
+
+def _with_exit_status(pipeline: ComparatorPipeline) -> ComparatorPipeline:
+    exit_status = ComparatorConfig(ComparatorKind.EXIT_STATUS)
+    if exit_status in pipeline.comparators:
+        return pipeline
+    return ComparatorPipeline((exit_status, *pipeline.comparators))
+
+
+@st.composite
+def _cat_false_documents(draw) -> tuple[str, float]:
+    """A cat/false spec built by the spec format's strategies, as JSON, and its timeout.
+
+    The timeout may be NaN or +-Infinity, which the JSON spells as such.
+    Every pipeline compares exit status, so /bin/false can never match
+    /bin/cat's reading of its stdin.
+    """
+    pipeline = _pipeline.map(_with_exit_status)
+    command = st.builds(
+        TestCommand, st.just(("-",)), st.none() | _template, st.lists(_relative, max_size=2).map(tuple),
+        st.integers(0, 2),
+    )
+    feature = Feature(
+        draw(_text), Disposition.RETAIN, tuple(draw(st.lists(command, min_size=1, max_size=2))),
+        draw(st.none() | pipeline), True,
+    )
+    spec = BenchmarkSpec(
+        id=draw(_text.filter(bool)),
+        original=BinaryRef("original", Path("/bin/cat")),
+        variants=(BinaryRef("false", Path("/bin/false")),),
+        features=(feature,),
+        default_comparators=draw(pipeline),
+    )
+    doc = json.loads(serialize_spec(spec))
+    doc["timeout_seconds"] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-6]) | st.floats(1e-3, 5))
+    return json.dumps(doc), doc["timeout_seconds"]
+
+
+@given(
+    document=_cat_false_documents(),
+    seed=st.integers(0, 2**32),
+    max_mutants=st.sampled_from([None, "0", "1", "7"]),
+    jobs=st.sampled_from(["1", "2"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_generated_variant_that_does_nothing_never_passes_unremarked(tmp_path_factory, document, seed,
+                                                                       max_mutants, jobs):
+    text, timeout = document
+    assert ("NaN" in text or "Infinity" in text) == (not math.isfinite(timeout))
+    tmp_path = tmp_path_factory.mktemp("metamorphic")
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    args = ["differ", "--spec", spec, "--out", out, "--seed", seed, "--jobs", jobs]
+    if max_mutants is not None:
+        args += ["--max-mutants", max_mutants]
+    result = invoke(CliRunner(), *args)
+    event(f"exit {result.exit_code}")
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+    if not (math.isfinite(timeout) and timeout > 0):
+        assert result.exit_code == EXIT_ERROR and "error: timeout_seconds: " in result.output, result.output
+        return
+    entry = json.loads((out / "summary.json").read_text())["variants"]["false"]
     if result.exit_code == EXIT_ANOMALIES:
         assert entry["passed"] is False
     else:
@@ -645,6 +720,22 @@ def test_report_on_metrics_missing_a_key_is_exit_2(runner, tmp_path):
 def test_version_flag(runner):
     result = invoke(runner, "--version")
     assert result.exit_code == EXIT_OK
+
+
+def test_help_lists_every_command_with_its_one_line_help(runner):
+    result = invoke(runner, "--help")
+    assert result.exit_code == EXIT_OK
+    assert result.output.split("Commands:\n", 1)[1].splitlines() == [
+        "  differ     Run the differential campaign for every variant.",
+        "  gadgets    Gadget-set analysis commands.",
+        "  metrics    Compute size, library, performance, and security metrics.",
+        "  report     Re-render report.md from artifacts already in the output...",
+        "  tool-wrap  Run a debloating tool under CPU/memory accounting.",
+        "  validate   Parse a spec and check its binaries on disk.",
+    ]
+    result = invoke(runner, "tool-wrap", "--help")
+    assert result.exit_code == EXIT_OK
+    assert result.output.split("\n\n")[1] == "  Run a debloating tool under CPU/memory accounting."
 
 
 # --- memory floor and start-up ------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -136,14 +137,27 @@ def test_each_run_starts_in_a_fresh_empty_sandbox(tmp_path):
     assert first.stdout == second.stdout == b""
 
 
-def test_concurrent_runs_reuse_only_empty_sandboxes_and_never_share_one(tmp_path):
+def test_concurrent_runs_reuse_only_empty_sandboxes_and_never_share_one(tmp_path, monkeypatch):
     # Even runs litter their sandbox, odd runs leave it empty for the next.
     exe = make_script(tmp_path, "probe", 'ls -A; pwd; [ "$1" = litter ] && echo x > left-behind.txt; exit 0\n')
+    # A run's span lies inside its hold on the sandbox, from hand-out to
+    # hand-back. run_once hands a settled sandbox back before it returns, so
+    # a span taken around run_once can overlap the next holder's.
+    inside = threading.local()
+    run_in_sandbox = exec_harness._run_in_sandbox
+
+    def timed(*args):
+        inside.start = time.monotonic()
+        try:
+            return run_in_sandbox(*args)
+        finally:
+            inside.end = time.monotonic()
+
+    monkeypatch.setattr(exec_harness, "_run_in_sandbox", timed)
 
     def run(i: int) -> tuple[float, float, list[str]]:
-        start = time.monotonic()
         outcome = run_once(req(exe, ["litter" if i % 2 == 0 else "clean"]))
-        return start, time.monotonic(), outcome.stdout.decode().splitlines()
+        return inside.start, inside.end, outcome.stdout.decode().splitlines()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # hand the interpreter lock over often, to expose a lost pool update
@@ -195,6 +209,19 @@ def test_a_sandbox_made_read_only_or_swapped_for_a_symlink_is_not_reused(tmp_pat
     after = run_once(req(probe)).stdout.decode().split()
     assert Path(after[0]).parent == scratch_env.resolve()
     assert after[1] == before[1]
+
+
+def test_a_sandbox_swapped_for_a_symlink_is_unlinked_and_its_target_left_alone(tmp_path, scratch_env):
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "keep.txt").write_text("kept")
+    vandal = make_script(tmp_path, "vandal", 'd=$PWD; cd /; rmdir "$d" && ln -s "$TARGET" "$d"\n')
+    assert run_once(req(vandal, env={"TARGET": str(target)})).termination == Termination.exited(0)
+    assert any(p.is_symlink() for p in scratch_env.iterdir())
+    run_once(req(Path("/bin/true")))  # takes the swapped sandbox from the pool and removes it
+    assert [p for p in scratch_env.iterdir() if p.is_symlink()] == []
+    assert [p.name for p in target.iterdir()] == ["keep.txt"]
+    assert (target / "keep.txt").read_text() == "kept"
 
 
 _CLI = "from debloateval.cli import main; main(prog_name='debloateval')"
