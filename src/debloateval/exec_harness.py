@@ -27,14 +27,21 @@ hand-out.
 Resource accounting (CPU time, peak RSS) comes from the child's rusage at
 reap time via ``os.wait4``.
 
-One selector loop per run writes stdin, reads stdout and stderr, and waits
-on a pidfd for the child's exit. ``timeout_seconds`` is a hard bound on a
-run's wall time: at the deadline the child's process group is killed and
-the pipes are closed, even when a descendant outside the group still holds
-one. A child that exits while descendants hold its pipes open gets
-EXIT_GRACE_SECONDS for them to close; then the pipes are closed.
-``wall_seconds`` is taken when the pidfd reports the child's exit, before
-the reap.
+One poll object per run over raw pipe descriptors and a pidfd writes
+stdin in 64 KiB chunks (a child that closes its stdin early just ends the
+writing), reads stdout and stderr, and waits for the child's exit. No file
+objects or selector maps are built per run, so little Python runs per run
+while concurrent workers share the interpreter lock. ``timeout_seconds``
+is a hard bound on a run's wall time: at the deadline the child's process
+group is killed and the pipes are closed, even when a descendant outside
+the group still holds one. A child that exits while descendants hold its
+pipes open gets EXIT_GRACE_SECONDS for them to close; then the pipes are
+closed. ``wall_seconds`` is taken when the pidfd reports the child's exit,
+before the reap.
+
+A captured file is digested only if it is a regular file inside the
+sandbox: its path is opened one component at a time without following a
+symlink, and a symlink, directory, FIFO or anything else counts as absent.
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ import atexit
 import enum
 import math
 import os
-import selectors
+import select
 import shutil
 import signal
-import statistics
+import stat
 import subprocess
 import tempfile
 import threading
@@ -167,7 +174,11 @@ def unstarted(termination: Termination, message: str) -> ExecOutcome:
 
 
 def scratch_root() -> Path:
-    return Path(os.environ.get(SCRATCH_ENV_VAR) or tempfile.gettempdir())
+    return Path(_scratch_dir())
+
+
+def _scratch_dir() -> str:
+    return os.environ.get(SCRATCH_ENV_VAR) or tempfile.gettempdir()
 
 
 @dataclass
@@ -187,23 +198,44 @@ class _Capture:
         self.data += chunk[:room]
 
 
-def _digest_files(sandbox: Path, rel_paths: list[str]) -> dict[str, tuple[bool, bytes]]:
-    digests: dict[str, tuple[bool, bytes]] = {}
-    for rel in rel_paths:
-        target = sandbox / rel
-        if target.is_file():
-            digests[rel] = (True, sha256(target.read_bytes()).digest())
-        else:
-            digests[rel] = (False, b"\x00" * 32)
-    return digests
+_ABSENT = (False, b"\x00" * 32)
+_OPEN_DIR = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
+# O_NONBLOCK: opening a FIFO for reading must not wait for a writer.
+_OPEN_LEAF = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
+
+
+def _digest_file(sandbox: str, rel: str) -> tuple[bool, bytes]:
+    """(True, sha256 of its bytes) for a regular file at rel inside sandbox,
+    otherwise _ABSENT. Each component of the path is opened from the one
+    before it without following a symlink, so no path leaves the sandbox."""
+    *dirs, name = [part for part in rel.split("/") if part] or ["."]
+    try:
+        fd = os.open(sandbox, _OPEN_DIR)
+    except OSError:
+        return _ABSENT
+    try:
+        for part, flags in [(d, _OPEN_DIR) for d in dirs] + [(name, _OPEN_LEAF)]:
+            parent = fd
+            fd = os.open(part, flags, dir_fd=parent)
+            os.close(parent)
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return _ABSENT
+        digest = sha256()
+        while chunk := os.read(fd, _READ_CHUNK):
+            digest.update(chunk)
+        return True, digest.digest()
+    except OSError:
+        return _ABSENT
+    finally:
+        os.close(fd)
 
 
 # Idle sandboxes by scratch root, each with the st_mode it was made with.
-_idle: dict[Path, list[tuple[Path, int]]] = {}
+_idle: dict[str, list[tuple[str, int]]] = {}
 _idle_lock = threading.Lock()
 
 
-def _take_sandbox(root: Path) -> tuple[Path, int]:
+def _take_sandbox(root: str) -> tuple[str, int]:
     """An idle sandbox under root that is still empty, or else a new one."""
     with _idle_lock:
         pooled = _idle.get(root)
@@ -217,18 +249,18 @@ def _take_sandbox(root: Path) -> tuple[Path, int]:
         except OSError:
             pass
         _remove_sandbox(sandbox)
-    sandbox = root / f"dv-sandbox-{uuid.uuid4().hex}"
+    sandbox = os.path.join(root, f"dv-sandbox-{uuid.uuid4().hex}")
     try:
-        sandbox.mkdir(parents=True)
+        os.makedirs(sandbox)
         return sandbox, os.lstat(sandbox).st_mode
     except OSError as exc:
         raise SandboxError(f"cannot prepare sandbox under {root}: {exc}") from exc
 
 
-def _remove_sandbox(sandbox: Path) -> None:
+def _remove_sandbox(sandbox: str) -> None:
     """Remove a sandbox; a symlink or file its program left in its place is unlinked, never followed."""
     try:
-        sandbox.unlink()
+        os.unlink(sandbox)
     except OSError:
         shutil.rmtree(sandbox, ignore_errors=True)
 
@@ -249,7 +281,7 @@ def run_once(req: ExecRequest) -> ExecOutcome:
     the sandbox directory cannot be created. The child's whole process
     group is killed when the run ends.
     """
-    root = scratch_root()
+    root = _scratch_dir()
     sandbox, mode = _take_sandbox(root)
     settled = False
     try:
@@ -263,72 +295,90 @@ def run_once(req: ExecRequest) -> ExecOutcome:
             _remove_sandbox(sandbox)
 
 
-def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> tuple[ExecOutcome, bool]:
+def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
     """The run's outcome, and whether it settled: the child exited and its
     pipes closed before the deadline and the exit grace ran out."""
     start = time.monotonic()
+    # os.pipe() descriptors are not inherited: the child gets only the ends
+    # that Popen moves onto its 0, 1 and 2.
+    stdin_r, stdin_w = os.pipe()
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
     try:
-        proc = subprocess.Popen(
-            [str(req.exe_path), *req.argv],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            cwd=str(sandbox),
-            env=dict(req.env),
-            start_new_session=True,
-        )
+        try:
+            proc = subprocess.Popen(
+                [str(req.exe_path), *req.argv],
+                stdin=stdin_r,
+                stdout=out_w,
+                stderr=err_w,
+                cwd=sandbox,
+                env=dict(req.env),
+                start_new_session=True,
+            )
+        finally:
+            for fd in (stdin_r, out_w, err_w):
+                os.close(fd)
     except (OSError, ValueError) as exc:
+        for fd in (stdin_w, out_r, err_r):
+            os.close(fd)
         raise SpawnError(f"cannot exec {req.exe_path}: {exc}") from exc
 
-    captures = {proc.stdout.fileno(): _Capture(), proc.stderr.fileno(): _Capture()}
+    captures = {out_r: _Capture(), err_r: _Capture()}
     pending = memoryview(req.stdin)
     close_at = start + req.timeout_seconds
     wall = None
-    pidfd = os.pidfd_open(proc.pid)
+    poller = select.poll()
+    # The parent's open descriptors; once set up, each is registered with poller.
+    watched = {out_r, err_r, stdin_w}
+
+    def drop(fd: int) -> None:
+        poller.unregister(fd)
+        watched.remove(fd)
+        os.close(fd)
+
     try:
-        with selectors.DefaultSelector() as sel:
-
-            def drop(pipe) -> None:
-                sel.unregister(pipe)
-                pipe.close()
-
-            sel.register(pidfd, selectors.EVENT_READ)
-            for pipe in (proc.stdout, proc.stderr):
-                os.set_blocking(pipe.fileno(), False)
-                sel.register(pipe, selectors.EVENT_READ)
-            if pending:
-                os.set_blocking(proc.stdin.fileno(), False)
-                sel.register(proc.stdin, selectors.EVENT_WRITE)
-            else:
-                proc.stdin.close()
-            # Once the child has exited only its open output pipes stay registered.
-            while sel.get_map() and (wait := close_at - time.monotonic()) > 0:
-                for key, _ in sel.select(wait):
-                    if key.fileobj is proc.stdin and proc.stdin.closed:
-                        continue  # dropped when the child exited, earlier in this batch
-                    if key.fd == pidfd:
-                        wall = time.monotonic() - start
-                        close_at = min(close_at, start + wall + EXIT_GRACE_SECONDS)
-                        sel.unregister(pidfd)
-                        if not proc.stdin.closed:
-                            drop(proc.stdin)
-                    elif key.fileobj is proc.stdin:
-                        try:
-                            sent = os.write(key.fd, pending[:_READ_CHUNK])
-                        except BrokenPipeError:  # the child closed its stdin
-                            sent = len(pending)
-                        pending = pending[sent:]
-                        if not pending:
-                            drop(proc.stdin)
-                    elif chunk := os.read(key.fd, _READ_CHUNK):
-                        captures[key.fd].feed(chunk)
-                    else:
-                        drop(key.fileobj)
+        pidfd = os.pidfd_open(proc.pid)
+        watched.add(pidfd)
+        for fd in (pidfd, out_r, err_r):
+            poller.register(fd, select.POLLIN)
+        if pending:
+            os.set_blocking(stdin_w, False)
+            poller.register(stdin_w, select.POLLOUT)
+        else:
+            watched.remove(stdin_w)
+            os.close(stdin_w)
+        # Once the child has exited only its open output pipes stay watched.
+        while watched and (wait := close_at - time.monotonic()) > 0:
+            for fd, _ in poller.poll(wait * 1e3):
+                if fd not in watched:
+                    # Dropped earlier in this batch; another thread's os.pipe()
+                    # may already have reused the number.
+                    continue
+                if fd == pidfd:
+                    wall = time.monotonic() - start
+                    close_at = min(close_at, start + wall + EXIT_GRACE_SECONDS)
+                    drop(pidfd)
+                    if stdin_w in watched:
+                        drop(stdin_w)
+                elif fd == stdin_w:
+                    try:
+                        sent = os.write(fd, pending[:_READ_CHUNK])
+                    except BrokenPipeError:  # the child closed its stdin
+                        sent = len(pending)
+                    pending = pending[sent:]
+                    if not pending:
+                        drop(fd)
+                # Only this process reads the pipe, so a read after POLLIN or
+                # POLLHUP returns at once.
+                elif chunk := os.read(fd, _READ_CHUNK):
+                    captures[fd].feed(chunk)
+                else:
+                    drop(fd)
     finally:
         # Whatever is left of the group is killed while the child is still an
         # unreaped zombie: its pid, and so the group id, cannot have been reused.
         timed_out = wall is None
-        settled = not timed_out and proc.stdout.closed and proc.stderr.closed
+        settled = not timed_out and out_r not in watched and err_r not in watched
         with suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         _, status, rusage = os.wait4(proc.pid, 0)
@@ -336,9 +386,8 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> tuple[ExecOutcome, bool]
             wall = max(time.monotonic() - start, req.timeout_seconds)
         # Reaped via wait4; stop Popen from waiting again on destruction.
         proc.returncode = 0
-        os.close(pidfd)
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
-            pipe.close()
+        for fd in watched:
+            os.close(fd)
 
     if timed_out:
         termination = Termination.timed_out()
@@ -352,7 +401,7 @@ def _run_in_sandbox(req: ExecRequest, sandbox: Path) -> tuple[ExecOutcome, bool]
         termination=termination,
         stdout=bytes(out.data),
         stderr=bytes(err.data),
-        file_digests=_digest_files(sandbox, req.capture_files),
+        file_digests={rel: _digest_file(sandbox, rel) for rel in req.capture_files},
         cpu_seconds=rusage.ru_utime + rusage.ru_stime,
         wall_seconds=wall,
         peak_rss_bytes=rusage.ru_maxrss * 1024,
@@ -369,6 +418,8 @@ def run_trials(req: ExecRequest, n: int) -> TrialSummary:
     from the aggregates. A spawn failure on the first trial propagates;
     later spawn failures become unstarted outcomes so n is preserved.
     """
+    import statistics  # only trials use it; differ and tool-wrap start faster without it
+
     if n < 1:
         raise ValueError("n must be >= 1")
     outcomes: list[ExecOutcome] = []

@@ -751,7 +751,7 @@ with open("/proc/self/maps") as maps:
     libcrypto = "libcrypto" in maps.read()
 print(json.dumps({
     "layers": sorted(m.partition(".")[2] for m in sys.modules if m.startswith("debloateval.")),
-    "stdlib": [m for m in ("concurrent.futures", "subprocess") if m in sys.modules],
+    "stdlib": [m for m in ("concurrent.futures", "subprocess", "statistics") if m in sys.modules],
 }))
 print(code, "_hashlib" in sys.modules, libcrypto)
 """

@@ -113,16 +113,60 @@ def test_stdin_larger_than_a_pipe_buffer_round_trips(tmp_path):
 
 
 def test_child_that_exits_before_reading_stdin_on_a_busy_host(tmp_path):
-    # When the child is reaped in the same select batch that finds its
-    # stdin writable, the reap closes stdin first; the write must then be
+    # When the child is reaped in the same poll batch that finds its stdin
+    # writable, the reap closes stdin first; the write must then be
     # skipped. With two runs at once this batch is common, and a write to
     # the closed descriptor raised EBADF (or hit another run's reused one).
-    def run(i: int) -> bytes:
-        return run_once(req(Path("/bin/false" if i % 2 else "/bin/cat"), ["-"], stdin=b"hello")).stdout
+    # The third kind closes stdout and stderr at once, so their descriptors
+    # are dropped while the other thread makes its pipes.
+    programs = [
+        (Path("/bin/cat"), ["-"]),
+        (Path("/bin/false"), ["-"]),
+        (Path("/bin/sh"), ["-c", "exec >&- 2>&-; cat; exit 7"]),
+    ]
+
+    def run(i: int) -> tuple[bytes, Termination]:
+        exe, argv = programs[i % 3]
+        outcome = run_once(req(exe, argv, stdin=b"hello"))
+        return outcome.stdout, outcome.termination
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        outputs = list(pool.map(run, range(100)))
-    assert outputs == [b"hello", b""] * 50
+        outcomes = list(pool.map(run, range(150)))
+    assert outcomes == [
+        (b"hello", Termination.exited(0)), (b"", Termination.exited(1)), (b"", Termination.exited(7)),
+    ] * 50
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+_RUN_KINDS = {
+    "exit": lambda tmp: run_once(req(Path("/bin/true"))),
+    "stdin_unread": lambda tmp: run_once(req(Path("/bin/true"), stdin=bytes(1 << 20))),
+    "timeout": lambda tmp: run_once(req(make_script(tmp, "sleeper", "sleep 10\n"), timeout_seconds=0.2)),
+    "exit_grace_kill": lambda tmp: run_once(req(make_script(tmp, "bg", "sleep 4 &\n"))),
+    "captured_files": lambda tmp: run_once(req(
+        make_script(tmp, "files", "mkdir d; echo x > d/f; ln -s d l; mkfifo p\n"),
+        capture_files=["d/f", "l/f", "d", "p", "none/f"],
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", [*_RUN_KINDS, "missing_exe", "not_executable"])
+def test_no_descriptor_outlives_a_run(tmp_path, kind):
+    # Raw descriptors raise no ResourceWarning when leaked, so count them.
+    run_once(req(Path("/bin/true")))
+    before = _open_descriptors()
+    if kind in _RUN_KINDS:
+        _RUN_KINDS[kind](tmp_path)
+    else:
+        exe = tmp_path / "plain"
+        if kind == "not_executable":
+            exe.write_text("#!/bin/sh\n")
+        with pytest.raises(SpawnError):
+            run_once(req(exe, stdin=b"x"))
+    assert _open_descriptors() == before
 
 
 def test_spawn_error_for_missing_binary(tmp_path):
@@ -262,6 +306,39 @@ def test_capture_files_report_existence_and_digest(tmp_path):
     import hashlib
 
     assert outcome.file_digests["made.txt"][1] == hashlib.sha256(b"abc").digest()
+
+
+def test_capture_files_never_leave_the_sandbox(tmp_path):
+    secret = tmp_path / "secret"
+    secret.write_text("outside\n")
+    exe = make_script(tmp_path, "links", f'''
+        ln -s "{secret}" linked.txt
+        ln -s "{tmp_path}" linked_dir
+        mkfifo fifo
+        mkdir sub
+        printf abc > sub/out.txt
+        head -c 300000 /dev/zero > sub/big.bin
+    ''')
+    paths = ["linked.txt", "linked_dir/secret", "fifo", "sub", "sub/out.txt", "sub//out.txt", "sub/none", "sub/big.bin"]
+    done = {}
+    # A daemon thread, so that a run stuck opening the FIFO fails the test instead of hanging it.
+    worker = threading.Thread(target=lambda: done.update(outcome=run_once(req(exe, capture_files=paths))), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    outcome = done["outcome"]
+    absent = (False, b"\x00" * 32)
+    present = (True, hashlib.sha256(b"abc").digest())
+    assert outcome.file_digests == {
+        "linked.txt": absent,
+        "linked_dir/secret": absent,
+        "fifo": absent,
+        "sub": absent,
+        "sub/out.txt": present,
+        "sub//out.txt": present,
+        "sub/none": absent,
+        "sub/big.bin": (True, hashlib.sha256(bytes(300_000)).digest()),  # more than one 64 KiB read
+    }
 
 
 def test_file_digests_deterministic(tmp_path):
