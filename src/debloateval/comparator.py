@@ -18,6 +18,7 @@ if TYPE_CHECKING:
 
 EVIDENCE_LIMIT = 1024
 _CONTEXT = 32
+_BLOCK = 64 * 1024
 
 
 class ComparatorKind(enum.Enum):
@@ -129,13 +130,21 @@ def _hex_escape(data: bytes) -> str:
 
 
 def _first_difference_excerpt(a: bytes, b: bytes) -> str:
-    """Excerpt around the first differing byte, ±32 bytes of context."""
-    limit = min(len(a), len(b))
-    idx = limit
-    for i in range(limit):
-        if a[i] != b[i]:
-            idx = i
-            break
+    """Excerpt around the first differing byte, ±32 bytes of context.
+
+    The byte is found by comparing slices, never single bytes in a Python
+    loop: whole blocks first, then halves of the first unequal block.
+    """
+    idx, limit = 0, min(len(a), len(b))
+    end = min(_BLOCK, limit)
+    while idx < limit and a[idx:end] == b[idx:end]:
+        idx, end = end, min(end + _BLOCK, limit)
+    while end - idx > 1:  # a[:idx] == b[:idx] and a[idx:end] != b[idx:end]
+        mid = (idx + end) // 2
+        if a[idx:mid] == b[idx:mid]:
+            idx = mid
+        else:
+            end = mid
     lo = max(0, idx - _CONTEXT)
     hi = idx + _CONTEXT
     text = (

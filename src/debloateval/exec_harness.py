@@ -173,10 +173,6 @@ def unstarted(termination: Termination, message: str) -> ExecOutcome:
     return ExecOutcome(termination, b"", message.encode(), {}, 0.0, 0.0, 0)
 
 
-def scratch_root() -> Path:
-    return Path(_scratch_dir())
-
-
 def _scratch_dir() -> str:
     return os.environ.get(SCRATCH_ENV_VAR) or tempfile.gettempdir()
 

@@ -12,8 +12,10 @@ The scan computes each gadget's classes, quality and special types once, as
 it finds the gadget. Every set-level metric but locality is a fold over those
 facts, so a region can carry a small summary in place of its gadgets, and a
 side's metrics combine the summaries of its regions. Records are built only
-where gadgets must be told apart: regions that share a base address, and the
-regions locality has to intersect.
+where gadgets must be told apart: regions that share a base address, and a
+variant's regions with code the original lacks. Each gadget of those is
+local iff some original region holds its bytes at its address, so the
+original side is never made into records for locality.
 
 A sweep can be bounded to the gadgets that start in [lo, hi): no gadget
 spans more than MAX_GADGET_LEN * _MAX_INSTR_BYTES = 150 bytes, so the bytes
@@ -602,21 +604,14 @@ def build_report(gadgets: set[Gadget] | frozenset[Gadget]) -> GadgetSetReport:
     return _report(_fold(gadgets))
 
 
-def _address_index(gadgets: Iterable[Gadget]) -> set[tuple[int, bytes]]:
-    return {(g.address, g.raw_bytes) for g in gadgets}
-
-
-def _local_count(index: set[tuple[int, bytes]], gadgets: Iterable[Gadget]) -> int:
-    return sum(1 for g in gadgets if (g.address, g.raw_bytes) in index)
-
-
 def _percent(local: int, total: int) -> float:
     return 100.0 * local / total if total else 0.0
 
 
 def locality(original: set[Gadget] | frozenset[Gadget], variant: set[Gadget] | frozenset[Gadget]) -> float:
     """Percent of variant gadgets identical (address and bytes) in the original."""
-    return _percent(_local_count(_address_index(original), variant), len(variant))
+    index = {(g.address, g.raw_bytes) for g in original}
+    return _percent(sum((g.address, g.raw_bytes) in index for g in variant), len(variant))
 
 
 # --- Sides composed from region summaries --------------------------------
@@ -637,9 +632,9 @@ def _base_groups(regions: list[CodeRegion]) -> list[list[CodeRegion]]:
     return [list(group.values()) for group in groups.values()]
 
 
-def _overlaps(region: CodeRegion, group: list[CodeRegion]) -> bool:
-    end = region.base_address + len(region.data)
-    return any(r.base_address < end and region.base_address < r.base_address + len(r.data) for r in group)
+def _holds(r: CodeRegion, g: Gadget) -> bool:
+    """Whether the region holds g's bytes at g's address."""
+    return r.base_address <= g.address and r.data.startswith(g.raw_bytes, g.address - r.base_address)
 
 
 def compare_regions(
@@ -651,23 +646,20 @@ def compare_regions(
     equals locality() of the two sides' sets. A side is composed from its
     base groups: a group of one region adds that region's summary, and a
     group of several adds the summary of the union of their records. A
-    variant group made only of original regions is all local; any other is
-    intersected with one index of the original regions whose addresses it
-    overlaps. The plan comes first, so every distinct region is swept once,
-    and only the regions these cases need become records.
+    variant group made only of original regions is all local. In any
+    other, a gadget is local iff some original region holds its bytes at
+    its address: decoding is a function of the bytes, so that region
+    yields the same gadget there. The plan comes first, so every distinct
+    region is swept once, and only the groups of several and the variant
+    groups with foreign code become records.
     """
     sides = [_base_groups(original)] + [_base_groups(regions) for regions in variants]
     original_keys = {_key(r) for r in original}
     foreign = [[any(_key(r) not in original_keys for r in group) for group in groups] for groups in sides]
-    foreign_groups = [g for groups, flags in zip(sides, foreign) for g, f in zip(groups, flags) if f]
-    indexed = [r for group in sides[0] for r in group if any(_overlaps(r, g) for g in foreign_groups)]
     # A region that is made into records for one group is summarised from
     # them everywhere, so no region is swept twice.
-    with_records = {_key(r) for r in indexed}
-    with_records.update(_key(r) for groups in sides for g in groups if len(g) > 1 for r in g)
-    with_records.update(_key(r) for g in foreign_groups for r in g)
-
-    index = _address_index(g for r in indexed for g in scan_gadgets(r))
+    record_groups = [g for groups, flags in zip(sides, foreign) for g, f in zip(groups, flags) if f or len(g) > 1]
+    with_records = {_key(r) for g in record_groups for r in g}
     results = []
     for groups, flags in zip(sides, foreign):
         summaries = []
@@ -679,7 +671,7 @@ def compare_regions(
             else:
                 gadgets = scan_regions(group)
                 summary = _fold(gadgets)
-                local += _local_count(index, gadgets) if is_foreign else summary.count
+                local += sum(any(_holds(o, g) for o in original) for g in gadgets) if is_foreign else summary.count
             summaries.append(summary)
         report = _report(_combine(summaries))
         results.append((report, _percent(local, report.gadget_count)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from debloateval.comparator import _CONTEXT, EVIDENCE_LIMIT, _hex_escape
 from debloateval.gadget_analyzer import (
     EXPRESSIVITY_CLASSES,
     MAJOR_CONSTRAINT,
@@ -187,3 +188,20 @@ def reference_summary(per_variant: dict[str, list[TestVerdict]]) -> dict:
         "variants_with_unremoved_feature": {"count": unremoved, "fraction": unremoved / n},
         "passed": passed,
     }
+
+
+def reference_first_difference_excerpt(a: bytes, b: bytes) -> str:
+    """The stream comparators' evidence as first computed: a loop over the bytes."""
+    limit = min(len(a), len(b))
+    idx = limit
+    for i in range(limit):
+        if a[i] != b[i]:
+            idx = i
+            break
+    lo = max(0, idx - _CONTEXT)
+    hi = idx + _CONTEXT
+    text = (
+        f"first difference at byte {idx}: "
+        f"{_hex_escape(a[lo:hi])!r} vs {_hex_escape(b[lo:hi])!r}"
+    )
+    return text[:EVIDENCE_LIMIT]

@@ -3,7 +3,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from debloateval.comparator import (
@@ -12,10 +12,13 @@ from debloateval.comparator import (
     ComparatorPipeline,
     EVIDENCE_LIMIT,
     Normalizer,
+    _first_difference_excerpt,
     compare,
     default_pipeline,
 )
 from debloateval.exec_harness import ExecOutcome, Termination
+
+from oracles import reference_first_difference_excerpt
 
 
 def outcome(stdout=b"", stderr=b"", termination=None, files=None) -> ExecOutcome:
@@ -127,6 +130,33 @@ def test_prefix_difference_points_past_shorter_side():
         pipeline(ComparatorKind.STDOUT_EXACT),
     )
     assert "at byte 3" in report.per_comparator[0].evidence
+
+
+@st.composite
+def _stream_pairs(draw):
+    """Two streams with a common prefix: equal, one a prefix of the other,
+    or differing at byte 0, in the middle or at the end."""
+    prefix = draw(st.binary(max_size=200))
+    return prefix + draw(st.binary(max_size=40)), prefix + draw(st.binary(max_size=40))
+
+
+@given(_stream_pairs())
+@example((b"", b""))
+@example((b"", b"x"))
+@example((b"x", b"y"))
+@example((b"abc", b"abd"))
+def test_first_difference_excerpt_equals_the_byte_loop(pair):
+    assert _first_difference_excerpt(*pair) == reference_first_difference_excerpt(*pair)
+
+
+@pytest.mark.parametrize("at", [0, 65535, 65536, 65537, 8 * 1024 * 1024 - 1])
+def test_first_difference_excerpt_across_blocks(at):
+    a = bytes(range(256)) * (8 * 1024 * 1024 // 256)
+    b = a[:at] + bytes([a[at] ^ 1]) + a[at + 1 :]
+    excerpt = _first_difference_excerpt(a, b)
+    assert excerpt.startswith(f"first difference at byte {at}: ")
+    if at == len(a) - 1:
+        assert excerpt == reference_first_difference_excerpt(a, b)
 
 
 def test_normalizer_absorbs_expected_difference():

@@ -597,9 +597,47 @@ def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(
     slimmed = [CodeRegion(0x1000, slim, "v")] + original[1:]
     _, results = compare_regions(original, [slimmed, original[:2]])
     assert swept == Counter([exe, slim, lib, m, n])  # each region once
-    assert lib not in recorded and set(recorded) == {exe, slim, m, n}
+    # exe is read as bytes for locality, never made into records.
+    assert set(recorded) == {slim, m, n}
     # 2 of slim's 3 gadgets are local, and the 5 of lib, m and n (m and n share a ret).
     assert [pct for _, pct in results] == [100.0 * 7 / 8, 100.0]
+
+
+@given(_two_sides())
+@settings(max_examples=100, deadline=None)
+def test_compare_regions_records_an_original_region_only_if_it_shares_its_base(sides):
+    original, variant = sides
+    # One region per base on the variant side, so only the original's own
+    # groups of several can pull an original region into records.
+    variant = list({r.base_address: r for r in variant}.values())
+    recorded = set()
+    scan = gadget_analyzer.scan_gadgets
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gadget_analyzer, "scan_gadgets", lambda r: recorded.add((r.base_address, r.data)) or scan(r))
+        compare_regions(original, [variant])
+    keys = {(r.base_address, r.data) for r in original}
+    shared = {k for k in keys if any(o[0] == k[0] and o != k for o in keys)}
+    assert recorded & keys == shared
+
+
+def test_a_foreign_gadget_that_runs_past_the_original_region_is_not_local():
+    # The original holds pop rdi; pop rsi at 0x1000 and a ret right after it,
+    # but in two regions: no original region holds the variant's first gadget.
+    original = [CodeRegion(0x1000, b"\x5f\x5e", "o"), CodeRegion(0x1002, b"\xc3", "o")]
+    variant = [CodeRegion(0x1000, b"\x5f\x5e\xc3", "v")]
+    _, [(report, pct)] = compare_regions(original, [variant])
+    assert report.gadget_count == 3
+    assert pct == locality(scan_regions(original), scan_regions(variant)) == pytest.approx(100.0 / 3)
+
+
+@pytest.mark.skipif(not (Path("/bin/cat").exists() and Path("/bin/tac").exists()), reason="cat or tac unavailable")
+def test_compare_regions_on_cat_against_tac_equals_the_set_based_metrics():
+    original = extract_code_regions(BinaryRef("cat", exe_path=Path("/bin/cat")))
+    variant = extract_code_regions(BinaryRef("tac", exe_path=Path("/bin/tac")))
+    original_set, variant_set = scan_regions(original), scan_regions(variant)
+    original_report, results = compare_regions(original, [variant])
+    assert original_report == build_report(original_set)
+    assert results == [(build_report(variant_set), locality(original_set, variant_set))]
 
 
 # --- Bounded sweeps and forked chunk summaries ----------------------------
