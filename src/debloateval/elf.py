@@ -83,39 +83,35 @@ def _read_headers(fd: int, size: int, path: Path) -> tuple[int, list[ProgramHead
     return machine, headers
 
 
-# (st_dev, st_ino, st_size, st_mtime_ns) -> segments, least recently used
-# first; bounded like gadget_analyzer's scan cache. Like that scan, ELF
+# (st_dev, st_ino, st_size, st_mtime_ns) -> segments of every file read, with
+# no bound: a command holds every side's code until it ends anyway. ELF
 # files are read on one thread at a time.
 _SEGMENTS: dict[tuple[int, int, int, int], list[tuple[int, bytes]]] = {}
-_SEGMENTS_MAX = 32
 
 
 def executable_segments(path: Path) -> list[tuple[int, bytes]]:
     """(vaddr, file bytes) of every executable PT_LOAD segment of an x86-64 ELF.
 
-    The file is read only once per process while it keeps its identity: a
-    library that many binaries list is read once. Each call returns a new
-    list; an ElfParseError is never cached.
+    The file is read once per process while it keeps its identity, with no
+    bound on the number of files: a library that many binaries list is read
+    once. Each call returns a new list; an ElfParseError is never kept.
     """
     with open(path, "rb") as file:
         fd = file.fileno()
         st = os.fstat(fd)
         identity = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-        segments = _SEGMENTS.pop(identity, None)
+        segments = _SEGMENTS.get(identity)
         if segments is None:
             machine, headers = _read_headers(fd, st.st_size, path)
             if machine != EM_X86_64:
                 raise ElfParseError(
                     f"{path}: e_machine {machine} is not x86-64 ({EM_X86_64}); its code cannot be scanned"
                 )
-            segments = [
+            segments = _SEGMENTS[identity] = [
                 (ph.p_vaddr, os.pread(fd, ph.p_filesz, ph.p_offset))
                 for ph in headers
                 if ph.p_type == PT_LOAD and ph.p_flags & PF_X and ph.p_filesz > 0
             ]
-        _SEGMENTS[identity] = segments
-        if len(_SEGMENTS) > _SEGMENTS_MAX:
-            del _SEGMENTS[next(iter(_SEGMENTS))]
         return list(segments)
 
 

@@ -15,7 +15,9 @@ side's metrics combine the summaries of its regions. Records are built only
 where gadgets must be told apart: regions that share a base address, and a
 variant's regions with code the original lacks. Each gadget of those is
 local iff some original region holds its bytes at its address, so the
-original side is never made into records for locality.
+original side is never made into records for locality. compare_regions
+plans all this first and keeps each region's records or summary until it
+returns, so each distinct region is swept once per call.
 
 A sweep can be bounded to the gadgets that start in [lo, hi): no gadget
 spans more than MAX_GADGET_LEN * _MAX_INSTR_BYTES = 150 bytes, so the bytes
@@ -35,7 +37,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import enum
-import functools
 import os
 import re
 import signal
@@ -272,21 +273,6 @@ def _body_special_types(ins: DecodedInstruction, term: DecodedInstruction) -> se
 
 # --- Discovery ---------------------------------------------------------
 
-def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
-    """All gadgets in the region, one per start address.
-
-    A start address yields the gadget that ends at the first terminator
-    its decode chain reaches within MAX_GADGET_LEN instructions. The scan
-    is one downward sweep over the region that measures each offset once
-    with the length pass and fully decodes only each distinct terminator
-    and the first body instruction of each header; each gadget's facts
-    are folded in as it is found. The result is
-    cached per (base address, bytes), so a library shared by the original
-    and its variants is scanned once per process.
-    """
-    return _scan(region.base_address, region.data)
-
-
 # The opcodes of every terminator the decoder knows: ret, ret imm16,
 # int 0x80, syscall, and FF /2 (call) or FF /4 (jmp) by the ModRM reg field.
 # The lookahead is zero-width, so no match hides the next.
@@ -442,11 +428,20 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
             next_term = p = terminators[k] if k >= 0 else -1
 
 
-@functools.lru_cache(maxsize=32)  # bounded: a run over many variants keeps only recent sets
-def _scan(base_address: int, data: bytes) -> frozenset[Gadget]:
+def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
+    """All gadgets in the region, one per start address.
+
+    A start address yields the gadget that ends at the first terminator
+    its decode chain reaches within MAX_GADGET_LEN instructions. The scan
+    is one downward sweep over the region that measures each offset once
+    with the length pass and fully decodes only each distinct terminator
+    and the first body instruction of each header; each gadget's facts
+    are folded in as it is found.
+    """
+    data = region.data
     return frozenset(
         Gadget(
-            address=base_address + p,
+            address=region.base_address + p,
             raw_bytes=data[p : chain.end],
             start=p,
             terminator=chain.terminator,
@@ -503,7 +498,6 @@ def _forked_chunk_summary(data: bytes, lo: int, hi: int) -> Iterator[BinaryIO]:
                 os.waitpid(pid, 0)
 
 
-@functools.lru_cache(maxsize=32)
 def _region_summary(data: bytes) -> GadgetSummary:
     """The summary of the region's gadgets, built without their records.
 
@@ -517,7 +511,7 @@ def _region_summary(data: bytes) -> GadgetSummary:
     summarised, so a child inherits no lock that another thread holds.
 
     A gadget's facts follow from its bytes alone, so the base address plays
-    no part and the cache is keyed on the bytes.
+    no part.
     """
     chunks = max(1, min(len(os.sched_getaffinity(0)), len(data) // _CHUNK_MIN))
     cuts = [len(data) * i // chunks for i in range(chunks + 1)]
@@ -532,9 +526,12 @@ def _region_summary(data: bytes) -> GadgetSummary:
     return _combine(summaries)
 
 
-def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
-    sets = [scan_gadgets(region) for region in regions]
+def _union(sets: list[frozenset[Gadget]]) -> frozenset[Gadget]:
     return sets[0] if len(sets) == 1 else frozenset().union(*sets)
+
+
+def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
+    return _union([scan_gadgets(region) for region in regions])
 
 
 def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> list[CodeRegion]:
@@ -649,9 +646,10 @@ def compare_regions(
     variant group made only of original regions is all local. In any
     other, a gadget is local iff some original region holds its bytes at
     its address: decoding is a function of the bytes, so that region
-    yields the same gadget there. The plan comes first, so every distinct
-    region is swept once, and only the groups of several and the variant
-    groups with foreign code become records.
+    yields the same gadget there. The plan comes first: only the groups of
+    several and the variant groups with foreign code become records. The
+    call keeps each record set by (base, bytes) and each other summary by
+    bytes, so every distinct region is swept once, however many sides list it.
     """
     sides = [_base_groups(original)] + [_base_groups(regions) for regions in variants]
     original_keys = {_key(r) for r in original}
@@ -660,16 +658,20 @@ def compare_regions(
     # them everywhere, so no region is swept twice.
     record_groups = [g for groups, flags in zip(sides, foreign) for g, f in zip(groups, flags) if f or len(g) > 1]
     with_records = {_key(r) for g in record_groups for r in g}
+    record_sets: dict[tuple[int, bytes], frozenset[Gadget]] = {}
+    region_summaries: dict[bytes, GadgetSummary] = {}
     results = []
     for groups, flags in zip(sides, foreign):
         summaries = []
         local = 0
         for group, is_foreign in zip(groups, flags):
             if len(group) == 1 and _key(group[0]) not in with_records:
-                summary = _region_summary(group[0].data)
+                if (summary := region_summaries.get(group[0].data)) is None:
+                    summary = region_summaries[group[0].data] = _region_summary(group[0].data)
                 local += summary.count
             else:
-                gadgets = scan_regions(group)
+                record_sets.update((_key(r), scan_regions([r])) for r in group if _key(r) not in record_sets)
+                gadgets = _union([record_sets[_key(r)] for r in group])
                 summary = _fold(gadgets)
                 local += sum(any(_holds(o, g) for o in original) for g in gadgets) if is_foreign else summary.count
             summaries.append(summary)

@@ -224,8 +224,16 @@ def _float(value: int | float, path: str) -> float:
         raise SchemaError(path, "out of range") from None
 
 
-_string = _typed(str)
-_path = _typed(str, lambda value, _: Path(value))
+def _os_string(value: str, path: str) -> str:
+    """value, unless it holds a NUL, which no path, argument or environment string can carry."""
+    index = value.find("\0")
+    if index >= 0:
+        raise SchemaError(path, f"NUL character at index {index}")
+    return value
+
+
+_os_text = _typed(str, _os_string)
+_path = _typed(str, lambda value, path: Path(_os_string(value, path)))
 
 
 def _regex(pattern: str, path: str) -> str:
@@ -241,7 +249,9 @@ def _env(env: dict, path: str) -> dict[str, str]:
         if not isinstance(value, str):
             raise SchemaError(f"{path}.{key}", "env entries must map string to string")
         _utf8(key, path)
-        _utf8(value, f"{path}.{key}")
+        if not key or "=" in key or "\0" in key:
+            raise SchemaError(path, f"env name {key!r} is empty or holds '=' or NUL")
+        _os_string(_utf8(value, f"{path}.{key}"), f"{path}.{key}")
     return dict(env)
 
 
@@ -341,9 +351,9 @@ def _dump_pipeline(pipeline: ComparatorPipeline) -> list:
 
 _COMMAND = _Object(
     TestCommand,
-    _Field("argv", "argv_template", _array(_string), dump=list),
+    _Field("argv", "argv_template", _array(_os_text), dump=list),
     _Field("stdin", "stdin", _typed(str), None, True),
-    _Field("files", "expected_output_files", _array(_string), (), True, list),
+    _Field("files", "expected_output_files", _array(_os_text), (), True, list),
     _Field("fuzz_count", "fuzz_count", _typed(int), 0, True),
 )
 

@@ -181,9 +181,12 @@ def run_campaign(
 
 
 def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestCommand) -> ExecRequest:
-    """The request that runs one derived input of cmd against exe_path."""
+    """The request that runs one derived input of cmd against exe_path.
+
+    A relative exe_path is taken from the working directory, not the sandbox.
+    """
     return ExecRequest(
-        exe_path=exe_path,
+        exe_path=exe_path.absolute(),
         argv=list(inp.argv),
         stdin=inp.stdin,
         env=dict(spec.env),

@@ -154,13 +154,6 @@ def test_executable_segments_raises_again_on_a_malformed_file(tmp_path, monkeypa
         assert reads.calls > before
 
 
-def test_executable_segments_keeps_a_bounded_number_of_files(tmp_path):
-    paths = [write_elf(tmp_path, f"prog{i}", code=bytes([0x58 + i % 8, 0xC3])) for i in range(2 * elf._SEGMENTS_MAX)]
-    for path in paths:
-        executable_segments(path)
-    assert len(elf._SEGMENTS) <= elf._SEGMENTS_MAX
-
-
 def test_executable_segments_rejects_other_machines(tmp_path):
     image = bytearray(build_elf(b"\x5f\xc3", needed=["libc.so.6"]))
     struct.pack_into("<H", image, 18, 183)  # e_machine = EM_AARCH64

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from debloateval import cli, gadget_analyzer
+from debloateval import cli, elf, gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 from debloateval.comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline
 from debloateval.elf import executable_segments
@@ -117,6 +118,26 @@ def test_lone_surrogate_in_a_spec_string_is_exit_2_naming_its_path(runner, tmp_p
         result = invoke(runner, *_spec_command(command, write_spec(tmp_path, doc), tmp_path))
         assert result.exit_code == EXIT_ERROR, path
         assert f"error: {path}: not UTF-8" in result.output
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_nul_in_a_string_that_reaches_the_os_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
+    places = {
+        "original.exe": lambda doc: doc["original"].update(exe="/bin/c\0at"),
+        "variants[0].libs[0]": lambda doc: doc["variants"][0].update(libs=["/lib/libc\0.so.6"]),
+        "features[1].commands[0].argv[0]": lambda doc: doc["features"][1]["commands"][0].update(argv=["b\0"]),
+        "features[0].commands[0].files[0]": lambda doc: doc["features"][0]["commands"][0].update(files=["o\0"]),
+        "env.K": lambda doc: doc.update(env={"K": "v\0"}),
+        "env": lambda doc: doc.update(env={"A=B": "v"}),
+    }
+    for path, plant in places.items():
+        doc = toy_spec_doc(toy_pair, ["no_b"])
+        plant(doc)
+        args = _spec_command(command, write_spec(tmp_path, doc), tmp_path)
+        result = invoke(runner, *args, *(["--aggregate-libs"] if command == "metrics" else []))
+        assert result.exit_code == EXIT_ERROR, (path, result.output)
+        assert f"error: {path}: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 @pytest.mark.parametrize(
@@ -465,6 +486,33 @@ def test_metrics_with_perf_on_scripts(runner, tmp_path, toy_pair):
     assert row["locality_pct"] is None
 
 
+@pytest.mark.skipif(not Path("/bin/cat").is_file(), reason="/bin/cat unavailable")
+def test_a_relative_exe_names_the_same_file_for_every_command(runner, tmp_path, monkeypatch):
+    # Relative to the working directory, never to a run's sandbox: the
+    # metrics' trials and differ's runs exec what validate checked.
+    (tmp_path / "bin").mkdir()
+    for name in ("cat", "cat2"):
+        shutil.copy2("/bin/cat", tmp_path / "bin" / name)
+    doc = {
+        "id": "relative",
+        "original": {"label": "original", "exe": "bin/cat"},
+        "variants": [{"label": "copy", "exe": "bin/cat2"}],
+        "features": [{"name": "echo", "disposition": "retain", "commands": [{"argv": ["-"], "stdin": "hi"}]}],
+        "trials": 1,
+    }
+    spec = write_spec(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    result = invoke(runner, "validate", "--spec", spec)
+    assert (result.exit_code, "warning" in result.output) == (EXIT_OK, False), result.output
+    result = invoke(runner, "differ", "--spec", spec, "--out", "d")
+    assert result.exit_code == EXIT_OK, result.output
+    result = invoke(runner, "metrics", "--spec", spec, "--out", "m")
+    assert result.exit_code == EXIT_OK, result.output
+    row = json.loads((tmp_path / "m" / "metrics.json").read_text())["variants"]["copy"]
+    assert row["runtime_pct"] is not None
+    assert row["locality_pct"] == 100.0
+
+
 GZIP = Path("/usr/bin/gzip")
 
 
@@ -557,6 +605,34 @@ def test_metrics_on_sed_with_its_libraries_equal_the_set_based_values(runner, tm
     assert row["sp_types_delta"] == delta.sp_types_delta
     assert row["syscall_event"] == delta.syscall_event.value
     assert row["locality_pct"] == gadget_analyzer.locality(*sets)
+
+
+def test_metrics_reads_and_sweeps_each_of_many_libraries_once(runner, tmp_path, monkeypatch):
+    # More libraries than any fixed cache of 32 entries holds, listed by the
+    # original and by two variants.
+    libs = [
+        write_elf(tmp_path, f"lib{i}.so", code=bytes([0x58 + i % 8]) * (1 + i // 8) + b"\x0f\x05")
+        for i in range(40)
+    ]
+    exes = [write_elf(tmp_path, name, code=b"\x5f\x5e\xc3") for name in ("orig", "v1", "v2")]
+    side = [{"label": exe.name, "exe": str(exe), "libs": [str(lib) for lib in libs]} for exe in exes]
+    doc = {
+        "id": "many-libs", "original": side[0], "variants": side[1:],
+        "features": [{"name": "run", "disposition": "retain", "commands": [{"argv": ["-"]}]}],
+    }
+    read, swept = Counter(), Counter()
+    read_headers, sweep = elf._read_headers, gadget_analyzer._sweep
+    monkeypatch.setattr(elf, "_read_headers", lambda fd, size, path: read.update([path]) or read_headers(fd, size, path))
+    monkeypatch.setattr(gadget_analyzer, "_sweep", lambda data, *span: swept.update([data]) or sweep(data, *span))
+    out = tmp_path / "out"
+    result = invoke(
+        runner, "metrics", "--spec", write_spec(tmp_path, doc), "--out", out, "--no-perf", "--aggregate-libs"
+    )
+    assert result.exit_code == EXIT_OK, result.output
+    assert [read[lib] for lib in libs] == [1] * 40
+    assert len(swept) == 41 and set(swept.values()) == {1}  # the shared exe code and each library's
+    rows = json.loads((out / "metrics.json").read_text())["variants"]
+    assert [rows[label]["locality_pct"] for label in ("v1", "v2")] == [100.0, 100.0]
 
 
 # --- gadgets compare -----------------------------------------------------

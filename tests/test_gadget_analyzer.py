@@ -243,7 +243,8 @@ def test_scan_regions_merges():
 
 
 def test_scan_result_cannot_be_changed_by_a_caller():
-    # Results are cached per region, so each caller must get an immutable set.
+    # compare_regions shares one set among every group of a call that lists
+    # the region, so each caller must get an immutable set.
     region = CodeRegion(0x1000, b"\x5f\x5e\xc3", "t")
     with pytest.raises(AttributeError):
         scan_gadgets(region).clear()
@@ -589,8 +590,6 @@ def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(
     sweep, scan = gadget_analyzer._sweep, gadget_analyzer.scan_gadgets
     monkeypatch.setattr(gadget_analyzer, "_sweep", lambda data, *span: swept.update([data]) or sweep(data, *span))
     monkeypatch.setattr(gadget_analyzer, "scan_gadgets", lambda r: recorded.update([r.data]) or scan(r))
-    gadget_analyzer._scan.cache_clear()
-    gadget_analyzer._region_summary.cache_clear()
     exe, slim, lib, m, n = b"\x5f\x5e\xc3", b"\x58\x5e\xc3", b"\x5a\x0f\x05", b"\x58\xc3", b"\x59\xc3"
     original = [CodeRegion(0x1000, exe, "o"), CodeRegion(0x4000, lib, "o"),
                 CodeRegion(0x8000, m, "o"), CodeRegion(0x8000, n, "o")]
@@ -601,6 +600,18 @@ def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(
     assert set(recorded) == {slim, m, n}
     # 2 of slim's 3 gadgets are local, and the 5 of lib, m and n (m and n share a ret).
     assert [pct for _, pct in results] == [100.0 * 7 / 8, 100.0]
+
+    # 40 regions each alone at its base, so summarised, and 40 more that
+    # share one base, so made into records: more of either kind than a
+    # fixed cache of 32 entries holds, listed by the original and two variants.
+    swept.clear()
+    codes = [bytes([0x58 + i % 8]) * (1 + i // 8) + b"\xc3" for i in range(80)]
+    singles = [CodeRegion(0x1000 * (i + 1), code, "o") for i, code in enumerate(codes[:40])]
+    original = singles + [CodeRegion(0x100000, code, "o") for code in codes[40:]]
+    original_report, results = compare_regions(original, [original[::-1], original])
+    assert swept == Counter(codes)
+    assert results == [(original_report, 100.0)] * 2
+    assert original_report == build_report(scan_regions(original))
 
 
 @given(_two_sides())
@@ -718,9 +729,7 @@ def four_cpus(monkeypatch):
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-    gadget_analyzer._region_summary.cache_clear()
-    yield forks
-    gadget_analyzer._region_summary.cache_clear()
+    return forks
 
 
 def _assert_no_child_left():

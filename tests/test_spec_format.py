@@ -32,11 +32,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Spec strings are UTF-8, and a lone surrogate (category Cs) is no UTF-8.
 _text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+# A string that reaches the OS (a path, an argument, an env entry) holds no NUL.
+_os_text = _text.filter(lambda s: "\0" not in s)
 # Templates are text without holes, or with one.
 _plain = st.text(alphabet=st.characters(blacklist_characters="{}", blacklist_categories=("Cs",)), max_size=12)
 _template = _plain | st.sampled_from(["{{int:1..9}}", "-{{int:0..3}}x", "{{bytes:0..64}}"])
 _relative = st.sampled_from(["out", "out.txt", "dir/log", "a/b/c"])
-_path = st.builds(Path, _text.filter(bool))
+_path = st.builds(Path, _os_text.filter(bool))
 _pattern = st.sampled_from([r"[0-9]+", r"\d{4}-\d{2}", "a|b", r"\s+$", "(x)?"])
 # A backslash in a replacement starts an escape, and a bad one is no valid spec.
 _replacement = _text.filter(lambda s: "\\" not in s) | st.sampled_from([r"\\", r"\g<0>", r"<\n>"])
@@ -58,7 +60,7 @@ _pipeline = st.builds(
 )
 _command = st.builds(
     TestCommand,
-    st.lists(_template, min_size=1, max_size=3).map(tuple),
+    st.lists(_template.filter(lambda s: "\0" not in s), min_size=1, max_size=3).map(tuple),
     st.none() | _template,
     st.lists(_relative, max_size=2).map(tuple),
     st.integers(0, 1000),
@@ -95,7 +97,7 @@ def _specs(draw) -> BenchmarkSpec:
         variants=tuple(draw(_binary(label)) for label in labels),
         features=tuple(features),
         default_comparators=draw(_pipeline),
-        env=draw(st.dictionaries(_text, _text, max_size=3)),
+        env=draw(st.dictionaries(_os_text.filter(lambda s: s and "=" not in s), _os_text, max_size=3)),
         timeout_seconds=draw(st.floats(min_value=1e-3, max_value=1e6)),
         trials=draw(st.integers(1, 100)),
     )
@@ -249,13 +251,13 @@ def test_type_errors_name_json_types():
             assert "<class" not in str(exc) and _TYPE_ERROR.search(str(exc)), (key_path, str(exc))
 
 
-def _with_surrogate(node, target: str, path: str = ""):
-    """A copy of node whose string at path target ends in a lone surrogate."""
+def _with_suffix(node, target: str, suffix: str, path: str = ""):
+    """A copy of node whose string at path target ends in suffix."""
     if isinstance(node, dict):
-        return {k: _with_surrogate(v, target, f"{path}.{k}" if path else k) for k, v in node.items()}
+        return {k: _with_suffix(v, target, suffix, f"{path}.{k}" if path else k) for k, v in node.items()}
     if isinstance(node, list):
-        return [_with_surrogate(v, target, f"{path}[{i}]") for i, v in enumerate(node)]
-    return node + "\ud800" if path == target and isinstance(node, str) else node
+        return [_with_suffix(v, target, suffix, f"{path}[{i}]") for i, v in enumerate(node)]
+    return node + suffix if path == target and isinstance(node, str) else node
 
 
 def _string_paths(node, path: str = ""):
@@ -274,8 +276,44 @@ def test_every_string_that_is_not_utf8_is_a_schema_error_at_its_path():
     assert len(paths) > 20
     for path in paths:
         with pytest.raises(SchemaError) as exc:
-            parse_spec(json.dumps(_with_surrogate(FULL, path)).encode())
+            parse_spec(json.dumps(_with_suffix(FULL, path, "\ud800")).encode())
         assert exc.value.path == path
+
+
+# The strings of FULL that reach the OS: exec paths, library paths, argv,
+# captured files and env entries. stdin, labels and normalizers may hold NUL.
+_OS_STRINGS = re.compile(r"(original|variants\[0\])\.(exe|libs\[0\])|.*\.(argv|files)\[\d+\]|env\..*")
+
+
+def test_every_string_that_reaches_the_os_with_a_nul_is_a_schema_error_at_its_path():
+    paths = list(_string_paths(FULL))
+    os_paths = [path for path in paths if _OS_STRINGS.fullmatch(path)]
+    assert len(os_paths) == 7
+    accepted = set()
+    for path in paths:
+        document = json.dumps(_with_suffix(FULL, path, "\x00")).encode()
+        if path in os_paths:
+            with pytest.raises(SchemaError) as exc:
+                parse_spec(document)
+            assert exc.value.path == path
+            assert "NUL character" in str(exc.value)
+            continue
+        try:
+            parse_spec(document)
+            accepted.add(path)
+        except SpecError as exc:  # an enum's name, say, takes no suffix at all
+            assert "NUL" not in str(exc), path
+    assert accepted >= {
+        "original.label", "variants[0].label", "features[0].commands[0].stdin",
+        "features[0].comparators[1].normalizers[0].pattern", "features[0].comparators[1].normalizers[0].replacement",
+    }
+
+
+@pytest.mark.parametrize("name", ["", "A=B", "A\x00B"])
+def test_an_env_name_that_no_environment_can_hold_is_a_schema_error_at_env(name):
+    with pytest.raises(SchemaError) as exc:
+        parse_spec(json.dumps({**FULL, "env": {name: "x"}}).encode())
+    assert exc.value.path == "env"
 
 
 # --- README ----------------------------------------------------------------
