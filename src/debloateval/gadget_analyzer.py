@@ -8,24 +8,18 @@ better for the attacker), special-purpose type availability (10 scaffolding
 gadget types), and locality (fraction of a variant's gadgets unchanged in
 address and bytes relative to the original).
 
-The scan computes each gadget's classes, quality and special types once, as
-it finds the gadget. Every set-level metric but locality is a fold over those
-facts, so a region can carry a small summary in place of its gadgets, and a
-side's metrics combine the summaries of its regions. Records are built only
-where gadgets must be told apart: regions that share a base address, and a
-variant's regions with code the original lacks. Each gadget of those is
-local iff some original region holds its bytes at its address, so the
-original side is never made into records for locality. compare_regions
-plans all this first and keeps each region's records or summary until it
-returns, so each distinct region is swept once per call.
+The scan computes each gadget's classes, quality and special types as it
+finds the gadget, so every set-level metric but locality is a fold over
+those facts, and a side's metrics combine small summaries of its regions.
+compare_regions builds no gadget record: it sweeps each distinct region
+once and keys the summaries of its gadgets by a mask of the regions that
+hold each gadget's bytes at its address. The mask decides both whether a
+side's union already counts a gadget and whether the gadget is local.
 
 A sweep can be bounded to the gadgets that start in [lo, hi): no gadget
 spans more than MAX_GADGET_LEN * _MAX_INSTR_BYTES = 150 bytes, so the bytes
-below hi + 150 decide them all. A large region that is only summarised is
-cut into such chunks, one per CPU the process may run on and none under
-_CHUNK_MIN; each chunk after the first is swept in a forked child that
-writes its summary to a pipe. Records are always built by one sweep in
-this process.
+below hi + 150 decide them all. So a large region is swept in chunks, in
+forked children on every CPU the process may run on.
 
 The expressivity class table, special-purpose patterns, and constraint
 taxonomy are this implementation's own; deltas are comparable only between
@@ -37,10 +31,11 @@ from __future__ import annotations
 import bisect
 import contextlib
 import enum
+import itertools
+import marshal
 import os
 import re
 import signal
-import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import BinaryIO, NamedTuple
@@ -455,23 +450,44 @@ def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
 
 # A chunk this large sweeps in 50-80 ms, against 1-3 ms to fork, run and reap a child.
 _CHUNK_MIN = 256 * 1024
-# A GadgetSummary as a child writes it to its pipe: 40 bytes, below PIPE_BUF.
-_RECORD = struct.Struct("<qqdqq")
+_Holder = tuple[int, int, bytes]
 
 
-def _chunk_summary(data: bytes, lo: int, hi: int) -> GadgetSummary:
-    """The summary of the gadgets that start in [lo, hi)."""
-    return _fold(chain for _, chain in _sweep(data, lo, hi))
+def _by_mask(parts: Iterable[tuple[int, GadgetSummary]]) -> dict[int, GadgetSummary]:
+    """The summaries of disjoint gadget sets combined by holder mask."""
+    by_mask: dict[int, list[GadgetSummary]] = {}
+    for mask, summary in parts:
+        by_mask.setdefault(mask, []).append(summary)
+    return {mask: _combine(summaries) for mask, summaries in by_mask.items()}
+
+
+def _chunk_summaries(data: bytes, lo: int, hi: int, holders: tuple[_Holder, ...]) -> dict[int, GadgetSummary]:
+    """The summaries of the gadgets that start in [lo, hi), by holder mask.
+
+    A holder is (mask bit, this region's base less the holder's, its code);
+    a gadget's mask has the bit of each holder of its bytes at its address.
+    Runs of gadgets with one mask are folded as they come.
+    """
+    chains = _sweep(data, lo, hi)
+    if not holders:
+        return {0: _fold(chain for _, chain in chains)}
+
+    def mask(found: tuple[int, _Chain]) -> int:
+        p, chain = found
+        raw = data[p : chain.end]
+        return sum(1 << bit for bit, shift, code in holders if p + shift >= 0 and code.startswith(raw, p + shift))
+
+    return _by_mask((m, _fold(chain for _, chain in run)) for m, run in itertools.groupby(chains, mask))
 
 
 @contextlib.contextmanager
-def _forked_chunk_summary(data: bytes, lo: int, hi: int) -> Iterator[BinaryIO]:
-    """A child process that writes _chunk_summary(data, lo, hi) to the yielded pipe.
+def _forked_chunk_summaries(data: bytes, lo: int, hi: int, holders: tuple[_Holder, ...]) -> Iterator[BinaryIO]:
+    """A child process that writes _chunk_summaries(data, lo, hi, holders), marshalled, to the yielded pipe.
 
     The child leaves by os._exit, so it flushes no stdio buffer and runs no
-    atexit handler of the parent's. A child that fails, or cannot be
-    forked, leaves the pipe empty. On leaving the context the child is
-    reaped, and killed first if an exception leaves it.
+    atexit handler of the parent's. A child that fails, or cannot be forked,
+    leaves the pipe short. On leaving the context the child is reaped, and
+    killed first if an exception leaves it.
     """
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as pipe:
@@ -482,7 +498,8 @@ def _forked_chunk_summary(data: bytes, lo: int, hi: int) -> Iterator[BinaryIO]:
         if pid == 0:
             status = 1
             try:
-                os.write(write_fd, _RECORD.pack(*_chunk_summary(data, lo, hi)))
+                with open(write_fd, "wb") as out:
+                    marshal.dump({m: tuple(s) for m, s in _chunk_summaries(data, lo, hi, holders).items()}, out)
                 status = 0
             finally:
                 os._exit(status)
@@ -498,40 +515,35 @@ def _forked_chunk_summary(data: bytes, lo: int, hi: int) -> Iterator[BinaryIO]:
                 os.waitpid(pid, 0)
 
 
-def _region_summary(data: bytes) -> GadgetSummary:
-    """The summary of the region's gadgets, built without their records.
+def _region_summaries(data: bytes, holders: tuple[_Holder, ...]) -> dict[int, GadgetSummary]:
+    """The summaries of the region's gadgets by holder mask, built without their records.
 
     The region is cut into one chunk per CPU this process may run on, but
     no chunk smaller than _CHUNK_MIN. The chunks after the first are swept
     in forked children while this process sweeps the first, so a region of
-    one chunk forks nothing. A chunk whose child wrote no summary is swept
-    here. Each quality is a multiple of MINOR_CONSTRAINT, so the combined
-    sum equals the serial one exactly. The only threads this program
-    starts are differ's workers, which have ended before any region is
-    summarised, so a child inherits no lock that another thread holds.
-
-    A gadget's facts follow from its bytes alone, so the base address plays
-    no part.
+    one chunk forks nothing. A chunk whose child wrote no readable record
+    is swept here. The only threads this program starts are differ's
+    workers, which have ended before any region is summarised, so a child
+    inherits no lock that another thread holds.
     """
     chunks = max(1, min(len(os.sched_getaffinity(0)), len(data) // _CHUNK_MIN))
     cuts = [len(data) * i // chunks for i in range(chunks + 1)]
     spans = list(zip(cuts, cuts[1:]))
     with contextlib.ExitStack() as children:
-        pipes = [children.enter_context(_forked_chunk_summary(data, lo, hi)) for lo, hi in spans[1:]]
-        summaries = [_chunk_summary(data, *spans[0])]
+        pipes = [children.enter_context(_forked_chunk_summaries(data, lo, hi, holders)) for lo, hi in spans[1:]]
+        parts = [_chunk_summaries(data, *spans[0], holders)]
         records = [pipe.read() for pipe in pipes]
     for (lo, hi), record in zip(spans[1:], records):
-        ok = len(record) == _RECORD.size
-        summaries.append(GadgetSummary(*_RECORD.unpack(record)) if ok else _chunk_summary(data, lo, hi))
-    return _combine(summaries)
-
-
-def _union(sets: list[frozenset[Gadget]]) -> frozenset[Gadget]:
-    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
+        try:
+            parts.append({mask: GadgetSummary(*s) for mask, s in marshal.loads(record).items()})
+        except (EOFError, ValueError, TypeError):
+            parts.append(_chunk_summaries(data, lo, hi, holders))
+    return _by_mask(item for part in parts for item in part.items())
 
 
 def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
-    return _union([scan_gadgets(region) for region in regions])
+    sets = [scan_gadgets(region) for region in regions]
+    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
 
 
 def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> list[CodeRegion]:
@@ -617,66 +629,54 @@ def _key(region: CodeRegion) -> tuple[int, bytes]:
     return region.base_address, region.data
 
 
-def _base_groups(regions: list[CodeRegion]) -> list[list[CodeRegion]]:
-    """The distinct regions of one side, grouped by base address.
-
-    Equal records need equal addresses and region-relative starts, so only
-    regions that share a base address can share a gadget.
-    """
-    groups: dict[int, dict[bytes, CodeRegion]] = {}
-    for region in regions:
-        groups.setdefault(region.base_address, {}).setdefault(region.data, region)
-    return [list(group.values()) for group in groups.values()]
-
-
-def _holds(r: CodeRegion, g: Gadget) -> bool:
-    """Whether the region holds g's bytes at g's address."""
-    return r.base_address <= g.address and r.data.startswith(g.raw_bytes, g.address - r.base_address)
-
-
 def compare_regions(
     original: list[CodeRegion], variants: list[list[CodeRegion]]
 ) -> tuple[GadgetSetReport, list[tuple[GadgetSetReport, float]]]:
     """The original's report, and each variant's report and locality.
 
-    Each report equals build_report(scan_regions(side)) and each locality
-    equals locality() of the two sides' sets. A side is composed from its
-    base groups: a group of one region adds that region's summary, and a
-    group of several adds the summary of the union of their records. A
-    variant group made only of original regions is all local. In any
-    other, a gadget is local iff some original region holds its bytes at
-    its address: decoding is a function of the bytes, so that region
-    yields the same gadget there. The plan comes first: only the groups of
-    several and the variant groups with foreign code become records. The
-    call keeps each record set by (base, bytes) and each other summary by
-    bytes, so every distinct region is swept once, however many sides list it.
+    Each equals what build_report() and locality() give on scan_regions()
+    of the sides, yet no gadget record is made. A distinct region's holders
+    are the other distinct regions at its base and, if the original lacks
+    it, the original regions that overlap it: decoding is a function of the
+    bytes, so a holder of a gadget's bytes at its address yields the same
+    gadget. Bit j of a mask names the j-th distinct region in (base, bytes)
+    order. A side skips masks that name a region it lists earlier at the
+    same base, so its union counts each gadget once; a counted gadget is
+    local if its region or a holder of it is the original's.
     """
-    sides = [_base_groups(original)] + [_base_groups(regions) for regions in variants]
-    original_keys = {_key(r) for r in original}
-    foreign = [[any(_key(r) not in original_keys for r in group) for group in groups] for groups in sides]
-    # A region that is made into records for one group is summarised from
-    # them everywhere, so no region is swept twice.
-    record_groups = [g for groups, flags in zip(sides, foreign) for g, f in zip(groups, flags) if f or len(g) > 1]
-    with_records = {_key(r) for g in record_groups for r in g}
-    record_sets: dict[tuple[int, bytes], frozenset[Gadget]] = {}
-    region_summaries: dict[bytes, GadgetSummary] = {}
+    sides = [original, *variants]
+    regions = sorted({_key(r): r for side in sides for r in side}.values(), key=_key)
+    index = {_key(r): i for i, r in enumerate(regions)}
+
+    def bits(side: list[CodeRegion]) -> int:
+        return sum(1 << i for i in {index[_key(r)] for r in side})
+
+    in_original = bits(original)
+    memo: dict[tuple[bytes, tuple[_Holder, ...]], dict[int, GadgetSummary]] = {}  # once per bytes and holders
+    summaries, same_base_below = [], []
+    for i, r in enumerate(regions):
+        foreign = not in_original >> i & 1
+        end = r.base_address + len(r.data)
+        holders = tuple(
+            (j, r.base_address - h.base_address, h.data)
+            for j, h in enumerate(regions)
+            if j != i and (h.base_address == r.base_address or foreign and in_original >> j & 1
+                           and h.base_address < end and r.base_address < h.base_address + len(h.data))
+        )
+        if (r.data, holders) not in memo:
+            memo[r.data, holders] = _region_summaries(r.data, holders)
+        summaries.append(memo[r.data, holders])
+        same_base_below.append(sum(1 << j for j, shift, _ in holders if j < i and shift == 0))
     results = []
-    for groups, flags in zip(sides, foreign):
-        summaries = []
-        local = 0
-        for group, is_foreign in zip(groups, flags):
-            if len(group) == 1 and _key(group[0]) not in with_records:
-                if (summary := region_summaries.get(group[0].data)) is None:
-                    summary = region_summaries[group[0].data] = _region_summary(group[0].data)
-                local += summary.count
-            else:
-                record_sets.update((_key(r), scan_regions([r])) for r in group if _key(r) not in record_sets)
-                gadgets = _union([record_sets[_key(r)] for r in group])
-                summary = _fold(gadgets)
-                local += sum(any(_holds(o, g) for o in original) for g in gadgets) if is_foreign else summary.count
-            summaries.append(summary)
-        report = _report(_combine(summaries))
-        results.append((report, _percent(local, report.gadget_count)))
+    for side in sides:
+        listed = bits(side)
+        counted = [
+            (summary, (mask | 1 << i) & in_original)
+            for i, by_mask in enumerate(summaries) if listed >> i & 1
+            for mask, summary in by_mask.items() if not mask & listed & same_base_below[i]
+        ]
+        report = _report(_combine(summary for summary, _ in counted))
+        results.append((report, _percent(sum(s.count for s, local in counted if local), report.gadget_count)))
     (original_report, _), *variant_results = results
     return original_report, variant_results
 

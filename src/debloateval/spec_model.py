@@ -128,7 +128,12 @@ class BenchmarkSpec:
             if f.name in names_seen:
                 raise InvariantError(f"features[{i}].name", f"duplicate feature name {f.name!r}")
             names_seen.add(f.name)
+            digested = [c.path for c in self.pipeline_for(f).comparators if c.kind is ComparatorKind.FILE_DIGEST]
             for j, cmd in enumerate(f.commands):
+                for path in digested:  # a file no command captures would compare equal whatever it holds
+                    if path not in cmd.expected_output_files:
+                        message = f"lacks {path!r}, which a file_digest comparator reads"
+                        raise InvariantError(f"features[{i}].commands[{j}].files", message)
                 templates = {f"argv[{k}]": arg for k, arg in enumerate(cmd.argv_template)}
                 if cmd.stdin is not None:
                     templates["stdin"] = cmd.stdin

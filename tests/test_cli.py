@@ -83,6 +83,14 @@ def _spec_command(command: str, spec: Path, tmp_path: Path) -> list:
         ("{nope", "malformed JSON: "),
         ("[1]", "top-level value must be an object"),
         ('{"id": 5}', "id: expected string, got integer"),
+        (
+            json.dumps({
+                "id": "t", "original": {"label": "o", "exe": "/bin/true"}, "variants": [{"label": "v", "exe": "/bin/false"}],
+                "features": [{"name": "f", "disposition": "retain", "commands": [{"argv": ["x"]}]}],
+                "comparators": [{"kind": "file_digest", "path": "out.txt"}],
+            }),
+            "features[0].commands[0].files: lacks 'out.txt', which a file_digest comparator reads",
+        ),
     ],
 )
 def test_spec_errors_name_the_spec_file(runner, tmp_path, command, text, message):
@@ -293,21 +301,19 @@ def _cat_false_documents(draw) -> tuple[str, float]:
     Every pipeline compares exit status, so /bin/false can never match
     /bin/cat's reading of its stdin.
     """
-    pipeline = _pipeline.map(_with_exit_status)
     command = st.builds(
         TestCommand, st.just(("-",)), st.none() | _template, st.lists(_relative, max_size=2).map(tuple),
         st.integers(0, 2),
     )
-    feature = Feature(
-        draw(_text), Disposition.RETAIN, tuple(draw(st.lists(command, min_size=1, max_size=2))),
-        draw(st.none() | pipeline), True,
-    )
+    commands = draw(st.lists(command, min_size=1, max_size=2))
+    override = draw(st.none() | _pipeline(commands).map(_with_exit_status))
+    feature = Feature(draw(_text), Disposition.RETAIN, tuple(commands), override, True)
     spec = BenchmarkSpec(
         id=draw(_text.filter(bool)),
         original=BinaryRef("original", Path("/bin/cat")),
         variants=(BinaryRef("false", Path("/bin/false")),),
         features=(feature,),
-        default_comparators=draw(pipeline),
+        default_comparators=draw(_pipeline([] if override else commands).map(_with_exit_status)),
     )
     doc = json.loads(serialize_spec(spec))
     doc["timeout_seconds"] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-6]) | st.floats(1e-3, 5))

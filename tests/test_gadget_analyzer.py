@@ -243,8 +243,8 @@ def test_scan_regions_merges():
 
 
 def test_scan_result_cannot_be_changed_by_a_caller():
-    # compare_regions shares one set among every group of a call that lists
-    # the region, so each caller must get an immutable set.
+    # scan_regions hands back a lone region's own set, so each caller must
+    # get an immutable set.
     region = CodeRegion(0x1000, b"\x5f\x5e\xc3", "t")
     with pytest.raises(AttributeError):
         scan_gadgets(region).clear()
@@ -596,39 +596,35 @@ def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(
     slimmed = [CodeRegion(0x1000, slim, "v")] + original[1:]
     _, results = compare_regions(original, [slimmed, original[:2]])
     assert swept == Counter([exe, slim, lib, m, n])  # each region once
-    # exe is read as bytes for locality, never made into records.
-    assert set(recorded) == {slim, m, n}
+    # Neither a foreign region nor a region that shares its base is made into records.
+    assert recorded == Counter()
     # 2 of slim's 3 gadgets are local, and the 5 of lib, m and n (m and n share a ret).
     assert [pct for _, pct in results] == [100.0 * 7 / 8, 100.0]
 
-    # 40 regions each alone at its base, so summarised, and 40 more that
-    # share one base, so made into records: more of either kind than a
-    # fixed cache of 32 entries holds, listed by the original and two variants.
+    # 40 regions each alone at its base and 40 more that share one base:
+    # more of either kind than a fixed cache of 32 entries holds, listed by
+    # the original and two variants.
     swept.clear()
     codes = [bytes([0x58 + i % 8]) * (1 + i // 8) + b"\xc3" for i in range(80)]
     singles = [CodeRegion(0x1000 * (i + 1), code, "o") for i, code in enumerate(codes[:40])]
     original = singles + [CodeRegion(0x100000, code, "o") for code in codes[40:]]
     original_report, results = compare_regions(original, [original[::-1], original])
     assert swept == Counter(codes)
+    assert recorded == Counter()
     assert results == [(original_report, 100.0)] * 2
     assert original_report == build_report(scan_regions(original))
 
 
 @given(_two_sides())
 @settings(max_examples=100, deadline=None)
-def test_compare_regions_records_an_original_region_only_if_it_shares_its_base(sides):
+def test_compare_regions_builds_no_gadget_record(sides):
     original, variant = sides
-    # One region per base on the variant side, so only the original's own
-    # groups of several can pull an original region into records.
-    variant = list({r.base_address: r for r in variant}.values())
-    recorded = set()
-    scan = gadget_analyzer.scan_gadgets
+    calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gadget_analyzer, "scan_gadgets", lambda r: recorded.add((r.base_address, r.data)) or scan(r))
-        compare_regions(original, [variant])
-    keys = {(r.base_address, r.data) for r in original}
-    shared = {k for k in keys if any(o[0] == k[0] and o != k for o in keys)}
-    assert recorded & keys == shared
+        for name in ("scan_gadgets", "scan_regions"):
+            patch.setattr(gadget_analyzer, name, lambda *args, name=name: calls.append(name))
+        compare_regions(original, [variant, original])
+    assert calls == []
 
 
 def test_a_foreign_gadget_that_runs_past_the_original_region_is_not_local():
@@ -698,7 +694,8 @@ def test_a_sweep_cut_anywhere_finds_the_gadgets_of_the_whole_sweep():
     for cut in range(len(_STRADDLES) + 1):
         spans = _spans(_STRADDLES, [cut])
         assert _chain_facts(_STRADDLES, spans) == whole, cut
-        assert gadget_analyzer._combine(gadget_analyzer._chunk_summary(_STRADDLES, *span) for span in spans) == summary
+        chunks = [gadget_analyzer._chunk_summaries(_STRADDLES, *span, ()) for span in spans]
+        assert gadget_analyzer._combine(chunk[0] for chunk in chunks) == summary
 
 
 def _rex_terminator_cuts(data: bytes) -> list[int]:
@@ -712,8 +709,8 @@ def test_chunk_summaries_combine_to_the_serial_summary(data, draw):
     at_rex = _rex_terminator_cuts(data)
     cut = st.integers(0, len(data)) | (st.sampled_from(at_rex) if at_rex else st.nothing())
     spans = _spans(data, draw.draw(st.lists(cut, max_size=6)))
-    chunks = [gadget_analyzer._chunk_summary(data, lo, hi) for lo, hi in spans]
-    assert gadget_analyzer._combine(chunks) == _serial_summary(data)
+    chunks = [gadget_analyzer._chunk_summaries(data, lo, hi, ()) for lo, hi in spans]
+    assert gadget_analyzer._combine(chunk[0] for chunk in chunks) == _serial_summary(data)
     assert _chain_facts(data, spans) == _chain_facts(data, [(0, len(data))])
 
 
@@ -740,15 +737,25 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("child", ["sweeps", "fails", "cannot be forked"])
 def test_forked_chunk_summaries_equal_the_serial_one(four_cpus, monkeypatch, child):
     parent = os.getpid()
-    if child == "fails":
-        chunk_summary = gadget_analyzer._chunk_summary
+    serial = _serial_summary(_FORKED)
+    swept_here = []
+    sweep = gadget_analyzer._sweep
 
-        def failing(data, lo, hi):
+    def counted(data, lo, hi):
+        if os.getpid() == parent:
+            swept_here.append((lo, hi))
+        return sweep(data, lo, hi)
+
+    monkeypatch.setattr(gadget_analyzer, "_sweep", counted)
+    if child == "fails":
+        chunk_summaries = gadget_analyzer._chunk_summaries
+
+        def failing(data, lo, hi, holders):
             if os.getpid() != parent:
                 raise RuntimeError("a child that fails writes no summary")
-            return chunk_summary(data, lo, hi)
+            return chunk_summaries(data, lo, hi, holders)
 
-        monkeypatch.setattr(gadget_analyzer, "_chunk_summary", failing)
+        monkeypatch.setattr(gadget_analyzer, "_chunk_summaries", failing)
     if child == "cannot be forked":
 
         def no_fork():
@@ -756,30 +763,55 @@ def test_forked_chunk_summaries_equal_the_serial_one(four_cpus, monkeypatch, chi
             raise BlockingIOError(errno.EAGAIN, "no process can be made")
 
         monkeypatch.setattr(os, "fork", no_fork)
-    assert gadget_analyzer._region_summary(_FORKED) == _serial_summary(_FORKED)
+    assert gadget_analyzer._region_summaries(_FORKED, ()) == {0: serial}
     assert four_cpus == [parent] * 3
+    # A child that wrote its summary saves this process its chunk's sweep.
+    assert swept_here == ([(0, 1024)] if child == "sweeps" else _spans(_FORKED, [1024, 2048, 3072]))
+    _assert_no_child_left()
+
+
+def _serial_summaries(data: bytes, holders) -> dict:
+    """The summaries by holder mask, folded from the region's gadget records."""
+    by_mask = {}
+    for g in scan_gadgets(CodeRegion(0, data, "t")):
+        held = [bit for bit, shift, code in holders if g.start + shift >= 0 and code.startswith(g.raw_bytes, g.start + shift)]
+        by_mask.setdefault(sum(1 << bit for bit in held), []).append(g)
+    return {mask: gadget_analyzer._fold(gadgets) for mask, gadgets in by_mask.items()}
+
+
+def test_forked_chunk_summaries_by_holder_mask_equal_the_serial_ones(four_cpus):
+    # Holders at the same base with a few bytes changed, one shifted up and
+    # one shifted down by 8 bytes, and one that holds a single chunk.
+    changed = bytearray(_FORKED)
+    for at in range(100, 4096, 700):
+        changed[at] = 0x06
+    holders = ((0, 0, bytes(changed)), (2, 8, _FORKED[8:]), (3, -8, b"\x06" * 8 + _FORKED), (5, -2048, _FORKED[2048:3072]))
+    summaries = gadget_analyzer._region_summaries(_FORKED, holders)
+    assert summaries == _serial_summaries(_FORKED, holders)
+    assert len(summaries) > 4
+    assert len(four_cpus) == 3
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus, size", [(1, 4096), (4, 1024), (4, 2047)])
 def test_a_region_of_one_chunk_forks_nothing(four_cpus, monkeypatch, cpus, size):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert gadget_analyzer._region_summary(_FORKED[:size]) == _serial_summary(_FORKED[:size])
+    assert gadget_analyzer._region_summaries(_FORKED[:size], ()) == {0: _serial_summary(_FORKED[:size])}
     assert four_cpus == []
 
 
 def test_an_interrupted_summary_kills_and_reaps_its_children(four_cpus, monkeypatch):
     parent = os.getpid()
 
-    def interrupted(data, lo, hi):
+    def interrupted(data, lo, hi, holders):
         if os.getpid() != parent:
             time.sleep(60)  # killed long before
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(gadget_analyzer, "_chunk_summary", interrupted)
+    monkeypatch.setattr(gadget_analyzer, "_chunk_summaries", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        gadget_analyzer._region_summary(_FORKED)
+        gadget_analyzer._region_summaries(_FORKED, ())
     assert time.monotonic() - start < 30
     assert len(four_cpus) == 3
     _assert_no_child_left()
@@ -789,7 +821,7 @@ def test_an_interrupted_summary_kills_and_reaps_its_children(four_cpus, monkeypa
 def test_libc_summary_in_forked_chunks_equals_the_serial_one(four_cpus, monkeypatch):
     monkeypatch.setattr(gadget_analyzer, "_CHUNK_MIN", 256 * 1024)
     (_, data), = executable_segments(LIBC)
-    assert gadget_analyzer._region_summary(data) == _serial_summary(data)
+    assert gadget_analyzer._region_summaries(data, ()) == {0: _serial_summary(data)}
     assert len(four_cpus) == 3
     _assert_no_child_left()
 

@@ -44,20 +44,24 @@ _pattern = st.sampled_from([r"[0-9]+", r"\d{4}-\d{2}", "a|b", r"\s+$", "(x)?"])
 _replacement = _text.filter(lambda s: "\\" not in s) | st.sampled_from([r"\\", r"\g<0>", r"<\n>"])
 
 
-def _comparator(kind: ComparatorKind):
+def _comparator(kind: ComparatorKind, digestible: list[str]):
     normalizers = st.just(())
     path = st.none()
     if kind in (ComparatorKind.STDOUT_NORMALIZED, ComparatorKind.STDERR_NORMALIZED):
         normalizers = st.lists(st.builds(Normalizer, _pattern, _replacement), min_size=1, max_size=2).map(tuple)
     if kind is ComparatorKind.FILE_DIGEST:
-        path = _relative
+        path = st.sampled_from(digestible)
     return st.builds(ComparatorConfig, st.just(kind), normalizers, path)
 
 
-_pipeline = st.builds(
-    ComparatorPipeline,
-    st.lists(st.sampled_from(ComparatorKind).flatmap(_comparator), min_size=1, max_size=3).map(tuple),
-)
+def _pipeline(commands: list[TestCommand]):
+    """A pipeline whose digested files every one of commands captures."""
+    digestible = sorted(set.intersection(*(set(c.expected_output_files) for c in commands))) if commands else []
+    kinds = [k for k in ComparatorKind if digestible or k is not ComparatorKind.FILE_DIGEST]
+    comparator = st.sampled_from(kinds).flatmap(lambda kind: _comparator(kind, digestible))
+    return st.builds(ComparatorPipeline, st.lists(comparator, min_size=1, max_size=3).map(tuple))
+
+
 _command = st.builds(
     TestCommand,
     st.lists(_template.filter(lambda s: "\0" not in s), min_size=1, max_size=3).map(tuple),
@@ -81,22 +85,16 @@ def _specs(draw) -> BenchmarkSpec:
     features = []
     for i, name in enumerate(names):
         disposition = Disposition.RETAIN if i == anchor else draw(st.sampled_from(Disposition))
-        features.append(
-            Feature(
-                name,
-                disposition,
-                tuple(draw(st.lists(_command, min_size=1, max_size=2))),
-                draw(st.none() | _pipeline),
-                i == anchor,
-            )
-        )
+        commands = draw(st.lists(_command, min_size=1, max_size=2))
+        features.append(Feature(name, disposition, tuple(commands), draw(st.none() | _pipeline(commands)), i == anchor))
+    by_default = [c for f in features if f.comparator_override is None for c in f.commands]
     labels = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
     return BenchmarkSpec(
         id=draw(_text.filter(bool)),
         original=draw(_binary(draw(_text))),
         variants=tuple(draw(_binary(label)) for label in labels),
         features=tuple(features),
-        default_comparators=draw(_pipeline),
+        default_comparators=draw(_pipeline(by_default)),
         env=draw(st.dictionaries(_os_text.filter(lambda s: s and "=" not in s), _os_text, max_size=3)),
         timeout_seconds=draw(st.floats(min_value=1e-3, max_value=1e6)),
         trials=draw(st.integers(1, 100)),
@@ -186,6 +184,7 @@ def _encloses(outer: str, inner: str) -> bool:
 
 
 def test_every_single_fault_is_a_spec_error_at_its_key():
+    parse_spec(json.dumps(FULL).encode())  # FULL itself is valid
     faults = list(_faults())
     assert len(faults) > 250
     for key_path, may_parse, document in faults:
@@ -198,7 +197,8 @@ def test_every_single_fault_is_a_spec_error_at_its_key():
 
 
 # Arrays that may be empty; every other array of FULL must hold an item.
-MAY_BE_EMPTY = {"libs", "files"}
+# FULL digests a file that its one command captures, so its files may not be empty.
+MAY_BE_EMPTY = {"libs"}
 _TYPE_ERROR = re.compile(r"expected (string|integer|number|boolean|array|object), got (string|integer|number|boolean|array|object|null)")
 
 

@@ -97,6 +97,24 @@ def test_command_with_parent_path_output_rejected():
         parse_spec(doc(features=features))
 
 
+@pytest.mark.parametrize("where", ["feature", "spec"])
+def test_a_digested_file_that_no_command_captures_is_rejected_at_its_files(where):
+    # Never captured, the file would read absent on both sides and always match.
+    comparators = [{"kind": "exit_status"}, {"kind": "file_digest", "path": "out.txt"}]
+    features = json.loads(json.dumps(MINIMAL["features"]))
+    features[0]["commands"].append({"argv": ["-o", "out.txt"], "files": ["out.txt"]})
+    document = {"comparators": comparators} if where == "spec" else {}
+    if where == "feature":
+        features[0]["comparators"] = comparators
+    with pytest.raises(InvariantError) as exc:
+        parse_spec(doc(document, features=features))
+    assert exc.value.path == "features[0].commands[0].files"
+    assert "'out.txt'" in str(exc.value)
+    features[0]["commands"][0]["files"] = ["log", "out.txt"]
+    spec = parse_spec(doc(document, features=features))
+    assert spec.pipeline_for(spec.features[0]).comparators[1].path == "out.txt"
+
+
 def test_anchor_must_be_retained():
     features = [
         {"name": "f", "disposition": "debloat", "anchor": True, "commands": [{"argv": ["x"]}]}
