@@ -195,18 +195,18 @@ class _VariantMetrics:
     locality_pct: float | None = None
 
 
-def _seed_requests(spec: BenchmarkSpec, exe_path: Path, seed: int) -> list[ExecRequest]:
+def _seed_requests(spec: BenchmarkSpec, exe_path: Path) -> list[ExecRequest]:
+    """A run of each retained command's seed input, which no fuzz seed changes."""
     from .verdict_engine import exec_request
-    plan = MutationPlan(seed=seed)
     return [
-        exec_request(spec, exe_path, derive_commands(cmd, plan, feature.name, ci, 1)[0], cmd)
+        exec_request(spec, exe_path, derive_commands(cmd, MutationPlan(), limit=1)[0], cmd)
         for feature in spec.features
         if feature.disposition is Disposition.RETAIN
-        for ci, cmd in enumerate(feature.commands)
+        for cmd in feature.commands
     ]
 
 
-def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> TrialSummary | None:
+def _perf_totals(spec: BenchmarkSpec, exe_path: Path) -> TrialSummary | None:
     """All trials of the retained seed commands as one summary.
 
     Its mean CPU is the sum of the per-command means and its mean peak RSS
@@ -216,7 +216,7 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path, seed: int) -> TrialSummary
     total_cpu = 0.0
     max_rss = 0.0
     outcomes = []
-    requests = _seed_requests(spec, exe_path, seed)
+    requests = _seed_requests(spec, exe_path)
     if not requests:
         return None
     try:
@@ -254,21 +254,21 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
     spec = _read_spec(spec_path)
     # Every side's trials run before any code is read or the gadget layers are
     # loaded: a child's peak memory starts at this process's high-water mark.
-    original_perf = None if no_perf else _perf_totals(spec, spec.original.exe_path, seed)
-    perfs = {v.label: _perf_totals(spec, v.exe_path, seed) for v in spec.variants} if original_perf else {}
+    original_perf = None if no_perf else _perf_totals(spec, spec.original.exe_path)
+    perfs = {v.label: _perf_totals(spec, v.exe_path) for v in spec.variants} if original_perf else {}
     from . import binary_metrics, gadget_analyzer
     from .elf import ElfParseError
 
     # Every side's code is read before any is scanned, so the gadget sets
     # are composed in one pass that sweeps each distinct region once.
     original_regions = _code_regions(spec.original, aggregate_libs)
-    gadget_rows: dict[str, tuple[gadget_analyzer.GadgetSetReport, float]] = {}
+    gadget_rows: dict[str, tuple[gadget_analyzer.GadgetSummary, float]] = {}
     if original_regions is not None:
         variant_regions = {
             v.label: regions for v in spec.variants
             if (regions := _code_regions(v, aggregate_libs)) is not None
         }
-        original_gadget_report, variant_results = gadget_analyzer.compare_regions(
+        original_gadgets, variant_results = gadget_analyzer.compare_regions(
             original_regions, list(variant_regions.values())
         )
         gadget_rows = dict(zip(variant_regions, variant_results))
@@ -296,8 +296,8 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
             except NotComparableError:
                 pass
         if variant.label in gadget_rows:
-            variant_report, row.locality_pct = gadget_rows[variant.label]
-            delta = gadget_analyzer.compare_sets(original_gadget_report, variant_report)
+            variant_gadgets, row.locality_pct = gadget_rows[variant.label]
+            delta = gadget_analyzer.compare_sets(original_gadgets, variant_gadgets)
             row.expressivity_delta = delta.expressivity_delta
             row.quality_delta = delta.quality_delta
             row.quality_significant = delta.quality_significant
@@ -320,13 +320,13 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
 
 # --- gadgets compare ---------------------------------------------------
 
-def _gadget_summary(report: gadget_analyzer.GadgetSetReport) -> dict:
+def _gadget_summary(summary: gadget_analyzer.GadgetSummary) -> dict:
     return {
-        "gadgets": report.gadget_count,
-        "expressivity": report.expressivity.count,
-        "mean_quality": report.mean_quality,
-        "special_types": sorted(report.special_types),
-        "syscall_gadgets": report.syscall_gadget_count,
+        "gadgets": summary.count,
+        "expressivity": len(summary.expressivity),
+        "mean_quality": summary.mean_quality,
+        "special_types": sorted(summary.special_types),
+        "syscall_gadgets": summary.syscall_count,
     }
 
 
@@ -344,11 +344,11 @@ def gadgets_compare(original_path: Path, variant_path: Path):
     from . import gadget_analyzer
     orig_regions = gadget_analyzer.extract_code_regions(BinaryRef("original", original_path))
     var_regions = gadget_analyzer.extract_code_regions(BinaryRef("variant", variant_path))
-    orig_report, [(var_report, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])
-    delta = gadget_analyzer.compare_sets(orig_report, var_report)
+    orig_gadgets, [(var_gadgets, locality_pct)] = gadget_analyzer.compare_regions(orig_regions, [var_regions])
+    delta = gadget_analyzer.compare_sets(orig_gadgets, var_gadgets)
     doc = {
-        "original": _gadget_summary(orig_report),
-        "variant": _gadget_summary(var_report),
+        "original": _gadget_summary(orig_gadgets),
+        "variant": _gadget_summary(var_gadgets),
         "delta": {
             "expressivity": delta.expressivity_delta,
             "quality": delta.quality_delta,
@@ -393,16 +393,23 @@ def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     """Run a debloating tool under CPU/memory accounting."""
     # Failures are still timed and recorded; a produced output binary is
     # registered as a new variant in an updated copy of the spec.
-    from .exec_harness import ExecRequest, TerminationKind
+    import shutil
+
+    from .exec_harness import ExecRequest, SpawnError, TerminationKind
     spec = _read_spec(spec_path)
     # Built before the tool runs, so a spec that cannot take the new variant
     # is rejected at once, not after a run of up to max_seconds.
     updated = replace(
         spec, variants=spec.variants + (BinaryRef(f"tool-wrap-{output_path.name}", output_path),)
     )
-    # The tool runs in an empty sandbox directory, so it must address the
-    # target program and its output via absolute paths.
-    req = ExecRequest(exe_path=Path(tool_cmdline[0]), argv=list(tool_cmdline[1:]),
+    # The tool runs in an empty sandbox directory with an empty environment:
+    # it must address its target and output by absolute paths, and its own
+    # command is resolved here as a shell would resolve it.
+    name = tool_cmdline[0]
+    tool = name if "/" in name else shutil.which(name)
+    if tool is None:
+        raise SpawnError(f"cannot exec {name}: not found on PATH")
+    req = ExecRequest(exe_path=Path(tool).absolute(), argv=list(tool_cmdline[1:]),
                       timeout_seconds=max_seconds)
     before = _file_identity(output_path)
     outcome = run_once(req)

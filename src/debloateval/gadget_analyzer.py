@@ -10,7 +10,8 @@ address and bytes relative to the original).
 
 The scan computes each gadget's classes, quality and special types as it
 finds the gadget, so every set-level metric but locality is a fold over
-those facts, and a side's metrics combine small summaries of its regions.
+those facts into a GadgetSummary, and a set's metrics are read from its
+summary; a side's summary combines small summaries of its regions.
 compare_regions builds no gadget record: it sweeps each distinct region
 once and keys the summaries of its gadgets by a mask of the regions that
 hold each gadget's bytes at its address. The mask decides both whether a
@@ -90,8 +91,8 @@ def _mask(names: set[str], bits: dict[str, int]) -> int:
     return mask
 
 
-def _names(mask: int, table: tuple[str, ...]) -> set[str]:
-    return {name for i, name in enumerate(table) if mask >> i & 1}
+def _names(mask: int, table: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(name for i, name in enumerate(table) if mask >> i & 1)
 
 
 class SyscallEvent(enum.Enum):
@@ -142,21 +143,12 @@ class Gadget(NamedTuple):
         return "; ".join(ins.text for ins in self.instructions)
 
 
-@dataclass(frozen=True)
-class ExpressivityProfile:
-    satisfied: frozenset[str]
-    count: int
-
-    def __post_init__(self):
-        if self.count != len(self.satisfied):
-            raise ValueError("count must equal |satisfied|")
-
-
 class GadgetSummary(NamedTuple):
-    """What every set-level metric but locality needs from a set of gadgets.
+    """A set of gadgets as every set-level metric but locality reads it.
 
-    Each quality is a multiple of MINOR_CONSTRAINT, so quality_sum is exact
-    in any order of addition.
+    A set's expressivity, mean quality, special-purpose types and syscall
+    gadget count are all read from its summary. Each quality is a multiple
+    of MINOR_CONSTRAINT, so quality_sum is exact in any order of addition.
     """
 
     count: int
@@ -165,14 +157,17 @@ class GadgetSummary(NamedTuple):
     special_mask: int
     syscall_count: int
 
+    @property
+    def expressivity(self) -> frozenset[str]:
+        return _names(self.class_mask, EXPRESSIVITY_CLASSES)
 
-@dataclass(frozen=True)
-class GadgetSetReport:
-    gadget_count: int
-    expressivity: ExpressivityProfile
-    mean_quality: float
-    special_types: frozenset[str]
-    syscall_gadget_count: int
+    @property
+    def mean_quality(self) -> float:
+        return self.quality_sum / self.count if self.count else 0.0
+
+    @property
+    def special_types(self) -> frozenset[str]:
+        return _names(self.special_mask, SPECIAL_TYPES)
 
 
 @dataclass(frozen=True)
@@ -598,19 +593,8 @@ def _combine(summaries: Iterable[GadgetSummary]) -> GadgetSummary:
     return GadgetSummary(count, class_mask, quality_sum, special_mask, syscall_count)
 
 
-def _report(summary: GadgetSummary) -> GadgetSetReport:
-    satisfied = frozenset(_names(summary.class_mask, EXPRESSIVITY_CLASSES))
-    return GadgetSetReport(
-        gadget_count=summary.count,
-        expressivity=ExpressivityProfile(satisfied, len(satisfied)),
-        mean_quality=summary.quality_sum / summary.count if summary.count else 0.0,
-        special_types=frozenset(_names(summary.special_mask, SPECIAL_TYPES)),
-        syscall_gadget_count=summary.syscall_count,
-    )
-
-
-def build_report(gadgets: set[Gadget] | frozenset[Gadget]) -> GadgetSetReport:
-    return _report(_fold(gadgets))
+def build_report(gadgets: set[Gadget] | frozenset[Gadget]) -> GadgetSummary:
+    return _fold(gadgets)
 
 
 def _percent(local: int, total: int) -> float:
@@ -631,8 +615,8 @@ def _key(region: CodeRegion) -> tuple[int, bytes]:
 
 def compare_regions(
     original: list[CodeRegion], variants: list[list[CodeRegion]]
-) -> tuple[GadgetSetReport, list[tuple[GadgetSetReport, float]]]:
-    """The original's report, and each variant's report and locality.
+) -> tuple[GadgetSummary, list[tuple[GadgetSummary, float]]]:
+    """The original's summary, and each variant's summary and locality.
 
     Each equals what build_report() and locality() give on scan_regions()
     of the sides, yet no gadget record is made. A distinct region's holders
@@ -652,7 +636,6 @@ def compare_regions(
         return sum(1 << i for i in {index[_key(r)] for r in side})
 
     in_original = bits(original)
-    memo: dict[tuple[bytes, tuple[_Holder, ...]], dict[int, GadgetSummary]] = {}  # once per bytes and holders
     summaries, same_base_below = [], []
     for i, r in enumerate(regions):
         foreign = not in_original >> i & 1
@@ -663,9 +646,7 @@ def compare_regions(
             if j != i and (h.base_address == r.base_address or foreign and in_original >> j & 1
                            and h.base_address < end and r.base_address < h.base_address + len(h.data))
         )
-        if (r.data, holders) not in memo:
-            memo[r.data, holders] = _region_summaries(r.data, holders)
-        summaries.append(memo[r.data, holders])
+        summaries.append(_region_summaries(r.data, holders))
         same_base_below.append(sum(1 << j for j, shift, _ in holders if j < i and shift == 0))
     results = []
     for side in sides:
@@ -675,15 +656,15 @@ def compare_regions(
             for i, by_mask in enumerate(summaries) if listed >> i & 1
             for mask, summary in by_mask.items() if not mask & listed & same_base_below[i]
         ]
-        report = _report(_combine(summary for summary, _ in counted))
-        results.append((report, _percent(sum(s.count for s, local in counted if local), report.gadget_count)))
-    (original_report, _), *variant_results = results
-    return original_report, variant_results
+        total = _combine(summary for summary, _ in counted)
+        results.append((total, _percent(sum(s.count for s, local in counted if local), total.count)))
+    (original_summary, _), *variant_results = results
+    return original_summary, variant_results
 
 
 # --- Deltas --------------------------------------------------------------
 
-def compare_sets(original: GadgetSetReport, variant: GadgetSetReport) -> SecurityDelta:
+def compare_sets(original: GadgetSummary, variant: GadgetSummary) -> SecurityDelta:
     """Signed deltas, original minus variant.
 
     Positive expressivity delta: the variant satisfies fewer classes (good).
@@ -691,17 +672,17 @@ def compare_sets(original: GadgetSetReport, variant: GadgetSetReport) -> Securit
     constraints on average, i.e. chain more easily (bad). Quality deltas
     below one minor constraint are flagged as not significant.
     """
-    if original.syscall_gadget_count > 0 and variant.syscall_gadget_count == 0:
+    if original.syscall_count > 0 and variant.syscall_count == 0:
         event = SyscallEvent.ELIMINATED
-    elif original.syscall_gadget_count == 0 and variant.syscall_gadget_count > 0:
+    elif original.syscall_count == 0 and variant.syscall_count > 0:
         event = SyscallEvent.INTRODUCED
     else:
         event = SyscallEvent.NONE
     quality_delta = original.mean_quality - variant.mean_quality
     return SecurityDelta(
-        expressivity_delta=original.expressivity.count - variant.expressivity.count,
+        expressivity_delta=original.class_mask.bit_count() - variant.class_mask.bit_count(),
         quality_delta=quality_delta,
-        sp_types_delta=len(original.special_types) - len(variant.special_types),
+        sp_types_delta=original.special_mask.bit_count() - variant.special_mask.bit_count(),
         syscall_event=event,
         quality_significant=abs(quality_delta) >= MINOR_CONSTRAINT,
     )

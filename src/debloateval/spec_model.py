@@ -14,7 +14,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path, PurePosixPath
 from typing import Callable, NamedTuple
@@ -170,9 +170,6 @@ class BenchmarkSpec:
 # and serialize_spec both walk the tables, and a table's row order is the
 # key order serialize_spec writes.
 
-_REQUIRED = object()
-
-
 def _utf8(value: str, path: str) -> str:
     """value, unless it holds a lone surrogate, which JSON can spell but UTF-8 cannot."""
     try:
@@ -287,14 +284,13 @@ def _build(cls, kwargs: dict, path: str, keys: dict[str, str] | None = None):
 class _Field(NamedTuple):
     """A JSON key and the dataclass field it fills.
 
-    A missing key takes the dataclass's default, which default restates. A
-    dump of None means the field value is JSON already.
+    A missing key takes the dataclass field's default; a field without one
+    is required. A dump of None means the field value is JSON already.
     """
 
     key: str
     attr: str
     load: Callable
-    default: object = _REQUIRED
     omit_default: bool = False
     dump: Callable | None = None
 
@@ -302,10 +298,13 @@ class _Field(NamedTuple):
 class _Object:
     """The JSON object form of one dataclass."""
 
-    def __init__(self, cls: type, *fields: _Field):
+    def __init__(self, cls: type, *rows: _Field):
         self.cls = cls
-        self.fields = {f.key: f for f in fields}
-        self.keys = {f.attr: f.key for f in fields}
+        self.fields = {f.key: f for f in rows}
+        self.keys = {f.attr: f.key for f in rows}
+        self.defaults = {
+            f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(cls)
+        }
 
     def load(self, obj, path: str):
         _expect(dict, obj, path)
@@ -314,10 +313,10 @@ class _Object:
             unknown = next(key for key in obj if key not in self.fields)
             raise SchemaError(prefix + unknown, "unknown key")
         kwargs = {}
-        for key, attr, load, default, _, _ in self.fields.values():
+        for key, attr, load, _, _ in self.fields.values():
             if key in obj:
                 kwargs[attr] = load(obj[key], prefix + key)
-            elif default is _REQUIRED:
+            elif self.defaults[attr] is MISSING:
                 raise SchemaError(prefix + key, "missing required field")
         return _build(self.cls, kwargs, path, self.keys)
 
@@ -325,7 +324,7 @@ class _Object:
         out = {}
         for f in self.fields.values():
             field_value = getattr(value, f.attr)
-            if not (f.omit_default and field_value == f.default):
+            if not (f.omit_default and field_value == self.defaults[f.attr]):
                 out[f.key] = field_value if f.dump is None else f.dump(field_value)
         return out
 
@@ -339,8 +338,8 @@ _NORMALIZER = _Object(
 _COMPARATOR = _Object(
     ComparatorConfig,
     _Field("kind", "kind", _enum(ComparatorKind, "unknown comparator kind {!r}"), dump=_value),
-    _Field("normalizers", "normalizers", _array(_NORMALIZER.load), (), True, _each(_NORMALIZER.dump)),
-    _Field("path", "path", _typed(str), None, True),
+    _Field("normalizers", "normalizers", _array(_NORMALIZER.load), True, _each(_NORMALIZER.dump)),
+    _Field("path", "path", _typed(str), True),
 )
 
 
@@ -357,9 +356,9 @@ def _dump_pipeline(pipeline: ComparatorPipeline) -> list:
 _COMMAND = _Object(
     TestCommand,
     _Field("argv", "argv_template", _array(_os_text), dump=list),
-    _Field("stdin", "stdin", _typed(str), None, True),
-    _Field("files", "expected_output_files", _array(_os_text), (), True, list),
-    _Field("fuzz_count", "fuzz_count", _typed(int), 0, True),
+    _Field("stdin", "stdin", _typed(str), True),
+    _Field("files", "expected_output_files", _array(_os_text), True, list),
+    _Field("fuzz_count", "fuzz_count", _typed(int), True),
 )
 
 _FEATURE = _Object(
@@ -368,16 +367,16 @@ _FEATURE = _Object(
     _Field("disposition", "disposition", _enum(Disposition, "must be 'retain' or 'debloat', got {!r}"),
            dump=_value),
     _Field("commands", "commands", _array(_COMMAND.load), dump=_each(_COMMAND.dump)),
-    _Field("anchor", "aggressive_anchor", _typed(bool), False, True),
-    _Field("comparators", "comparator_override", _load_pipeline, None, True, _dump_pipeline),
+    _Field("anchor", "aggressive_anchor", _typed(bool), True),
+    _Field("comparators", "comparator_override", _load_pipeline, True, _dump_pipeline),
 )
 
 _BINARY = _Object(
     BinaryRef,
     _Field("label", "label", _typed(str)),
     _Field("exe", "exe_path", _path, dump=str),
-    _Field("libs", "lib_paths", _array(_path), (), dump=_each(str)),
-    _Field("static", "statically_linked", _typed(bool), False),
+    _Field("libs", "lib_paths", _array(_path), dump=_each(str)),
+    _Field("static", "statically_linked", _typed(bool)),
 )
 
 _SPEC = _Object(
@@ -386,10 +385,10 @@ _SPEC = _Object(
     _Field("original", "original", _typed(dict, _BINARY.load), dump=_BINARY.dump),
     _Field("variants", "variants", _array(_BINARY.load), dump=_each(_BINARY.dump)),
     _Field("features", "features", _array(_FEATURE.load), dump=_each(_FEATURE.dump)),
-    _Field("comparators", "default_comparators", _load_pipeline, default_pipeline(), dump=_dump_pipeline),
-    _Field("env", "env", _typed(dict, _env), {}),
-    _Field("timeout_seconds", "timeout_seconds", _typed((int, float), _float), DEFAULT_TIMEOUT_SECONDS),
-    _Field("trials", "trials", _typed(int), DEFAULT_TRIALS),
+    _Field("comparators", "default_comparators", _load_pipeline, dump=_dump_pipeline),
+    _Field("env", "env", _typed(dict, _env)),
+    _Field("timeout_seconds", "timeout_seconds", _typed((int, float), _float)),
+    _Field("trials", "trials", _typed(int)),
 )
 
 

@@ -559,7 +559,7 @@ def test_seed_requests_derive_only_the_seed_input(tmp_path, toy_pair, monkeypatc
 
     monkeypatch.setattr(cli, "derive_commands", counting_derive)
     spec = parse_spec(write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"], fuzz_count=500)).read_bytes())
-    requests = cli._seed_requests(spec, toy_pair["original"], seed=0)
+    requests = cli._seed_requests(spec, toy_pair["original"])
     assert [r.argv for r in requests] == [["a", "alpha"]]
     assert derived == [1]
 
@@ -757,6 +757,30 @@ def test_tool_wrap_does_not_count_a_stale_output_as_produced(runner, tmp_path, t
     assert result.exit_code == EXIT_OK
     assert json.loads((out / "tool_perf.json").read_text())["succeeded"] is False
     assert not (out / "spec.updated.json").exists()
+
+
+def test_tool_wrap_runs_a_tool_given_by_a_relative_path(runner, tmp_path, toy_pair, monkeypatch):
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    produced = tmp_path / "debloated"
+    make_script(tmp_path, "mk.sh", f'cp "{toy_pair["original"]}" "{produced}"\n')
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    result = invoke(runner, "tool-wrap", "--spec", spec, "--out", out, "--output", produced, "./mk.sh")
+    assert result.exit_code == EXIT_OK, result.output
+    assert json.loads((out / "tool_perf.json").read_text())["succeeded"] is True
+
+
+def test_tool_wrap_runs_a_tool_found_on_path(runner, tmp_path, toy_pair, monkeypatch):
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    produced = tmp_path / "debloated"
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    make_script(bin_dir, "debloat-tool", f'cp "{toy_pair["original"]}" "{produced}"\n')
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}")
+    out = tmp_path / "out"
+    result = invoke(runner, "tool-wrap", "--spec", spec, "--out", out, "--output", produced, "debloat-tool")
+    assert result.exit_code == EXIT_OK, result.output
+    assert json.loads((out / "tool_perf.json").read_text())["succeeded"] is True
 
 
 def test_tool_wrap_unlaunchable_tool_is_exit_2(runner, tmp_path, toy_pair):

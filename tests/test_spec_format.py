@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -335,20 +334,6 @@ _TABLES = [
     spec_model._COMPARATOR,
     spec_model._NORMALIZER,
 ]
-
-
-def test_table_defaults_are_the_dataclass_defaults():
-    # A missing key leaves the dataclass default, so a row's default must equal it.
-    for table in _TABLES:
-        defaults = {
-            f.name: f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
-            for f in dataclasses.fields(table.cls)
-        }
-        for row in table.fields.values():
-            if row.default is spec_model._REQUIRED:
-                assert defaults[row.attr] is dataclasses.MISSING, (table.cls, row.key)
-            else:
-                assert row.default == defaults[row.attr], (table.cls, row.key)
 
 
 def test_readme_spec_format_lists_every_key_in_order():
