@@ -19,8 +19,8 @@ side's union already counts a gadget and whether the gadget is local.
 
 A sweep can be bounded to the gadgets that start in [lo, hi): no gadget
 spans more than MAX_GADGET_LEN * _MAX_INSTR_BYTES = 150 bytes, so the bytes
-below hi + 150 decide them all. So a large region is swept in chunks, in
-forked children on every CPU the process may run on.
+below hi + 150 decide them all. So the regions are swept end to end, cut
+into one span per CPU the process may run on, each but the first in a child.
 
 The expressivity class table, special-purpose patterns, and constraint
 taxonomy are this implementation's own; deltas are comparable only between
@@ -34,6 +34,7 @@ import contextlib
 import enum
 import itertools
 import marshal
+import operator
 import os
 import re
 import signal
@@ -43,7 +44,8 @@ from typing import BinaryIO, NamedTuple
 
 from . import elf
 from .spec_model import BinaryRef
-from .x86 import CALL_INDIRECT, JMP_INDIRECT, RET, SYSCALL, DecodedInstruction, decode, instruction_bounds
+from .x86 import (CALL_INDIRECT, FIRST_BYTES, JMP_INDIRECT, RET, SYSCALL, DecodedInstruction, decode,
+                  instruction_bounds)
 
 MAX_GADGET_LEN = 10  # instructions, terminator included
 _MAX_INSTR_BYTES = 15
@@ -68,7 +70,7 @@ EXPRESSIVITY_CLASSES = (
 )
 
 SPECIAL_TYPES = (
-    "syscall",
+    "syscall",  # bit 0, by which _fold counts syscall gadgets
     "jop_dispatcher",
     "jop_dataloader",
     "jop_initializer",
@@ -265,28 +267,21 @@ def _body_special_types(ins: DecodedInstruction, term: DecodedInstruction) -> se
 
 # The opcodes of every terminator the decoder knows: ret, ret imm16,
 # int 0x80, syscall, and FF /2 (call) or FF /4 (jmp) by the ModRM reg field.
-# The lookahead is zero-width, so no match hides the next.
-_TERMINATOR = re.compile(
-    rb"(?=[\xc2\xc3]|\xcd\x80|\x0f\x05"
-    rb"|\xff[\x10-\x17\x20-\x27\x50-\x57\x60-\x67\x90-\x97\xa0-\xa7\xd0-\xd7\xe0-\xe7])"
-)
+# One pattern each, so each scan looks for its literal first byte. A match
+# consumes its second byte, which never starts a match of its own pattern.
+_TERMINATORS = [re.compile(pattern) for pattern in (rb"\xc3", rb"\xc2", rb"\xcd\x80", rb"\x0f\x05",
+                 rb"\xff[\x10-\x17\x20-\x27\x50-\x57\x60-\x67\x90-\x97\xa0-\xa7\xd0-\xd7\xe0-\xe7]")]
 
 
 def _terminator_offsets(data: bytes, lo: int, hi: int) -> list[int]:
     """The offsets in [lo, hi + _REACH) that hold a terminator's bytes, ascending.
 
-    These are the pattern's matches and each REX byte just before one. An
-    optional REX byte in the pattern would make the regex scan twice as
-    slow, so the byte before each match is checked here. Every gadget that
-    starts in [lo, hi) ends at one of these offsets.
+    These are the patterns' matches and each REX byte just before one: an
+    optional REX byte would cost a pattern its literal first byte. Every
+    gadget that starts in [lo, hi) ends at one of these offsets.
     """
-    offsets = []
-    for match in _TERMINATOR.finditer(data, lo, hi + _REACH):
-        start = match.start()
-        if start > lo and 0x40 <= data[start - 1] <= 0x4F:
-            offsets.append(start - 1)
-        offsets.append(start)
-    return offsets
+    starts = [m.start() for t in _TERMINATORS for m in t.finditer(data, lo, hi + _REACH)]
+    return sorted(starts + [p - 1 for p in starts if p > lo and 0x40 <= data[p - 1] <= 0x4F])
 
 # What one body instruction adds to a gadget: class bits, its own cost,
 # the cost it carries once it is no longer first, and special-type bits.
@@ -305,10 +300,6 @@ class _Chain(NamedTuple):
     extended_special_mask: int  # what a gadget that extends this one inherits
     head_cost: float            # what the first instruction costs once it is not first
     body_facts: dict[bytes, _BodyFacts]  # by instruction header, for this terminator kind and target
-
-    @property
-    def terminator(self) -> str:
-        return self.term.terminator
 
 
 def _terminator_chain(term: DecodedInstruction, body_facts: dict[bytes, _BodyFacts]) -> _Chain:
@@ -350,7 +341,8 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
     # function, so an offset starts a gadget iff it holds a terminator or
     # an instruction that ends at a start whose gadget can still grow.
     # Every start above p is known when p is reached. Only terminators are
-    # decoded; elsewhere the length pass finds where the instruction ends.
+    # decoded; elsewhere the length pass finds where the instruction ends,
+    # unless no instruction starts with the byte at p.
     # A terminator's chain follows from its bytes but for where it ends, so
     # each distinct terminator is decoded once. A body instruction's facts
     # follow from its header and the gadget's terminator kind and target,
@@ -369,7 +361,7 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
     next_term = p = terminators[k] if k >= 0 else -1
     while p >= lo:
         chain = None
-        bounds = instruction_bounds(data, p)
+        bounds = instruction_bounds(data, p) if FIRST_BYTES[data[p]] else None
         if p == next_term:
             k -= 1
             next_term = terminators[k] if k >= 0 else -1
@@ -382,27 +374,22 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
                     key = (term.terminator, term.branch_reg or term.mem_base)
                     chain = terminator_chains[raw] = _terminator_chain(term, body_facts.setdefault(key, {}))
                 else:  # the same chain, ending past this offset's terminator
-                    chain = _Chain(1, end, *chain[2:])
+                    chain = tuple.__new__(_Chain, (1, end, *chain[2:]))
         else:
             tail = None if bounds is None else growable[(p + bounds[0]) & 15]
             if tail is not None:
+                depth, end, term, class_mask, quality, _, inherited, tail_cost, by_header = tail
                 header = data[p : p + bounds[1]]
-                facts = tail.body_facts.get(header)
+                facts = by_header.get(header)
                 if facts is None:
-                    facts = tail.body_facts[header] = _body_facts(decode(data, p), tail.term)
+                    facts = by_header[header] = _body_facts(decode(data, p), term)
                 class_bits, cost, head_cost, special = facts
-                special |= tail.extended_special_mask
-                chain = _Chain(
-                    tail.depth + 1,
-                    tail.end,
-                    tail.term,
-                    tail.class_mask | class_bits,
-                    tail.quality + tail.head_cost + cost,
-                    special,
-                    special,
-                    head_cost,
-                    tail.body_facts,
-                )
+                special |= inherited
+                # tuple.__new__ skips the NamedTuple constructor's argument handling.
+                chain = tuple.__new__(_Chain, (
+                    depth + 1, end, term, class_mask | class_bits, quality + tail_cost + cost,
+                    special, special, head_cost, by_header,
+                ))
         if chain is not None:
             if p < hi:
                 yield p, chain
@@ -434,7 +421,7 @@ def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
             address=region.base_address + p,
             raw_bytes=data[p : chain.end],
             start=p,
-            terminator=chain.terminator,
+            terminator=chain.term.terminator,
             class_mask=chain.class_mask,
             quality=chain.quality,
             special_mask=chain.special_mask,
@@ -443,41 +430,40 @@ def scan_gadgets(region: CodeRegion) -> frozenset[Gadget]:
     )
 
 
-# A chunk this large sweeps in 50-80 ms, against 1-3 ms to fork, run and reap a child.
+# A span this large sweeps in 40-100 ms on a 2-vCPU host, against 2-3 ms to fork, run and reap a child.
 _CHUNK_MIN = 256 * 1024
-_Holder = tuple[int, int, bytes]
+_Holders = tuple[tuple[int, int, bytes], ...]
+_Piece = tuple[int, int, int]  # a region's index, and the bounds [lo, hi) of the starts swept in it
+_chain_of = operator.itemgetter(1)  # the chain of a (start, chain) pair
 
 
-def _by_mask(parts: Iterable[tuple[int, GadgetSummary]]) -> dict[int, GadgetSummary]:
-    """The summaries of disjoint gadget sets combined by holder mask."""
-    by_mask: dict[int, list[GadgetSummary]] = {}
-    for mask, summary in parts:
-        by_mask.setdefault(mask, []).append(summary)
-    return {mask: _combine(summaries) for mask, summaries in by_mask.items()}
-
-
-def _chunk_summaries(data: bytes, lo: int, hi: int, holders: tuple[_Holder, ...]) -> dict[int, GadgetSummary]:
-    """The summaries of the gadgets that start in [lo, hi), by holder mask.
+def _chunk_summaries(data: bytes, lo: int, hi: int, holders: _Holders) -> list[tuple[int, GadgetSummary]]:
+    """The summaries of the gadgets that start in [lo, hi), with their holder masks.
 
     A holder is (mask bit, this region's base less the holder's, its code);
     a gadget's mask has the bit of each holder of its bytes at its address.
-    Runs of gadgets with one mask are folded as they come.
+    Each run of gadgets with one mask is folded as it comes.
     """
     chains = _sweep(data, lo, hi)
     if not holders:
-        return {0: _fold(chain for _, chain in chains)}
+        return [(0, _fold(map(_chain_of, chains)))]
 
     def mask(found: tuple[int, _Chain]) -> int:
         p, chain = found
         raw = data[p : chain.end]
         return sum(1 << bit for bit, shift, code in holders if p + shift >= 0 and code.startswith(raw, p + shift))
 
-    return _by_mask((m, _fold(chain for _, chain in run)) for m, run in itertools.groupby(chains, mask))
+    return [(m, _fold(map(_chain_of, run))) for m, run in itertools.groupby(chains, mask)]
+
+
+def _span_summaries(codes: list[bytes], holders: list[_Holders], span: list[_Piece]) -> list[tuple]:
+    """The chunk summaries of each piece of the span, as (region index, holder mask, summary)."""
+    return [(i, *part) for i, lo, hi in span for part in _chunk_summaries(codes[i], lo, hi, holders[i])]
 
 
 @contextlib.contextmanager
-def _forked_chunk_summaries(data: bytes, lo: int, hi: int, holders: tuple[_Holder, ...]) -> Iterator[BinaryIO]:
-    """A child process that writes _chunk_summaries(data, lo, hi, holders), marshalled, to the yielded pipe.
+def _forked_span_summaries(codes: list[bytes], holders: list[_Holders], span: list[_Piece]) -> Iterator[BinaryIO]:
+    """A child process that writes _span_summaries(codes, holders, span), marshalled, to the yielded pipe.
 
     The child leaves by os._exit, so it flushes no stdio buffer and runs no
     atexit handler of the parent's. A child that fails, or cannot be forked,
@@ -494,7 +480,7 @@ def _forked_chunk_summaries(data: bytes, lo: int, hi: int, holders: tuple[_Holde
             status = 1
             try:
                 with open(write_fd, "wb") as out:
-                    marshal.dump({m: tuple(s) for m, s in _chunk_summaries(data, lo, hi, holders).items()}, out)
+                    marshal.dump([(i, m, tuple(s)) for i, m, s in _span_summaries(codes, holders, span)], out)
                 status = 0
             finally:
                 os._exit(status)
@@ -510,30 +496,42 @@ def _forked_chunk_summaries(data: bytes, lo: int, hi: int, holders: tuple[_Holde
                 os.waitpid(pid, 0)
 
 
-def _region_summaries(data: bytes, holders: tuple[_Holder, ...]) -> dict[int, GadgetSummary]:
-    """The summaries of the region's gadgets by holder mask, built without their records.
+def _plan(sizes: list[int], workers: int) -> list[list[_Piece]]:
+    """Regions of these sizes, end to end, cut into `workers` spans of equal size, give or take a byte."""
+    total, start = sum(sizes), 0
+    spans: list[list[_Piece]] = [[] for _ in range(workers)]
+    for i, size in enumerate(sizes):
+        for w, span in enumerate(spans):
+            lo, hi = max(total * w // workers, start), min(total * (w + 1) // workers, start + size)
+            if lo < hi:
+                span.append((i, lo - start, hi - start))
+        start += size
+    return spans
 
-    The region is cut into one chunk per CPU this process may run on, but
-    no chunk smaller than _CHUNK_MIN. The chunks after the first are swept
-    in forked children while this process sweeps the first, so a region of
-    one chunk forks nothing. A chunk whose child wrote no readable record
-    is swept here. The only threads this program starts are differ's
-    workers, which have ended before any region is summarised, so a child
-    inherits no lock that another thread holds.
+
+def _summaries(codes: list[bytes], holders: list[_Holders]) -> list[tuple[int, int, GadgetSummary]]:
+    """The regions' gadget summaries as (region index, holder mask, summary), built without records.
+
+    The regions, end to end, are cut into one span per CPU this process may
+    run on, none under _CHUNK_MIN. This process sweeps the first span while
+    forked children sweep the rest, so one call forks fewer children than
+    there are CPUs, and none for a total under 2 * _CHUNK_MIN. A span whose
+    child wrote no readable record is swept here. The only threads this
+    program starts are differ's workers, which have ended before any region
+    is summarised, so a child inherits no lock that another thread holds.
     """
-    chunks = max(1, min(len(os.sched_getaffinity(0)), len(data) // _CHUNK_MIN))
-    cuts = [len(data) * i // chunks for i in range(chunks + 1)]
-    spans = list(zip(cuts, cuts[1:]))
+    workers = max(1, min(len(os.sched_getaffinity(0)), sum(map(len, codes)) // _CHUNK_MIN))
+    first, *rest = _plan([len(code) for code in codes], workers)
     with contextlib.ExitStack() as children:
-        pipes = [children.enter_context(_forked_chunk_summaries(data, lo, hi, holders)) for lo, hi in spans[1:]]
-        parts = [_chunk_summaries(data, *spans[0], holders)]
+        pipes = [children.enter_context(_forked_span_summaries(codes, holders, span)) for span in rest]
+        parts = _span_summaries(codes, holders, first)
         records = [pipe.read() for pipe in pipes]
-    for (lo, hi), record in zip(spans[1:], records):
+    for span, record in zip(rest, records):
         try:
-            parts.append({mask: GadgetSummary(*s) for mask, s in marshal.loads(record).items()})
+            parts += [(i, mask, GadgetSummary(*s)) for i, mask, s in marshal.loads(record)]
         except (EOFError, ValueError, TypeError):
-            parts.append(_chunk_summaries(data, lo, hi, holders))
-    return _by_mask(item for part in parts for item in part.items())
+            parts += _span_summaries(codes, holders, span)
+    return parts
 
 
 def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
@@ -576,7 +574,7 @@ def _fold(gadgets: Iterable[Gadget] | Iterable[_Chain]) -> GadgetSummary:
         class_mask |= g.class_mask
         quality_sum += g.quality
         special_mask |= g.special_mask
-        syscall_count += g.terminator == SYSCALL
+        syscall_count += g.special_mask & 1  # bit 0, special type syscall: set iff the terminator is one
     return GadgetSummary(count, class_mask, quality_sum, special_mask, syscall_count)
 
 
@@ -636,25 +634,24 @@ def compare_regions(
         return sum(1 << i for i in {index[_key(r)] for r in side})
 
     in_original = bits(original)
-    summaries, same_base_below = [], []
+    holders, same_base_below = [], []
     for i, r in enumerate(regions):
         foreign = not in_original >> i & 1
         end = r.base_address + len(r.data)
-        holders = tuple(
+        holders.append(tuple(
             (j, r.base_address - h.base_address, h.data)
             for j, h in enumerate(regions)
             if j != i and (h.base_address == r.base_address or foreign and in_original >> j & 1
                            and h.base_address < end and r.base_address < h.base_address + len(h.data))
-        )
-        summaries.append(_region_summaries(r.data, holders))
-        same_base_below.append(sum(1 << j for j, shift, _ in holders if j < i and shift == 0))
+        ))
+        same_base_below.append(sum(1 << j for j, shift, _ in holders[i] if j < i and shift == 0))
+    parts = _summaries([r.data for r in regions], holders)
     results = []
     for side in sides:
         listed = bits(side)
         counted = [
             (summary, (mask | 1 << i) & in_original)
-            for i, by_mask in enumerate(summaries) if listed >> i & 1
-            for mask, summary in by_mask.items() if not mask & listed & same_base_below[i]
+            for i, mask, summary in parts if listed >> i & 1 and not mask & listed & same_base_below[i]
         ]
         total = _combine(summary for summary, _ in counted)
         results.append((total, _percent(sum(s.count for s, local in counted if local), total.count)))

@@ -365,3 +365,5 @@ _FORMS = _table(
 # After a REX byte: nop (90) does not decode, and REX.W widens mov r, imm to imm64.
 _REX_FORMS = _table(((0x90,), None), base=_FORMS)
 _REX_W_FORMS = _table((range(0xB8, 0xC0), _FORMS[0xB8]._replace(imm=8)), base=_REX_FORMS)
+# FIRST_BYTES[b] is 1 iff an instruction can start with byte b: a REX prefix or an opcode with a row.
+FIRST_BYTES = bytes(0x40 <= op <= 0x4F or form is not None for op, form in enumerate(_FORMS))

@@ -3,7 +3,9 @@ from __future__ import annotations
 import errno
 import os
 import random
+import re
 import statistics
+import struct
 import time
 from collections import Counter
 from pathlib import Path
@@ -17,6 +19,7 @@ from debloateval.elf import executable_segments
 from debloateval.gadget_analyzer import (
     CodeRegion,
     EXPRESSIVITY_CLASSES,
+    GadgetSummary,
     MAX_GADGET_LEN,
     SPECIAL_TYPES,
     SecurityDelta,
@@ -44,7 +47,7 @@ from debloateval.x86 import (
     instruction_bounds,
 )
 
-from conftest import LIBC, gadget, write_elf
+from conftest import LIBC, build_elf, gadget, write_elf
 from oracles import brute_force_scan
 
 
@@ -581,6 +584,7 @@ def test_composed_sides_equal_the_set_based_metrics(sides):
     ]
     # The summed quality gives fmean's value exactly.
     assert original_report.count == len(original_set)
+    assert original_report.syscall_count == sum(g.terminator == SYSCALL for g in original_set)
     if original_set:
         assert original_report.mean_quality == statistics.fmean(g.quality for g in original_set)
 
@@ -652,7 +656,7 @@ def test_compare_regions_on_cat_against_tac_equals_the_set_based_metrics():
 def _chain_facts(data: bytes, spans) -> list[tuple]:
     """Each gadget the sweeps of spans yield, with every fact of its chain, sorted by start."""
     return sorted(
-        (p, c.end, c.depth, c.terminator, c.class_mask, c.quality, c.special_mask)
+        (p, c.end, c.depth, c.term.terminator, c.class_mask, c.quality, c.special_mask)
         for lo, hi in spans
         for p, c in gadget_analyzer._sweep(data, lo, hi)
     )
@@ -660,6 +664,14 @@ def _chain_facts(data: bytes, spans) -> list[tuple]:
 
 def _serial_summary(data: bytes):
     return gadget_analyzer._fold(chain for _, chain in gadget_analyzer._sweep(data, 0, len(data)))
+
+
+def _combined(parts) -> dict:
+    """Summary parts, (key..., summary), combined by key."""
+    by_key = {}
+    for *key, summary in parts:
+        by_key.setdefault(tuple(key), []).append(summary)
+    return {key: gadget_analyzer._combine(summaries) for key, summaries in by_key.items()}
 
 
 def _spans(data: bytes, cuts) -> list[tuple[int, int]]:
@@ -695,12 +707,48 @@ def test_a_sweep_cut_anywhere_finds_the_gadgets_of_the_whole_sweep():
         spans = _spans(_STRADDLES, [cut])
         assert _chain_facts(_STRADDLES, spans) == whole, cut
         chunks = [gadget_analyzer._chunk_summaries(_STRADDLES, *span, ()) for span in spans]
-        assert gadget_analyzer._combine(chunk[0] for chunk in chunks) == summary
+        assert _combined(part for chunk in chunks for part in chunk) == {(0,): summary}
+
+
+# The terminator scan as one zero-width alternation: a lookahead hides no
+# match behind another. The reference for the literal scans.
+_TERMINATOR_ORACLE = re.compile(
+    rb"(?=[\xc2\xc3]|\xcd\x80|\x0f\x05"
+    rb"|\xff[\x10-\x17\x20-\x27\x50-\x57\x60-\x67\x90-\x97\xa0-\xa7\xd0-\xd7\xe0-\xe7])"
+)
+
+
+def _oracle_terminator_offsets(data: bytes, lo: int, hi: int) -> list[int]:
+    offsets = []
+    for match in _TERMINATOR_ORACLE.finditer(data, lo, hi + gadget_analyzer._REACH):
+        start = match.start()
+        if start > lo and 0x40 <= data[start - 1] <= 0x4F:
+            offsets.append(start - 1)
+        offsets.append(start)
+    return offsets
 
 
 def _rex_terminator_cuts(data: bytes) -> list[int]:
     """The offsets of terminator matches that follow a REX byte."""
-    return [m.start() for m in gadget_analyzer._TERMINATOR.finditer(data, 1) if 0x40 <= data[m.start() - 1] <= 0x4F]
+    return [p for p in _oracle_terminator_offsets(data, 1, len(data)) if 0x40 <= data[p - 1] <= 0x4F]
+
+
+@given(st.lists(st.sampled_from(_DENSE_PIECES + [b"\x40", b"\x4f", b"\x80", b"\x06" * 60]), max_size=64).map(b"".join),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_terminator_offsets_equal_the_alternation(data, draw):
+    # lo just after a REX byte, where the REX byte before a match is not counted.
+    after_rex = [p + 1 for p, byte in enumerate(data) if 0x40 <= byte <= 0x4F]
+    lo = draw.draw(st.integers(0, len(data)) | (st.sampled_from(after_rex) if after_rex else st.nothing()))
+    hi = draw.draw(st.integers(lo, len(data)))
+    assert gadget_analyzer._terminator_offsets(data, lo, hi) == _oracle_terminator_offsets(data, lo, hi)
+
+
+@pytest.mark.skipif(LIBC is None, reason="libc.so.6 unavailable")
+def test_terminator_offsets_in_libc_equal_the_alternation():
+    (_, data), = executable_segments(LIBC)
+    for lo, hi in ((0, len(data)), (1, len(data) // 3), (len(data) // 3, len(data) - 1000)):
+        assert gadget_analyzer._terminator_offsets(data, lo, hi) == _oracle_terminator_offsets(data, lo, hi)
 
 
 @given(st.lists(st.sampled_from(_DENSE_PIECES + [_LONGEST]), min_size=1, max_size=48).map(b"".join), st.data())
@@ -710,17 +758,20 @@ def test_chunk_summaries_combine_to_the_serial_summary(data, draw):
     cut = st.integers(0, len(data)) | (st.sampled_from(at_rex) if at_rex else st.nothing())
     spans = _spans(data, draw.draw(st.lists(cut, max_size=6)))
     chunks = [gadget_analyzer._chunk_summaries(data, lo, hi, ()) for lo, hi in spans]
-    assert gadget_analyzer._combine(chunk[0] for chunk in chunks) == _serial_summary(data)
+    assert _combined(part for chunk in chunks for part in chunk) == {(0,): _serial_summary(data)}
     assert _chain_facts(data, spans) == _chain_facts(data, [(0, len(data))])
 
 
-# Gadget-dense, 4 KB: forced into four chunks of 1 KB.
+# Gadget-dense, 4 KB: forced into four spans of 1 KB.
 _FORKED = bytes(random.Random(11).choices(b"\xc3\x5f\x5e\x58\x90\x48\x89\xff\xe0\x0f\x05", k=4096))
+# The same bytes as three regions, so the cuts at 1, 2 and 3 KB fall inside
+# the second and third.
+_FORKED_REGIONS = [_FORKED[:700], _FORKED[700:2700], _FORKED[2700:]]
 
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """Four CPUs and 1 KB chunks; the os.fork calls made are counted in the yielded list."""
+    """Four CPUs and 1 KB spans; the os.fork calls made are counted in the yielded list."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(gadget_analyzer, "_CHUNK_MIN", 1024)
     forks = []
@@ -737,7 +788,7 @@ def _assert_no_child_left():
 @pytest.mark.parametrize("child", ["sweeps", "fails", "cannot be forked"])
 def test_forked_chunk_summaries_equal_the_serial_one(four_cpus, monkeypatch, child):
     parent = os.getpid()
-    serial = _serial_summary(_FORKED)
+    serials = [_serial_summary(code) for code in _FORKED_REGIONS]
     swept_here = []
     sweep = gadget_analyzer._sweep
 
@@ -763,10 +814,12 @@ def test_forked_chunk_summaries_equal_the_serial_one(four_cpus, monkeypatch, chi
             raise BlockingIOError(errno.EAGAIN, "no process can be made")
 
         monkeypatch.setattr(os, "fork", no_fork)
-    assert gadget_analyzer._region_summaries(_FORKED, ()) == {0: serial}
+    summaries = _combined(gadget_analyzer._summaries(_FORKED_REGIONS, [()] * 3))
+    assert summaries == {(i, 0): serial for i, serial in enumerate(serials)}
     assert four_cpus == [parent] * 3
-    # A child that wrote its summary saves this process its chunk's sweep.
-    assert swept_here == ([(0, 1024)] if child == "sweeps" else _spans(_FORKED, [1024, 2048, 3072]))
+    # A child that wrote its summaries saves this process its span's sweeps.
+    first_span, other_spans = [(0, 700), (0, 324)], [(324, 1348), (1348, 2000), (0, 372), (372, 1396)]
+    assert swept_here == (first_span if child == "sweeps" else first_span + other_spans)
     _assert_no_child_left()
 
 
@@ -786,8 +839,8 @@ def test_forked_chunk_summaries_by_holder_mask_equal_the_serial_ones(four_cpus):
     for at in range(100, 4096, 700):
         changed[at] = 0x06
     holders = ((0, 0, bytes(changed)), (2, 8, _FORKED[8:]), (3, -8, b"\x06" * 8 + _FORKED), (5, -2048, _FORKED[2048:3072]))
-    summaries = gadget_analyzer._region_summaries(_FORKED, holders)
-    assert summaries == _serial_summaries(_FORKED, holders)
+    summaries = _combined(gadget_analyzer._summaries([_FORKED], [holders]))
+    assert summaries == {(0, mask): summary for mask, summary in _serial_summaries(_FORKED, holders).items()}
     assert len(summaries) > 4
     assert len(four_cpus) == 3
     _assert_no_child_left()
@@ -796,7 +849,7 @@ def test_forked_chunk_summaries_by_holder_mask_equal_the_serial_ones(four_cpus):
 @pytest.mark.parametrize("cpus, size", [(1, 4096), (4, 1024), (4, 2047)])
 def test_a_region_of_one_chunk_forks_nothing(four_cpus, monkeypatch, cpus, size):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    assert gadget_analyzer._region_summaries(_FORKED[:size], ()) == {0: _serial_summary(_FORKED[:size])}
+    assert _combined(gadget_analyzer._summaries([_FORKED[:size]], [()])) == {(0, 0): _serial_summary(_FORKED[:size])}
     assert four_cpus == []
 
 
@@ -811,7 +864,7 @@ def test_an_interrupted_summary_kills_and_reaps_its_children(four_cpus, monkeypa
     monkeypatch.setattr(gadget_analyzer, "_chunk_summaries", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        gadget_analyzer._region_summaries(_FORKED, ())
+        gadget_analyzer._summaries(_FORKED_REGIONS, [()] * 3)
     assert time.monotonic() - start < 30
     assert len(four_cpus) == 3
     _assert_no_child_left()
@@ -821,9 +874,53 @@ def test_an_interrupted_summary_kills_and_reaps_its_children(four_cpus, monkeypa
 def test_libc_summary_in_forked_chunks_equals_the_serial_one(four_cpus, monkeypatch):
     monkeypatch.setattr(gadget_analyzer, "_CHUNK_MIN", 256 * 1024)
     (_, data), = executable_segments(LIBC)
-    assert gadget_analyzer._region_summaries(data, ()) == {0: _serial_summary(data)}
+    assert _combined(gadget_analyzer._summaries([data], [()])) == {(0, 0): _serial_summary(data)}
     assert len(four_cpus) == 3
     _assert_no_child_left()
+
+
+@given(st.lists(st.integers(1, 5000), max_size=12), st.integers(1, 16))
+def test_a_plan_covers_each_region_once_in_spans_of_equal_size(sizes, workers):
+    spans = gadget_analyzer._plan(sizes, workers)
+    assert len(spans) == workers
+    # End to end, the pieces run through every region from 0 to its size.
+    joined: list[tuple[int, int, int]] = []
+    for i, lo, hi in (piece for span in spans for piece in span):
+        assert lo < hi
+        if joined and joined[-1][0] == i and joined[-1][2] == lo:
+            joined[-1] = (i, joined[-1][1], hi)
+        else:
+            joined.append((i, lo, hi))
+    assert joined == [(i, 0, size) for i, size in enumerate(sizes)]
+    lengths = [sum(hi - lo for _, lo, hi in span) for span in spans]
+    assert max(lengths) - min(lengths) <= 1
+
+
+def test_one_compare_regions_call_forks_one_child_fewer_than_its_workers(four_cpus):
+    # Three regions of 4 KB, each once enough for four chunks of its own,
+    # and 40 small ones, each at its own base; the variant adds foreign code
+    # over the second, whose gadgets are checked against its bytes.
+    original = [CodeRegion(0x10000 * (i + 1), _FORKED[i:] + _FORKED[:i], "o") for i in range(3)]
+    original += [CodeRegion(0x100000 + 0x1000 * i, _FORKED[i * 97 : i * 97 + 200], "o") for i in range(40)]
+    variant = original[::2] + [CodeRegion(0x20008, _FORKED[:3000], "v")]
+    original_report, results = compare_regions(original, [variant])
+    assert len(four_cpus) == 3
+    original_set, variant_set = scan_regions(original), scan_regions(variant)
+    assert original_report == build_report(original_set)
+    assert results == [(build_report(variant_set), locality(original_set, variant_set))]
+    _assert_no_child_left()
+
+
+def test_sides_with_no_code_have_zero_summaries_and_fork_nothing(four_cpus, tmp_path):
+    # The executable's only executable segment holds no file bytes, so it has no code region.
+    elf = bytearray(build_elf())
+    struct.pack_into("<Q", elf, 64 + 32, 0)  # the first program header's p_filesz
+    (tmp_path / "empty").write_bytes(elf)
+    empty = extract_code_regions(BinaryRef("empty", exe_path=tmp_path / "empty"))
+    assert empty == []
+    zero = GadgetSummary(0, 0, 0.0, 0, 0)
+    assert compare_regions(empty, [empty, []]) == (zero, [(zero, 0.0), (zero, 0.0)])
+    assert four_cpus == []
 
 
 def test_compare_sets_deltas_and_significance():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from debloateval.elf import executable_segments
-from debloateval.x86 import decode, instruction_bounds
+from debloateval.x86 import FIRST_BYTES, decode, instruction_bounds
 
 from oracles import reference_bounds
 
@@ -47,6 +47,15 @@ def test_every_one_and_two_byte_string():
         _check(bytes([a]))
         for b in range(256):
             _check(bytes([a, b]))
+
+
+def test_first_bytes_are_the_bytes_an_instruction_can_start_with():
+    # The sweep skips the length pass where FIRST_BYTES is 0: whatever
+    # follows such a byte, nothing decodes there.
+    tails = [bytes([t]) * 15 for t in range(256)]
+    for a in range(256):
+        decodes = any(instruction_bounds(bytes([a]) + tail, 0) is not None for tail in tails)
+        assert FIRST_BYTES[a] == decodes, hex(a)
 
 
 @pytest.mark.parametrize("buf", [b"\x5f\xc3", b"\xc3", b"\x48\x89\xc3\xc3"], ids=bytes.hex)
