@@ -27,17 +27,19 @@ hand-out.
 Resource accounting (CPU time, peak RSS) comes from the child's rusage at
 reap time via ``os.wait4``.
 
-One poll object per run over raw pipe descriptors and a pidfd writes
-stdin in 64 KiB chunks (a child that closes its stdin early just ends the
-writing), reads stdout and stderr, and waits for the child's exit. No file
-objects or selector maps are built per run, so little Python runs per run
-while concurrent workers share the interpreter lock. ``timeout_seconds``
-is a hard bound on a run's wall time: at the deadline the child's process
-group is killed and the pipes are closed, even when a descendant outside
-the group still holds one. A child that exits while descendants hold its
-pipes open gets EXIT_GRACE_SECONDS for them to close; then the pipes are
-closed. ``wall_seconds`` is taken when the pidfd reports the child's exit,
-before the reap.
+A run's input is written, before the spawn, into an anonymous file
+(``memfd_create``) that becomes the child's stdin: fd 0 is a regular,
+seekable file at offset 0 that holds exactly the input, and the program
+may also write to it. One poll object per run over two raw pipe
+descriptors and a pidfd reads stdout and stderr and waits for the child's
+exit. No file objects or selector maps are built per run, so little Python
+runs per run while concurrent workers share the interpreter lock.
+``timeout_seconds`` is a hard bound on a run's wall time: at the deadline
+the child's process group is killed and the pipes are closed, even when a
+descendant outside the group still holds one. A child that exits while
+descendants hold its pipes open gets EXIT_GRACE_SECONDS for them to close;
+then the pipes are closed. ``wall_seconds`` is taken when the pidfd
+reports the child's exit, before the reap.
 
 A captured file is digested only if it is a regular file inside the
 sandbox: its path is opened one component at a time without following a
@@ -295,37 +297,39 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
     """The run's outcome, and whether it settled: the child exited and its
     pipes closed before the deadline and the exit grace ran out."""
     start = time.monotonic()
-    # os.pipe() descriptors are not inherited: the child gets only the ends
-    # that Popen moves onto its 0, 1 and 2.
-    stdin_r, stdin_w = os.pipe()
+    # The input is the child's stdin as a file at offset 0. Neither it nor the
+    # os.pipe() descriptors are inherited: the child gets only what Popen
+    # moves onto its 0, 1 and 2.
+    stdin = os.memfd_create("stdin", os.MFD_CLOEXEC)
     out_r, out_w = os.pipe()
     err_r, err_w = os.pipe()
     try:
-        try:
-            proc = subprocess.Popen(
-                [str(req.exe_path), *req.argv],
-                stdin=stdin_r,
-                stdout=out_w,
-                stderr=err_w,
-                cwd=sandbox,
-                env=dict(req.env),
-                start_new_session=True,
-            )
-        finally:
-            for fd in (stdin_r, out_w, err_w):
-                os.close(fd)
+        written = 0
+        while written < len(req.stdin):
+            written += os.pwrite(stdin, req.stdin[written:], written)
+        proc = subprocess.Popen(
+            [str(req.exe_path), *req.argv],
+            stdin=stdin,
+            stdout=out_w,
+            stderr=err_w,
+            cwd=sandbox,
+            env=dict(req.env),
+            start_new_session=True,
+        )
     except (OSError, ValueError) as exc:
-        for fd in (stdin_w, out_r, err_r):
+        for fd in (out_r, err_r):
             os.close(fd)
         raise SpawnError(f"cannot exec {req.exe_path}: {exc}") from exc
+    finally:
+        for fd in (stdin, out_w, err_w):
+            os.close(fd)
 
     captures = {out_r: _Capture(), err_r: _Capture()}
-    pending = memoryview(req.stdin)
     close_at = start + req.timeout_seconds
     wall = None
     poller = select.poll()
     # The parent's open descriptors; once set up, each is registered with poller.
-    watched = {out_r, err_r, stdin_w}
+    watched = {out_r, err_r}
 
     def drop(fd: int) -> None:
         poller.unregister(fd)
@@ -337,33 +341,13 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
         watched.add(pidfd)
         for fd in (pidfd, out_r, err_r):
             poller.register(fd, select.POLLIN)
-        if pending:
-            os.set_blocking(stdin_w, False)
-            poller.register(stdin_w, select.POLLOUT)
-        else:
-            watched.remove(stdin_w)
-            os.close(stdin_w)
         # Once the child has exited only its open output pipes stay watched.
         while watched and (wait := close_at - time.monotonic()) > 0:
             for fd, _ in poller.poll(wait * 1e3):
-                if fd not in watched:
-                    # Dropped earlier in this batch; another thread's os.pipe()
-                    # may already have reused the number.
-                    continue
                 if fd == pidfd:
                     wall = time.monotonic() - start
                     close_at = min(close_at, start + wall + EXIT_GRACE_SECONDS)
                     drop(pidfd)
-                    if stdin_w in watched:
-                        drop(stdin_w)
-                elif fd == stdin_w:
-                    try:
-                        sent = os.write(fd, pending[:_READ_CHUNK])
-                    except BrokenPipeError:  # the child closed its stdin
-                        sent = len(pending)
-                    pending = pending[sent:]
-                    if not pending:
-                        drop(fd)
                 # Only this process reads the pipe, so a read after POLLIN or
                 # POLLHUP returns at once.
                 elif chunk := os.read(fd, _READ_CHUNK):

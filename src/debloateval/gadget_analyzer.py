@@ -225,8 +225,6 @@ def _is_major(ins: DecodedInstruction) -> bool:
     # branches impose hard side constraints on chaining.
     if ins.dest == "rsp":
         return True
-    if ins.mnemonic == "pop" and ins.dest == "rsp":
-        return True
     if ins.writes_mem:
         return True
     if ins.is_cond_branch:

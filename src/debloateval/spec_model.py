@@ -28,7 +28,7 @@ from .comparator import (
     Normalizer,
     default_pipeline,
 )
-from .fuzz_engine import TemplateSyntaxError, parse_template
+from .fuzz_engine import HoleKind, TemplateSyntaxError, parse_template
 
 DEFAULT_TRIALS = 10
 DEFAULT_TIMEOUT_SECONDS = 30.0
@@ -138,11 +138,13 @@ class BenchmarkSpec:
                 if cmd.stdin is not None:
                     templates["stdin"] = cmd.stdin
                 for where, text in templates.items():
+                    path = f"features[{i}].commands[{j}].{where}"
                     try:
-                        parse_template(text)
+                        holes = parse_template(text).holes
                     except (TemplateSyntaxError, UnicodeEncodeError) as exc:  # a lone surrogate
-                        path = f"features[{i}].commands[{j}].{where}"
                         raise SchemaError(path, f"bad template: {exc}") from exc
+                    if where != "stdin" and any(hole.kind is HoleKind.BYTES for hole in holes):
+                        raise SchemaError(path, "a bytes hole can draw NUL, which no argument can carry; use ascii")
         labels_seen: set[str] = set()
         for i, v in enumerate(self.variants):
             if v.label in labels_seen:

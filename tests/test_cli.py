@@ -112,6 +112,25 @@ def test_malformed_command_template_is_exit_2_naming_its_path(runner, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_a_bytes_hole_in_an_argv_template_is_exit_2_naming_its_path_and_nothing_runs(runner, tmp_path, command):
+    # A bytes hole may draw NUL, which no argument can carry; stdin keeps them.
+    marker = tmp_path / "ran"
+    exe = make_script(tmp_path, "prog", f'echo ran >> "{marker}"\n')
+    commands = [{"argv": ["-"], "stdin": "{{bytes:0..4}}"}, {"argv": ["-n", "{{bytes:1..2}}"]}]
+    doc = {
+        "id": "t", "original": {"label": "o", "exe": str(exe)}, "variants": [{"label": "v", "exe": str(exe)}],
+        "features": [{"name": "f", "disposition": "retain", "commands": commands}],
+    }
+    args = _spec_command(command, write_spec(tmp_path, doc), tmp_path)
+    if command == "tool-wrap":
+        args[-1] = exe
+    result = invoke(runner, *args)
+    assert result.exit_code == EXIT_ERROR
+    assert "error: features[0].commands[1].argv[1]: a bytes hole can draw NUL" in result.output
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
 def test_lone_surrogate_in_a_spec_string_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
     places = {
         "id": lambda doc: doc.update(id="toy\ud800"),

@@ -112,13 +112,34 @@ def test_stdin_larger_than_a_pipe_buffer_round_trips(tmp_path):
     assert run_once(req(exe, stdin=payload)).stdout == payload
 
 
+# Reports what fd 0 is and where it stands, then echoes all it reads from it
+# and checks that it may write there too.
+_STDIN_PROBE = """\
+import os, stat, sys
+mode = os.fstat(0).st_mode
+out = sys.stdout.buffer
+out.write(b"regular " if stat.S_ISREG(mode) else b"fifo " if stat.S_ISFIFO(mode) else b"other ")
+out.write(b"%d\\n" % os.lseek(0, 0, os.SEEK_CUR))
+while chunk := os.read(0, 65536):
+    out.write(chunk)
+out.write(b"\\nwrote %d" % os.write(0, b"!"))
+"""
+
+
+def test_stdin_is_a_regular_file_at_offset_0_that_holds_exactly_the_input():
+    payload = bytes(range(256)) * 300
+    outcome = run_once(req(Path(sys.executable), ["-c", _STDIN_PROBE], stdin=payload))
+    assert outcome.stderr == b""
+    assert outcome.stdout == b"regular 0\n" + payload + b"\nwrote 1"
+    assert outcome.termination == Termination.exited(0)
+
+
 def test_child_that_exits_before_reading_stdin_on_a_busy_host(tmp_path):
-    # When the child is reaped in the same poll batch that finds its stdin
-    # writable, the reap closes stdin first; the write must then be
-    # skipped. With two runs at once this batch is common, and a write to
-    # the closed descriptor raised EBADF (or hit another run's reused one).
-    # The third kind closes stdout and stderr at once, so their descriptors
-    # are dropped while the other thread makes its pipes.
+    # Two runs at once, so one run closes its descriptors while the other
+    # thread makes its own; each run must still give its child its own input
+    # and read back only its child's output. The second kind exits without
+    # reading its input, and the third closes stdout and stderr at once, so
+    # both of its pipes are dropped in one poll batch.
     programs = [
         (Path("/bin/cat"), ["-"]),
         (Path("/bin/false"), ["-"]),
