@@ -34,12 +34,14 @@ may also write to it. One poll object per run over two raw pipe
 descriptors and a pidfd reads stdout and stderr and waits for the child's
 exit. No file objects or selector maps are built per run, so little Python
 runs per run while concurrent workers share the interpreter lock.
-``timeout_seconds`` is a hard bound on a run's wall time: at the deadline
-the child's process group is killed and the pipes are closed, even when a
-descendant outside the group still holds one. A child that exits while
-descendants hold its pipes open gets EXIT_GRACE_SECONDS for them to close;
-then the pipes are closed. ``wall_seconds`` is taken when the pidfd
-reports the child's exit, before the reap.
+Any finite ``timeout_seconds`` is a hard bound on a run's wall time;
+poll() waits at most 2**31 - 1 ms, so the wait runs in day-long slices.
+At the deadline the child's process group is killed and the pipes are
+closed, even when a descendant outside the group still holds one. A
+child that exits while descendants hold its pipes open gets
+EXIT_GRACE_SECONDS for them to close; then the pipes are closed.
+``wall_seconds`` is taken when the pidfd reports the child's exit,
+before the reap.
 
 A captured file is digested only if it is a regular file inside the
 sandbox: its path is opened one component at a time without following a
@@ -300,10 +302,12 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
     # The input is the child's stdin as a file at offset 0. Neither it nor the
     # os.pipe() descriptors are inherited: the child gets only what Popen
     # moves onto its 0, 1 and 2.
-    stdin = os.memfd_create("stdin", os.MFD_CLOEXEC)
-    out_r, out_w = os.pipe()
-    err_r, err_w = os.pipe()
+    fds: list[int] = []  # stdin, out_r, out_w, err_r, err_w, as they are made
     try:
+        fds.append(os.memfd_create("stdin", os.MFD_CLOEXEC))
+        fds += os.pipe()
+        fds += os.pipe()
+        stdin, out_r, out_w, err_r, err_w = fds
         written = 0
         while written < len(req.stdin):
             written += os.pwrite(stdin, req.stdin[written:], written)
@@ -317,11 +321,13 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
             start_new_session=True,
         )
     except (OSError, ValueError) as exc:
-        for fd in (out_r, err_r):
+        for fd in fds[1::2]:  # the read ends made so far
             os.close(fd)
+        if len(fds) < 5:  # a host limit such as EMFILE, which is no variant's fault
+            raise
         raise SpawnError(f"cannot exec {req.exe_path}: {exc}") from exc
     finally:
-        for fd in (stdin, out_w, err_w):
+        for fd in fds[::2]:  # stdin and the write ends made so far
             os.close(fd)
 
     captures = {out_r: _Capture(), err_r: _Capture()}
@@ -343,7 +349,7 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
             poller.register(fd, select.POLLIN)
         # Once the child has exited only its open output pipes stay watched.
         while watched and (wait := close_at - time.monotonic()) > 0:
-            for fd, _ in poller.poll(wait * 1e3):
+            for fd, _ in poller.poll(min(wait, 86400) * 1e3):  # a day at most
                 if fd == pidfd:
                     wall = time.monotonic() - start
                     close_at = min(close_at, start + wall + EXIT_GRACE_SECONDS)

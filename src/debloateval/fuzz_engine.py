@@ -53,13 +53,6 @@ class Hole:
     max_len: int = 0
     words: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.kind is HoleKind.DICT:
-            if not self.words:
-                raise ValueError("dict hole needs at least one word")
-        elif self.min_len > self.max_len:
-            raise ValueError("hole min bound exceeds max bound")
-
 
 @dataclass(frozen=True)
 class Literal:

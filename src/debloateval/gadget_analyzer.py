@@ -109,17 +109,12 @@ class CodeRegion:
     data: bytes
     source_label: str
 
-    def __post_init__(self):
-        if not self.data:
-            raise ValueError("code region must be nonempty")
-
 
 class Gadget(NamedTuple):
     """One gadget and the facts the metrics need, computed by the scan.
 
     Two gadgets are equal only if address, bytes and region-relative start
-    are equal; the other fields follow from the bytes. The instructions are
-    decoded again from ``raw_bytes`` when asked for.
+    are equal; the other fields follow from the bytes.
     """
 
     address: int
@@ -129,20 +124,6 @@ class Gadget(NamedTuple):
     class_mask: int      # bit i set: satisfies EXPRESSIVITY_CLASSES[i]
     quality: float       # side-constraint penalty, see score_quality
     special_mask: int    # bit i set: is of type SPECIAL_TYPES[i]
-
-    @property
-    def instructions(self) -> tuple[DecodedInstruction, ...]:
-        """The decoded instructions, offsets relative to the code region."""
-        out = []
-        off = 0
-        while off < len(self.raw_bytes):
-            ins = decode(self.raw_bytes, off)
-            out.append(ins._replace(offset=self.start + off))
-            off += ins.length
-        return tuple(out)
-
-    def text(self) -> str:
-        return "; ".join(ins.text for ins in self.instructions)
 
 
 class GadgetSummary(NamedTuple):
@@ -533,8 +514,7 @@ def _summaries(codes: list[bytes], holders: list[_Holders]) -> list[tuple[int, i
 
 
 def scan_regions(regions: list[CodeRegion]) -> frozenset[Gadget]:
-    sets = [scan_gadgets(region) for region in regions]
-    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
+    return frozenset().union(*map(scan_gadgets, regions))
 
 
 def extract_code_regions(binary: BinaryRef, aggregate_libs: bool = False) -> list[CodeRegion]:

@@ -223,6 +223,14 @@ def _cat_false_spec(tmp_path: Path, timeout: str, fuzz_count: str | None = None)
     return spec
 
 
+def test_a_timeout_past_what_one_poll_can_wait_is_honoured(runner, tmp_path, toy_pair):
+    # poll() waits at most 2**31 - 1 ms, so the wait for a run runs in slices.
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    doc["timeout_seconds"] = 3_000_000
+    result = invoke(runner, "differ", "--spec", write_spec(tmp_path, doc), "--out", tmp_path / "out")
+    assert result.exit_code == EXIT_OK, result.output
+
+
 def test_mutual_timeouts_are_counted_in_summary_and_report(runner, tmp_path):
     # Both sides time out on every input, so nothing real is compared and
     # the decision table lets a variant that does nothing pass; the count

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -174,13 +175,29 @@ _RUN_KINDS = {
 }
 
 
-@pytest.mark.parametrize("kind", [*_RUN_KINDS, "missing_exe", "not_executable"])
-def test_no_descriptor_outlives_a_run(tmp_path, kind):
+@pytest.mark.parametrize("kind", [*_RUN_KINDS, "missing_exe", "not_executable", "pipe_fails"])
+def test_no_descriptor_outlives_a_run(tmp_path, monkeypatch, kind):
     # Raw descriptors raise no ResourceWarning when leaked, so count them.
     run_once(req(Path("/bin/true")))
     before = _open_descriptors()
     if kind in _RUN_KINDS:
         _RUN_KINDS[kind](tmp_path)
+    elif kind == "pipe_fails":
+        # The second pipe meets the descriptor limit: the host's fault, raised
+        # as the OSError it is, not as a SpawnError that blames the program.
+        real_pipe, calls = os.pipe, []
+
+        def pipe():
+            calls.append(pipe)
+            if len(calls) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return real_pipe()
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        with pytest.raises(OSError) as raised:
+            run_once(req(Path("/bin/true"), stdin=b"x"))
+        monkeypatch.undo()
+        assert raised.value.errno == errno.EMFILE and len(calls) == 2
     else:
         exe = tmp_path / "plain"
         if kind == "not_executable":
@@ -188,6 +205,12 @@ def test_no_descriptor_outlives_a_run(tmp_path, kind):
         with pytest.raises(SpawnError):
             run_once(req(exe, stdin=b"x"))
     assert _open_descriptors() == before
+
+
+@pytest.mark.parametrize("timeout", [3e6, 1e300])
+def test_a_timeout_past_what_one_poll_can_wait_is_honoured(timeout):
+    # poll() waits at most 2**31 - 1 ms, about 24.9 days.
+    assert run_once(req(Path("/bin/true"), timeout_seconds=timeout)).termination == Termination.exited(0)
 
 
 def test_spawn_error_for_missing_binary(tmp_path):

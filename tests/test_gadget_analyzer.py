@@ -201,9 +201,9 @@ def test_one_gadget_per_start_address():
     gadgets = scan_gadgets(CodeRegion(0x1000, code, "t"))
     by_addr = {g.address: g for g in gadgets}
     assert set(by_addr) == {0x1000, 0x1001, 0x1002}
-    assert by_addr[0x1000].text() == "pop rdi; pop rsi; ret"
-    assert by_addr[0x1001].text() == "pop rsi; ret"
-    assert by_addr[0x1002].text() == "ret"
+    assert by_addr[0x1000].raw_bytes == b"\x5f\x5e\xc3"
+    assert by_addr[0x1001].raw_bytes == b"\x5e\xc3"
+    assert by_addr[0x1002].raw_bytes == b"\xc3"
 
 
 def test_unintended_gadgets_from_misaligned_decode():
@@ -222,7 +222,8 @@ def test_gadget_ends_at_first_terminator():
 def test_gadget_length_cap():
     code = b"\x90" * 20 + b"\xc3"
     gadgets = scan_gadgets(CodeRegion(0, code, "t"))
-    assert max(len(g.instructions) for g in gadgets) == MAX_GADGET_LEN
+    # Each nop is one byte, so the longest gadget's length is its instruction count.
+    assert max(len(g.raw_bytes) for g in gadgets) == MAX_GADGET_LEN
     # Starts further than MAX_GADGET_LEN-1 single-byte instructions away
     # from the ret cannot reach it.
     assert min(g.address for g in gadgets) == 21 - MAX_GADGET_LEN
@@ -238,6 +239,11 @@ def test_trailing_terminator_must_fit_in_region():
     assert scan_gadgets(CodeRegion(0, b"\x5f", "t")) == set()
 
 
+def test_empty_region_has_no_gadgets():
+    assert scan_gadgets(CodeRegion(0x1000, b"", "t")) == frozenset()
+    assert scan_regions([CodeRegion(0x1000, b"", "t")]) == frozenset()
+
+
 def test_scan_regions_merges():
     found = scan_regions(
         [CodeRegion(0x1000, b"\xc3", "a"), CodeRegion(0x2000, b"\x5f\xc3", "b")]
@@ -246,8 +252,8 @@ def test_scan_regions_merges():
 
 
 def test_scan_result_cannot_be_changed_by_a_caller():
-    # scan_regions hands back a lone region's own set, so each caller must
-    # get an immutable set.
+    # scan_gadgets' set is the region's gadgets as the scan found them;
+    # no caller may change it.
     region = CodeRegion(0x1000, b"\x5f\x5e\xc3", "t")
     with pytest.raises(AttributeError):
         scan_gadgets(region).clear()
@@ -619,6 +625,18 @@ def test_compare_regions_sweeps_each_region_once_and_never_records_a_shared_one(
     assert original_report == build_report(scan_regions(original))
 
 
+@given(_two_sides(), st.lists(st.sampled_from((*_BASES, 0x1004)), min_size=1, max_size=3), st.booleans(),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_an_empty_region_on_either_side_changes_no_summary_and_no_locality(sides, bases, on_original, on_variant):
+    # 0x1004 lies inside the regions at 0x1000 and is the base of none.
+    original, variant = sides
+    empty = [CodeRegion(base, b"", "e") for base in bases]
+    padded_original = [*empty, *original] if on_original else original
+    padded_variant = [*variant, *empty] if on_variant else variant
+    assert compare_regions(padded_original, [padded_variant]) == compare_regions(original, [variant])
+
+
 @given(_two_sides())
 @settings(max_examples=100, deadline=None)
 def test_compare_regions_builds_no_gadget_record(sides):
@@ -968,7 +986,7 @@ def test_extract_code_regions_from_crafted_elf(tmp_path):
     assert len(regions) == 1
     assert code in regions[0].data
     gadgets = scan_regions(regions)
-    assert any(g.text() == "pop rdi; ret" for g in gadgets)
+    assert any(g.raw_bytes == b"\x5f\xc3" for g in gadgets)  # pop rdi; ret
 
 
 def test_extract_code_regions_aggregates_libraries(tmp_path):
