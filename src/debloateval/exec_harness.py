@@ -46,12 +46,17 @@ before the reap.
 A captured file is digested only if it is a regular file inside the
 sandbox: its path is opened one component at a time without following a
 symlink, and a symlink, directory, FIFO or anything else counts as absent.
+
+A run is blamed on its program (SpawnError) only if its exec fails with
+an errno outside _HOST_ERRNOS. Any other failure, a host limit met while a
+run starts or while a captured file is opened included, is raised as it is.
 """
 
 from __future__ import annotations
 
 import atexit
 import enum
+import errno
 import math
 import os
 import select
@@ -80,9 +85,12 @@ _READ_CHUNK = 65536
 # How long descendants may hold the pipes of a child that has exited.
 EXIT_GRACE_SECONDS = 0.05
 
+# Errnos that say the host ran out of a resource: no program is at fault.
+_HOST_ERRNOS = frozenset({errno.EAGAIN, errno.EMFILE, errno.ENFILE, errno.ENOMEM})
+
 
 class SpawnError(InputError):
-    """The child process could not be started at all."""
+    """The program's exec failed, and not by a host limit: the program is at fault."""
 
 
 class SandboxError(InputError):
@@ -93,7 +101,6 @@ class TerminationKind(enum.Enum):
     EXITED = "exited"
     SIGNALED = "signaled"
     TIMED_OUT = "timed_out"
-    SPAWN_FAILED = "spawn_failed"
 
 
 @dataclass(frozen=True)
@@ -114,18 +121,12 @@ class Termination:
     def timed_out() -> "Termination":
         return Termination(TerminationKind.TIMED_OUT)
 
-    @staticmethod
-    def spawn_failed() -> "Termination":
-        return Termination(TerminationKind.SPAWN_FAILED)
-
     def describe(self) -> str:
         if self.kind is TerminationKind.EXITED:
             return f"Exited({self.code})"
         if self.kind is TerminationKind.SIGNALED:
             return f"Signaled({self.signal})"
-        if self.kind is TerminationKind.TIMED_OUT:
-            return "TimedOut"
-        return "SpawnFailed"
+        return "TimedOut"
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,6 @@ class PerfDelta:
     memory_pct: float
 
 
-def unstarted(termination: Termination, message: str) -> ExecOutcome:
-    """The outcome that stands in for a run whose program could not be
-    started: message on stderr, no other output, no resources used."""
-    return ExecOutcome(termination, b"", message.encode(), {}, 0.0, 0.0, 0)
-
-
 def _scratch_dir() -> str:
     return os.environ.get(SCRATCH_ENV_VAR) or tempfile.gettempdir()
 
@@ -206,14 +201,12 @@ _OPEN_LEAF = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
 
 def _digest_file(sandbox: str, rel: str) -> tuple[bool, bytes]:
     """(True, sha256 of its bytes) for a regular file at rel inside sandbox,
-    otherwise _ABSENT. Each component of the path is opened from the one
-    before it without following a symlink, so no path leaves the sandbox."""
+    otherwise _ABSENT; a host errno is raised. Each component is opened from
+    the one before without following a symlink, so no path leaves the sandbox."""
     *dirs, name = [part for part in rel.split("/") if part] or ["."]
+    fd = None
     try:
         fd = os.open(sandbox, _OPEN_DIR)
-    except OSError:
-        return _ABSENT
-    try:
         for part, flags in [(d, _OPEN_DIR) for d in dirs] + [(name, _OPEN_LEAF)]:
             parent = fd
             fd = os.open(part, flags, dir_fd=parent)
@@ -224,10 +217,13 @@ def _digest_file(sandbox: str, rel: str) -> tuple[bool, bytes]:
         while chunk := os.read(fd, _READ_CHUNK):
             digest.update(chunk)
         return True, digest.digest()
-    except OSError:
+    except OSError as exc:
+        if exc.errno in _HOST_ERRNOS:
+            raise
         return _ABSENT
     finally:
-        os.close(fd)
+        if fd is not None:
+            os.close(fd)
 
 
 # Idle sandboxes by scratch root, each with the st_mode it was made with.
@@ -277,9 +273,9 @@ def _remove_idle_sandboxes() -> None:
 def run_once(req: ExecRequest) -> ExecOutcome:
     """Execute the request once in an empty private sandbox and account for it.
 
-    Raises SpawnError if the program cannot be started and SandboxError if
-    the sandbox directory cannot be created. The child's whole process
-    group is killed when the run ends.
+    Raises SpawnError if the program's exec fails but not by a host limit,
+    SandboxError if the sandbox cannot be made, and anything else as it
+    is. The child's whole process group is killed when the run ends.
     """
     root = _scratch_dir()
     sandbox, mode = _take_sandbox(root)
@@ -303,6 +299,7 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
     # os.pipe() descriptors are inherited: the child gets only what Popen
     # moves onto its 0, 1 and 2.
     fds: list[int] = []  # stdin, out_r, out_w, err_r, err_w, as they are made
+    proc = None
     try:
         fds.append(os.memfd_create("stdin", os.MFD_CLOEXEC))
         fds += os.pipe()
@@ -321,13 +318,12 @@ def _run_in_sandbox(req: ExecRequest, sandbox: str) -> tuple[ExecOutcome, bool]:
             start_new_session=True,
         )
     except (OSError, ValueError) as exc:
-        for fd in fds[1::2]:  # the read ends made so far
-            os.close(fd)
-        if len(fds) < 5:  # a host limit such as EMFILE, which is no variant's fault
-            raise
-        raise SpawnError(f"cannot exec {req.exe_path}: {exc}") from exc
+        # Popen names the executable only for its exec's own errors.
+        if isinstance(exc, ValueError) or (exc.filename == str(req.exe_path) and exc.errno not in _HOST_ERRNOS):
+            raise SpawnError(f"cannot exec {req.exe_path}: {exc}") from exc
+        raise
     finally:
-        for fd in fds[::2]:  # stdin and the write ends made so far
+        for fd in fds if proc is None else fds[::2]:  # all but a started child's read ends
             os.close(fd)
 
     captures = {out_r: _Capture(), err_r: _Capture()}
@@ -401,21 +397,14 @@ def run_trials(req: ExecRequest, n: int) -> TrialSummary:
 
     Means and standard deviations (population) cover only cleanly exited
     trials; crashes and timeouts pollute timing and are listed but excluded
-    from the aggregates. A spawn failure on the first trial propagates;
-    later spawn failures become unstarted outcomes so n is preserved.
+    from the aggregates. Whatever a trial raises propagates, a SpawnError
+    too: a later trial fails to start only if the binary has changed.
     """
     import statistics  # only trials use it; differ and tool-wrap start faster without it
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    outcomes: list[ExecOutcome] = []
-    for i in range(n):
-        try:
-            outcomes.append(run_once(req))
-        except SpawnError as exc:
-            if i == 0:
-                raise
-            outcomes.append(unstarted(Termination.spawn_failed(), str(exc)))
+    outcomes = [run_once(req) for _ in range(n)]
     clean = [o for o in outcomes if o.termination.kind is TerminationKind.EXITED]
     cpus = [o.cpu_seconds for o in clean]
     rsses = [float(o.peak_rss_bytes) for o in clean]

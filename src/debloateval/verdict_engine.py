@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import InputError, __version__
 from .comparator import CompareReport, compare
-from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once, unstarted
+from .exec_harness import ExecOutcome, ExecRequest, SpawnError, Termination, TerminationKind, run_once
 from .fuzz_engine import DerivedInput, MutationPlan, derive_commands
 from .spec_model import BenchmarkSpec, Disposition, TestCommand
 
@@ -195,6 +195,11 @@ def exec_request(spec: BenchmarkSpec, exe_path, inp: DerivedInput, cmd: TestComm
     )
 
 
+def _unstarted(message: str) -> ExecOutcome:
+    """Exited(127) with message on stderr: the stand-in for a run that could not start."""
+    return ExecOutcome(Termination.exited(127), b"", message.encode(), {}, 0.0, 0.0, 0)
+
+
 def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[TestVerdict], bool]:
     """One derived input, run once against the original and once per variant.
 
@@ -225,7 +230,7 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[T
         try:
             variant_out = run_once(exec_request(spec, variant.exe_path, inp, cmd))
         except SpawnError as exc:
-            variant_out = unstarted(Termination.exited(127), f"variant failed to launch: {exc}")
+            variant_out = _unstarted(f"variant failed to launch: {exc}")
         report = compare(original_out, variant_out, pipeline)
         value = classify(feature.disposition, original_out, variant_out, report)
         mutual = original_out.termination.kind is variant_out.termination.kind is TerminationKind.TIMED_OUT
@@ -235,7 +240,7 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[T
     try:
         again = run_once(exec_request(spec, spec.original.exe_path, inp, cmd))
     except SpawnError as exc:
-        again = unstarted(Termination.exited(127), f"original failed to launch: {exc}")
+        again = _unstarted(f"original failed to launch: {exc}")
     return verdicts, compare(original_out, again, pipeline).all_matched
 
 

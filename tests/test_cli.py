@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import _posixsubprocess
+import errno
 import json
 import math
 import os
@@ -357,7 +359,8 @@ def _cat_false_documents(draw) -> tuple[str, float]:
 def test_a_generated_variant_that_does_nothing_never_passes_unremarked(tmp_path_factory, document, seed,
                                                                        max_mutants, jobs):
     text, timeout = document
-    assert ("NaN" in text or "Infinity" in text) == (not math.isfinite(timeout))
+    # Only the timeout's own token: a generated id or name may spell NaN too.
+    assert bool(re.search(r'"timeout_seconds": (NaN|-?Infinity)[,}]', text)) == (not math.isfinite(timeout))
     tmp_path = tmp_path_factory.mktemp("metamorphic")
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -466,6 +469,41 @@ def test_unusable_scratch_is_exit_2(runner, tmp_path, toy_pair, monkeypatch):
         result = invoke(runner, *args)
         assert result.exit_code == EXIT_ERROR, args[0]
         assert f"cannot prepare sandbox under {blocker / 'x'}" in result.output
+
+
+def _host_cannot_fork(monkeypatch, exe: Path) -> None:
+    """Make every start of exe fail as on a host out of processes (EAGAIN)."""
+    real = _posixsubprocess.fork_exec
+
+    def fork_exec(args, *rest):
+        if args[0] == str(exe):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real(args, *rest)
+
+    # Python 3.11 and later call subprocess._fork_exec; 3.10 calls the module's own.
+    monkeypatch.setattr(subprocess, "_fork_exec", fork_exec, raising=False)
+    monkeypatch.setattr(_posixsubprocess, "fork_exec", fork_exec)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_variant_the_host_cannot_start_is_exit_2_not_a_verdict(runner, tmp_path, toy_pair, monkeypatch, jobs):
+    _host_cannot_fork(monkeypatch, toy_pair["no_b"])
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    result = invoke(runner, "differ", "--spec", spec, "--out", out, "--jobs", jobs)
+    assert result.exit_code == EXIT_ERROR
+    assert f"error: [Errno {errno.EAGAIN}] " in result.output
+    assert not (out / "verdicts.jsonl").exists()
+
+
+def test_metrics_whose_variant_the_host_cannot_start_is_exit_2_not_n_a(runner, tmp_path, toy_pair, monkeypatch):
+    _host_cannot_fork(monkeypatch, toy_pair["no_b"])
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"], trials=2))
+    result = invoke(runner, "metrics", "--spec", spec, "--out", out)
+    assert result.exit_code == EXIT_ERROR
+    assert f"error: [Errno {errno.EAGAIN}] " in result.output
+    assert not (out / "metrics.json").exists()
 
 
 # --- metrics -------------------------------------------------------------

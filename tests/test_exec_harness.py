@@ -175,29 +175,44 @@ _RUN_KINDS = {
 }
 
 
-@pytest.mark.parametrize("kind", [*_RUN_KINDS, "missing_exe", "not_executable", "pipe_fails"])
+# Host faults met while a run starts, each raised as the OSError it is,
+# never as a SpawnError that blames the program.
+_HOST_FAULTS = {
+    # The second pipe meets the descriptor limit.
+    "pipe_fails": (2, errno.EMFILE),
+    # Popen's own error pipe, the third os.pipe() call, meets it.
+    "popen_pipe_fails": (3, errno.EMFILE),
+    # The sandbox is gone when the child changes into it; Popen names the cwd.
+    "sandbox_gone": (None, errno.ENOENT),
+}
+
+
+@pytest.mark.parametrize("kind", [*_RUN_KINDS, "missing_exe", "not_executable", *_HOST_FAULTS])
 def test_no_descriptor_outlives_a_run(tmp_path, monkeypatch, kind):
     # Raw descriptors raise no ResourceWarning when leaked, so count them.
     run_once(req(Path("/bin/true")))
     before = _open_descriptors()
     if kind in _RUN_KINDS:
         _RUN_KINDS[kind](tmp_path)
-    elif kind == "pipe_fails":
-        # The second pipe meets the descriptor limit: the host's fault, raised
-        # as the OSError it is, not as a SpawnError that blames the program.
+    elif kind in _HOST_FAULTS:
+        failing_pipe, expected = _HOST_FAULTS[kind]
         real_pipe, calls = os.pipe, []
 
         def pipe():
             calls.append(pipe)
-            if len(calls) == 2:
+            if len(calls) == failing_pipe:
                 raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
             return real_pipe()
 
         monkeypatch.setattr(os, "pipe", pipe)
+        if kind == "sandbox_gone":
+            monkeypatch.setattr(exec_harness, "_take_sandbox", lambda root: (str(tmp_path / "gone"), 0))
         with pytest.raises(OSError) as raised:
             run_once(req(Path("/bin/true"), stdin=b"x"))
         monkeypatch.undo()
-        assert raised.value.errno == errno.EMFILE and len(calls) == 2
+        assert not isinstance(raised.value, SpawnError)
+        assert raised.value.errno == expected
+        assert len(calls) == (failing_pipe or 3)
     else:
         exe = tmp_path / "plain"
         if kind == "not_executable":
@@ -385,6 +400,27 @@ def test_capture_files_never_leave_the_sandbox(tmp_path):
     }
 
 
+def test_a_captured_file_that_meets_the_descriptor_limit_is_raised_not_absent(tmp_path, monkeypatch):
+    # The program wrote the file: reading it as absent would blame the program
+    # for the host's descriptor limit.
+    exe = make_script(tmp_path, "writer", "mkdir d; printf abc > d/made.txt\n")
+    real_open = os.open
+
+    def leaf_open(path, flags, *args, **kwargs):
+        if flags == exec_harness._OPEN_LEAF:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real_open(path, flags, *args, **kwargs)
+
+    run_once(req(Path("/bin/true")))
+    before = _open_descriptors()
+    monkeypatch.setattr(os, "open", leaf_open)
+    with pytest.raises(OSError) as raised:
+        run_once(req(exe, capture_files=["d/made.txt"]))
+    monkeypatch.undo()
+    assert raised.value.errno == errno.EMFILE
+    assert _open_descriptors() == before
+
+
 def test_file_digests_deterministic(tmp_path):
     exe = make_script(tmp_path, "writer", "printf abc > made.txt\n")
     a = run_once(req(exe, capture_files=["made.txt"]))
@@ -430,29 +466,21 @@ def test_run_trials_spawn_error_on_first_trial(tmp_path):
         run_trials(req(tmp_path / "nope"), 3)
 
 
-def test_run_trials_keeps_n_through_a_later_spawn_failure(monkeypatch):
-    clean = iter([
-        ExecOutcome(Termination.exited(0), b"", b"", {}, 1.0, 1.0, 1000),
-        ExecOutcome(Termination.exited(0), b"", b"", {}, 3.0, 3.0, 3000),
-    ])
+def test_run_trials_propagates_a_later_spawn_failure(monkeypatch):
+    # A later trial fails to start only if the binary changed; no summary
+    # may then describe it.
     calls = []
 
     def second_call_fails(request):
         calls.append(request)
         if len(calls) == 2:
             raise SpawnError("cannot exec: gone")
-        return next(clean)
+        return ExecOutcome(Termination.exited(0), b"", b"", {}, 1.0, 1.0, 1000)
 
     monkeypatch.setattr(exec_harness, "run_once", second_call_fails)
-    summary = run_trials(req(Path("/bin/true")), 3)
-    assert summary.n == len(summary.outcomes) == 3
-    kinds = [o.termination.kind for o in summary.outcomes]
-    assert kinds == [TerminationKind.EXITED, TerminationKind.SPAWN_FAILED, TerminationKind.EXITED]
-    assert summary.outcomes[1].stderr == b"cannot exec: gone"
-    # The unstarted trial is listed but left out of the means.
-    assert summary.mean_cpu_seconds == 2.0
-    assert summary.mean_peak_rss_bytes == 2000.0
-    assert summary.stdev_cpu_seconds == 1.0
+    with pytest.raises(SpawnError, match="cannot exec: gone"):
+        run_trials(req(Path("/bin/true")), 3)
+    assert len(calls) == 2
 
 
 def _summary(cpu: float, rss: float) -> TrialSummary:
