@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -28,7 +28,6 @@ from .spec_model import (
     Disposition,
     SpecError,
     parse_spec,
-    serialize_spec,
     validate_spec_against_binaries,
     winnow_to_aggressive,
 )
@@ -392,16 +391,17 @@ def _file_identity(path: Path) -> tuple[int, int, int] | None:
 def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     """Run a debloating tool under CPU/memory accounting."""
     # Failures are still timed and recorded; a produced output binary is
-    # registered as a new variant in an updated copy of the spec.
+    # registered as a new variant, appended to a copy of the spec's document.
     import shutil
 
     from .exec_harness import ExecRequest, SpawnError, TerminationKind
-    spec = _read_spec(spec_path)
-    # Built before the tool runs, so a spec that cannot take the new variant
+    _read_spec(spec_path)
+    doc = json.loads(spec_path.read_bytes())
+    doc["variants"].append({"label": f"tool-wrap-{output_path.name}", "exe": str(output_path)})
+    updated = json.dumps(doc, indent=2).encode("utf-8")
+    # Parsed before the tool runs, so a spec that cannot take the new variant
     # is rejected at once, not after a run of up to max_seconds.
-    updated = replace(
-        spec, variants=spec.variants + (BinaryRef(f"tool-wrap-{output_path.name}", output_path),)
-    )
+    parse_spec(updated)
     # The tool runs in an empty sandbox directory with an empty environment:
     # it must address its target and output by absolute paths, and its own
     # command is resolved here as a shell would resolve it.
@@ -425,7 +425,7 @@ def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "tool_perf.json", asdict(record))
     if produced:
-        (out_dir / "spec.updated.json").write_bytes(serialize_spec(updated))
+        (out_dir / "spec.updated.json").write_bytes(updated)
     click.echo(
         f"succeeded={record.succeeded} cpu_minutes={record.cpu_minutes:.3f} "
         f"peak_mb={record.peak_mb:.1f} termination={record.termination}"

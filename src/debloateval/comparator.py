@@ -53,7 +53,10 @@ class Normalizer:
         # Checked as apply uses them: a bad escape may be valid in a str
         # pattern and not in a bytes one, and sub checks a replacement's
         # group references before it looks for a match.
-        regex = re.compile(self.pattern.encode("utf-8", "surrogateescape"))
+        try:
+            regex = re.compile(self.pattern.encode("utf-8", "surrogateescape"))
+        except re.error as exc:
+            raise FieldError("pattern", f"invalid regex: {exc}") from exc
         try:
             regex.sub(self.replacement.encode("utf-8", "surrogateescape"), b"")
         except re.error as exc:

@@ -13,9 +13,7 @@ import enum
 import json
 import math
 import os
-import re
 from dataclasses import MISSING, dataclass, field, fields, replace
-from operator import attrgetter
 from pathlib import Path, PurePosixPath
 from typing import Callable, NamedTuple
 
@@ -168,9 +166,8 @@ class BenchmarkSpec:
 
 # --- JSON format -------------------------------------------------------
 #
-# Each type's JSON object is stated once, as a table of fields. parse_spec
-# and serialize_spec both walk the tables, and a table's row order is the
-# key order serialize_spec writes.
+# Each type's JSON object is stated once, as a table of fields, and
+# parse_spec walks the tables.
 
 def _utf8(value: str, path: str) -> str:
     """value, unless it holds a lone surrogate, which JSON can spell but UTF-8 cannot."""
@@ -240,14 +237,6 @@ _os_text = _typed(str, _os_string)
 _path = _typed(str, lambda value, path: Path(_os_string(value, path)))
 
 
-def _regex(pattern: str, path: str) -> str:
-    try:
-        re.compile(pattern.encode("utf-8"))  # Normalizer.apply matches bytes
-    except re.error as exc:
-        raise SchemaError(path, f"invalid regex: {exc}") from exc
-    return pattern
-
-
 def _env(env: dict, path: str) -> dict[str, str]:
     for key, value in env.items():
         if not isinstance(value, str):
@@ -257,13 +246,6 @@ def _env(env: dict, path: str) -> dict[str, str]:
             raise SchemaError(path, f"env name {key!r} is empty or holds '=' or NUL")
         _os_string(_utf8(value, f"{path}.{key}"), f"{path}.{key}")
     return dict(env)
-
-
-def _each(dump_item):
-    return lambda items: [dump_item(item) for item in items]
-
-
-_value = attrgetter("value")
 
 
 def _build(cls, kwargs: dict, path: str, keys: dict[str, str] | None = None):
@@ -287,14 +269,12 @@ class _Field(NamedTuple):
     """A JSON key and the dataclass field it fills.
 
     A missing key takes the dataclass field's default; a field without one
-    is required. A dump of None means the field value is JSON already.
+    is required.
     """
 
     key: str
     attr: str
     load: Callable
-    omit_default: bool = False
-    dump: Callable | None = None
 
 
 class _Object:
@@ -315,33 +295,25 @@ class _Object:
             unknown = next(key for key in obj if key not in self.fields)
             raise SchemaError(prefix + unknown, "unknown key")
         kwargs = {}
-        for key, attr, load, _, _ in self.fields.values():
+        for key, attr, load in self.fields.values():
             if key in obj:
                 kwargs[attr] = load(obj[key], prefix + key)
             elif self.defaults[attr] is MISSING:
                 raise SchemaError(prefix + key, "missing required field")
         return _build(self.cls, kwargs, path, self.keys)
 
-    def dump(self, value) -> dict:
-        out = {}
-        for f in self.fields.values():
-            field_value = getattr(value, f.attr)
-            if not (f.omit_default and field_value == self.defaults[f.attr]):
-                out[f.key] = field_value if f.dump is None else f.dump(field_value)
-        return out
-
 
 _NORMALIZER = _Object(
     Normalizer,
-    _Field("pattern", "pattern", _typed(str, _regex)),
+    _Field("pattern", "pattern", _typed(str)),
     _Field("replacement", "replacement", _typed(str)),
 )
 
 _COMPARATOR = _Object(
     ComparatorConfig,
-    _Field("kind", "kind", _enum(ComparatorKind, "unknown comparator kind {!r}"), dump=_value),
-    _Field("normalizers", "normalizers", _array(_NORMALIZER.load), True, _each(_NORMALIZER.dump)),
-    _Field("path", "path", _typed(str), True),
+    _Field("kind", "kind", _enum(ComparatorKind, "unknown comparator kind {!r}")),
+    _Field("normalizers", "normalizers", _array(_NORMALIZER.load)),
+    _Field("path", "path", _typed(str)),
 )
 
 
@@ -351,43 +323,38 @@ def _load_pipeline(items, path: str) -> ComparatorPipeline:
     return _build(ComparatorPipeline, {"comparators": configs}, path)
 
 
-def _dump_pipeline(pipeline: ComparatorPipeline) -> list:
-    return [_COMPARATOR.dump(c) for c in pipeline.comparators]
-
-
 _COMMAND = _Object(
     TestCommand,
-    _Field("argv", "argv_template", _array(_os_text), dump=list),
-    _Field("stdin", "stdin", _typed(str), True),
-    _Field("files", "expected_output_files", _array(_os_text), True, list),
-    _Field("fuzz_count", "fuzz_count", _typed(int), True),
+    _Field("argv", "argv_template", _array(_os_text)),
+    _Field("stdin", "stdin", _typed(str)),
+    _Field("files", "expected_output_files", _array(_os_text)),
+    _Field("fuzz_count", "fuzz_count", _typed(int)),
 )
 
 _FEATURE = _Object(
     Feature,
     _Field("name", "name", _typed(str)),
-    _Field("disposition", "disposition", _enum(Disposition, "must be 'retain' or 'debloat', got {!r}"),
-           dump=_value),
-    _Field("commands", "commands", _array(_COMMAND.load), dump=_each(_COMMAND.dump)),
-    _Field("anchor", "aggressive_anchor", _typed(bool), True),
-    _Field("comparators", "comparator_override", _load_pipeline, True, _dump_pipeline),
+    _Field("disposition", "disposition", _enum(Disposition, "must be 'retain' or 'debloat', got {!r}")),
+    _Field("commands", "commands", _array(_COMMAND.load)),
+    _Field("anchor", "aggressive_anchor", _typed(bool)),
+    _Field("comparators", "comparator_override", _load_pipeline),
 )
 
 _BINARY = _Object(
     BinaryRef,
     _Field("label", "label", _typed(str)),
-    _Field("exe", "exe_path", _path, dump=str),
-    _Field("libs", "lib_paths", _array(_path), dump=_each(str)),
+    _Field("exe", "exe_path", _path),
+    _Field("libs", "lib_paths", _array(_path)),
     _Field("static", "statically_linked", _typed(bool)),
 )
 
 _SPEC = _Object(
     BenchmarkSpec,
     _Field("id", "id", _typed(str)),
-    _Field("original", "original", _typed(dict, _BINARY.load), dump=_BINARY.dump),
-    _Field("variants", "variants", _array(_BINARY.load), dump=_each(_BINARY.dump)),
-    _Field("features", "features", _array(_FEATURE.load), dump=_each(_FEATURE.dump)),
-    _Field("comparators", "default_comparators", _load_pipeline, dump=_dump_pipeline),
+    _Field("original", "original", _typed(dict, _BINARY.load)),
+    _Field("variants", "variants", _array(_BINARY.load)),
+    _Field("features", "features", _array(_FEATURE.load)),
+    _Field("comparators", "default_comparators", _load_pipeline),
     _Field("env", "env", _typed(dict, _env)),
     _Field("timeout_seconds", "timeout_seconds", _typed((int, float), _float)),
     _Field("trials", "trials", _typed(int)),
@@ -405,11 +372,6 @@ def parse_spec(document: bytes) -> BenchmarkSpec:
     if not isinstance(obj, dict):
         raise SchemaError("", "top-level value must be an object")
     return _SPEC.load(obj, "")
-
-
-def serialize_spec(spec: BenchmarkSpec) -> bytes:
-    """Inverse of parse_spec for valid specs (round-trips exactly)."""
-    return json.dumps(_SPEC.dump(spec), indent=2).encode("utf-8")
 
 
 # --- Operations --------------------------------------------------------

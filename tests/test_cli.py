@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,8 @@ from hypothesis import strategies as st
 
 from debloateval import cli, elf, gadget_analyzer
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
-from debloateval.comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline
 from debloateval.elf import executable_segments
-from debloateval.spec_model import (
-    BenchmarkSpec, BinaryRef, Disposition, Feature, TestCommand, parse_spec, serialize_spec,
-)
+from debloateval.spec_model import BinaryRef, parse_spec
 
 from conftest import LIBC, make_script, toy_spec_doc, write_elf, write_spec
 from test_spec_format import _pipeline, _relative, _template, _text
@@ -315,37 +313,38 @@ def test_a_variant_that_does_nothing_never_passes_unremarked(tmp_path_factory, t
         assert entry["mutual_timeouts"] == sum(entry["verdict_counts"].values())
 
 
-def _with_exit_status(pipeline: ComparatorPipeline) -> ComparatorPipeline:
-    exit_status = ComparatorConfig(ComparatorKind.EXIT_STATUS)
-    if exit_status in pipeline.comparators:
-        return pipeline
-    return ComparatorPipeline((exit_status, *pipeline.comparators))
+_EXIT_STATUS = {"kind": "exit_status"}
+
+
+def _with_exit_status(pipeline: list) -> list:
+    return pipeline if _EXIT_STATUS in pipeline else [_EXIT_STATUS, *pipeline]
 
 
 @st.composite
 def _cat_false_documents(draw) -> tuple[str, float]:
-    """A cat/false spec built by the spec format's strategies, as JSON, and its timeout.
+    """A cat/false spec drawn with the spec format's strategies, as JSON, and its timeout.
 
     The timeout may be NaN or +-Infinity, which the JSON spells as such.
     Every pipeline compares exit status, so /bin/false can never match
     /bin/cat's reading of its stdin.
     """
-    command = st.builds(
-        TestCommand, st.just(("-",)), st.none() | _template, st.lists(_relative, max_size=2).map(tuple),
-        st.integers(0, 2),
+    command = st.fixed_dictionaries(
+        {"argv": st.just(["-"])},
+        optional={"stdin": _template, "files": st.lists(_relative, max_size=2), "fuzz_count": st.integers(0, 2)},
     )
     commands = draw(st.lists(command, min_size=1, max_size=2))
-    override = draw(st.none() | _pipeline(commands).map(_with_exit_status))
-    feature = Feature(draw(_text), Disposition.RETAIN, tuple(commands), override, True)
-    spec = BenchmarkSpec(
-        id=draw(_text.filter(bool)),
-        original=BinaryRef("original", Path("/bin/cat")),
-        variants=(BinaryRef("false", Path("/bin/false")),),
-        features=(feature,),
-        default_comparators=draw(_pipeline([] if override else commands).map(_with_exit_status)),
-    )
-    doc = json.loads(serialize_spec(spec))
-    doc["timeout_seconds"] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-6]) | st.floats(1e-3, 5))
+    feature = {"name": draw(_text), "disposition": "retain", "anchor": True, "commands": commands}
+    override = draw(st.none() | _pipeline(commands))
+    if override is not None:
+        feature["comparators"] = _with_exit_status(override[0])
+    doc = {
+        "id": draw(_text.filter(bool)),
+        "original": {"label": "original", "exe": "/bin/cat"},
+        "variants": [{"label": "false", "exe": "/bin/false"}],
+        "features": [feature],
+        "comparators": _with_exit_status(draw(_pipeline([] if override else commands))[0]),
+        "timeout_seconds": draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-6]) | st.floats(1e-3, 5)),
+    }
     return json.dumps(doc), doc["timeout_seconds"]
 
 
@@ -759,7 +758,9 @@ def test_gadgets_compare_has_no_aggregate_libs_flag(runner, tmp_path):
 # --- tool-wrap -----------------------------------------------------------
 
 def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):
-    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    del doc["trials"]  # a key the input leaves out stays out
+    spec = write_spec(tmp_path, doc)
     produced = tmp_path / "debloated"
     tool = make_script(
         tmp_path, "debloater", f'cp "{toy_pair["original"]}" "{produced}"\n'
@@ -773,9 +774,12 @@ def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):
     perf = json.loads((out / "tool_perf.json").read_text())
     assert perf["succeeded"] is True
     assert perf["cpu_minutes"] >= 0.0
-    updated = json.loads((out / "spec.updated.json").read_text())
-    labels = [v["label"] for v in updated["variants"]]
-    assert f"tool-wrap-{produced.name}" in labels
+    # The input's own document, in its key order, with the one new variant appended.
+    variant = {"label": f"tool-wrap-{produced.name}", "exe": str(produced)}
+    updated = (out / "spec.updated.json").read_bytes()
+    assert updated == json.dumps({**doc, "variants": [*doc["variants"], variant]}, indent=2).encode()
+    before = parse_spec(spec.read_bytes())
+    assert parse_spec(updated) == replace(before, variants=(*before.variants, BinaryRef(variant["label"], produced)))
 
 
 def test_tool_wrap_duplicate_variant_label_is_exit_2(runner, tmp_path, toy_pair):

@@ -11,6 +11,7 @@ from debloateval.comparator import (
     ComparatorKind,
     ComparatorPipeline,
     EVIDENCE_LIMIT,
+    FieldError,
     Normalizer,
     _first_difference_excerpt,
     compare,
@@ -185,8 +186,10 @@ def test_normalized_kind_requires_normalizers():
 
 
 def test_bad_normalizer_pattern_rejected_eagerly():
-    with pytest.raises(Exception):
-        Normalizer("(unclosed", "x")
+    with pytest.raises(FieldError) as exc:
+        Normalizer("(", "N")
+    assert exc.value.attr == "pattern"
+    assert str(exc.value) == "invalid regex: missing ), unterminated subpattern at position 0"
 
 
 def test_file_digest_requires_path():

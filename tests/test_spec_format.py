@@ -1,4 +1,4 @@
-"""The spec's JSON format: round trips, single faults, its field tables and the README."""
+"""The spec's JSON format: generated documents, single faults, its field tables and the README."""
 
 from __future__ import annotations
 
@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debloateval import spec_model
-from debloateval.comparator import ComparatorConfig, ComparatorKind, ComparatorPipeline, Normalizer
+from debloateval.comparator import (
+    ComparatorConfig,
+    ComparatorKind,
+    ComparatorPipeline,
+    Normalizer,
+    default_pipeline,
+)
 from debloateval.spec_model import (
     BenchmarkSpec,
     BinaryRef,
@@ -22,12 +28,14 @@ from debloateval.spec_model import (
     SpecError,
     TestCommand,
     parse_spec,
-    serialize_spec,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# --- Round trip over generated specs ---------------------------------------
+# --- Generated documents ---------------------------------------------------
+#
+# Each strategy draws a JSON document and the value it spells, from the same
+# draws. A key that is left out stands for its default.
 
 # Spec strings are UTF-8, and a lone surrogate (category Cs) is no UTF-8.
 _text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -39,75 +47,102 @@ _template = _plain | st.sampled_from(["{{int:1..9}}", "-{{int:0..3}}x", "{{bytes
 # A bytes hole may draw NUL, which no argument can carry, so argv holds none.
 _argv_template = _plain | st.sampled_from(["{{int:1..9}}", "-{{int:0..3}}x", "{{ascii:0..8}}"])
 _relative = st.sampled_from(["out", "out.txt", "dir/log", "a/b/c"])
-_path = st.builds(Path, _os_text.filter(bool))
 _pattern = st.sampled_from([r"[0-9]+", r"\d{4}-\d{2}", "a|b", r"\s+$", "(x)?"])
 # A backslash in a replacement starts an escape, and a bad one is no valid spec.
 _replacement = _text.filter(lambda s: "\\" not in s) | st.sampled_from([r"\\", r"\g<0>", r"<\n>"])
 
 
-def _comparator(kind: ComparatorKind, digestible: list[str]):
-    normalizers = st.just(())
-    path = st.none()
+def _optional(draw, doc: dict, key: str, strategy, default):
+    """A drawn value written to doc at key, or default with key left out."""
+    value = draw(st.none() | strategy)
+    if value is None:
+        return default
+    doc[key] = value
+    return value
+
+
+def _split(pairs) -> tuple[list, tuple]:
+    """The documents and the values of (document, value) pairs."""
+    return [doc for doc, _ in pairs], tuple(value for _, value in pairs)
+
+
+@st.composite
+def _comparator(draw, digestible: list[str]):
+    kind = draw(st.sampled_from([k for k in ComparatorKind if digestible or k is not ComparatorKind.FILE_DIGEST]))
+    doc = {"kind": kind.value}
+    normalizers, path = (), None
     if kind in (ComparatorKind.STDOUT_NORMALIZED, ComparatorKind.STDERR_NORMALIZED):
-        normalizers = st.lists(st.builds(Normalizer, _pattern, _replacement), min_size=1, max_size=2).map(tuple)
+        rules = draw(st.lists(st.tuples(_pattern, _replacement), min_size=1, max_size=2))
+        doc["normalizers"] = [{"pattern": p, "replacement": r} for p, r in rules]
+        normalizers = tuple(Normalizer(p, r) for p, r in rules)
     if kind is ComparatorKind.FILE_DIGEST:
-        path = st.sampled_from(digestible)
-    return st.builds(ComparatorConfig, st.just(kind), normalizers, path)
+        doc["path"] = path = draw(st.sampled_from(digestible))
+    return doc, ComparatorConfig(kind, normalizers, path)
 
 
-def _pipeline(commands: list[TestCommand]):
-    """A pipeline whose digested files every one of commands captures."""
-    digestible = sorted(set.intersection(*(set(c.expected_output_files) for c in commands))) if commands else []
-    kinds = [k for k in ComparatorKind if digestible or k is not ComparatorKind.FILE_DIGEST]
-    comparator = st.sampled_from(kinds).flatmap(lambda kind: _comparator(kind, digestible))
-    return st.builds(ComparatorPipeline, st.lists(comparator, min_size=1, max_size=3).map(tuple))
-
-
-_command = st.builds(
-    TestCommand,
-    st.lists(_argv_template.filter(lambda s: "\0" not in s), min_size=1, max_size=3).map(tuple),
-    st.none() | _template,
-    st.lists(_relative, max_size=2).map(tuple),
-    st.integers(0, 1000),
-)
+def _pipeline(commands: list[dict]):
+    """A pipeline whose digested files every one of the command documents captures."""
+    digestible = sorted(set.intersection(*(set(c.get("files", ())) for c in commands))) if commands else []
+    comparators = st.lists(_comparator(digestible), min_size=1, max_size=3).map(_split)
+    return comparators.map(lambda split: (split[0], ComparatorPipeline(split[1])))
 
 
 @st.composite
-def _binary(draw, label: str) -> BinaryRef:
-    static = draw(st.booleans())
-    libs = () if static else tuple(draw(st.lists(_path, max_size=2)))
-    return BinaryRef(label, draw(_path), libs, static)
+def _command(draw):
+    argv = draw(st.lists(_argv_template.filter(lambda s: "\0" not in s), min_size=1, max_size=3))
+    doc = {"argv": argv}
+    stdin = _optional(draw, doc, "stdin", _template, None)
+    files = _optional(draw, doc, "files", st.lists(_relative, max_size=2), [])
+    fuzz_count = _optional(draw, doc, "fuzz_count", st.integers(0, 1000), 0)
+    return doc, TestCommand(tuple(argv), stdin, tuple(files), fuzz_count)
 
 
 @st.composite
-def _specs(draw) -> BenchmarkSpec:
+def _binary(draw, label: str):
+    exe = draw(_os_text.filter(bool))
+    doc = {"label": label, "exe": exe}
+    static = _optional(draw, doc, "static", st.booleans(), False)
+    libs = [] if static else _optional(draw, doc, "libs", st.lists(_os_text.filter(bool), max_size=2), [])
+    return doc, BinaryRef(label, Path(exe), tuple(map(Path, libs)), static)
+
+
+@st.composite
+def _documents(draw) -> tuple[dict, BenchmarkSpec]:
     names = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
     anchor = draw(st.none() | st.sampled_from(range(len(names))))
-    features = []
+    feature_docs, features = [], []
     for i, name in enumerate(names):
         disposition = Disposition.RETAIN if i == anchor else draw(st.sampled_from(Disposition))
-        commands = draw(st.lists(_command, min_size=1, max_size=2))
-        features.append(Feature(name, disposition, tuple(commands), draw(st.none() | _pipeline(commands)), i == anchor))
-    by_default = [c for f in features if f.comparator_override is None for c in f.commands]
+        command_docs, commands = _split(draw(st.lists(_command(), min_size=1, max_size=2)))
+        doc = {"name": name, "disposition": disposition.value, "commands": command_docs}
+        if i == anchor or draw(st.booleans()):
+            doc["anchor"] = i == anchor
+        override = draw(st.none() | _pipeline(command_docs))
+        if override is not None:
+            doc["comparators"], override = override
+        feature_docs.append(doc)
+        features.append(Feature(name, disposition, commands, override, i == anchor))
     labels = draw(st.lists(_text, min_size=1, max_size=3, unique=True))
-    return BenchmarkSpec(
-        id=draw(_text.filter(bool)),
-        original=draw(_binary(draw(_text))),
-        variants=tuple(draw(_binary(label)) for label in labels),
-        features=tuple(features),
-        default_comparators=draw(_pipeline(by_default)),
-        env=draw(st.dictionaries(_os_text.filter(lambda s: s and "=" not in s), _os_text, max_size=3)),
-        timeout_seconds=draw(st.floats(min_value=1e-3, max_value=1e6)),
-        trials=draw(st.integers(1, 100)),
-    )
+    variant_docs, variants = _split([draw(_binary(label)) for label in labels])
+    original, original_ref = draw(_binary(draw(_text)))
+    doc = {"id": draw(_text.filter(bool)), "original": original, "variants": variant_docs, "features": feature_docs}
+    by_default = [c for feature in feature_docs if "comparators" not in feature for c in feature["commands"]]
+    pipeline = default_pipeline()
+    if draw(st.booleans()):
+        doc["comparators"], pipeline = draw(_pipeline(by_default))
+    env_name = _os_text.filter(lambda s: s and "=" not in s)
+    env = _optional(draw, doc, "env", st.dictionaries(env_name, _os_text, max_size=3), {})
+    timeout = _optional(draw, doc, "timeout_seconds", st.floats(1e-3, 1e6) | st.integers(1, 10**6), 30.0)
+    trials = _optional(draw, doc, "trials", st.integers(1, 100), 10)
+    spec = BenchmarkSpec(doc["id"], original_ref, variants, tuple(features), pipeline, env, float(timeout), trials)
+    return doc, spec
 
 
-@given(_specs())
+@given(_documents())
 @settings(max_examples=150, deadline=None)
-def test_serialize_then_parse_is_the_identity(spec):
-    document = serialize_spec(spec)
-    assert parse_spec(document) == spec
-    assert serialize_spec(parse_spec(document)) == document
+def test_a_generated_document_parses_to_the_spec_it_spells(drawn):
+    doc, spec = drawn
+    assert parse_spec(json.dumps(doc).encode()) == spec
 
 
 # --- Single faults ---------------------------------------------------------
@@ -143,6 +178,35 @@ OPTIONAL_KEYS = {
     "LC_ALL",  # env is a map, so each of its entries is optional
 }
 JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]
+
+
+def test_every_key_of_full_lands_on_its_field():
+    assert parse_spec(json.dumps(FULL).encode()) == BenchmarkSpec(
+        id="demo",
+        original=BinaryRef("orig", Path("/bin/true"), (Path("/lib/a.so"),), False),
+        variants=(BinaryRef("v1", Path("/bin/false"), (), True),),
+        features=(
+            Feature(
+                "run",
+                Disposition.RETAIN,
+                (TestCommand(("-{{int:1..3}}",), "{{bytes:0..4}}", ("out.txt",), 3),),
+                ComparatorPipeline((
+                    ComparatorConfig(ComparatorKind.EXIT_STATUS),
+                    ComparatorConfig(ComparatorKind.STDOUT_NORMALIZED, (Normalizer("[0-9]+", "N"),)),
+                    ComparatorConfig(ComparatorKind.FILE_DIGEST, path="out.txt"),
+                )),
+                aggressive_anchor=True,
+            ),
+            Feature("other", Disposition.DEBLOAT, (TestCommand(("-x",)),)),
+        ),
+        default_comparators=ComparatorPipeline((
+            ComparatorConfig(ComparatorKind.STDOUT_EXACT),
+            ComparatorConfig(ComparatorKind.STDERR_EXACT),
+        )),
+        env={"LC_ALL": "C"},
+        timeout_seconds=5.0,
+        trials=3,
+    )
 
 
 def _objects(node, path=""):
