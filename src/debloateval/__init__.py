@@ -4,7 +4,12 @@ Combines differential testing with template-based mutational fuzzing, binary
 size/library metrics, and code-reuse gadget set analysis.
 """
 
+import errno
+
 __version__ = "0.1.0"
+
+# Errnos that say the host ran out of a resource: no program or binary is at fault.
+_HOST_ERRNOS = frozenset({errno.EAGAIN, errno.EMFILE, errno.ENFILE, errno.ENOMEM})
 
 
 class InputError(Exception):

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import InputError, NotComparableError, __version__
+from . import _HOST_ERRNOS, InputError, NotComparableError, __version__
 from .fuzz_engine import MutationPlan, derive_commands
 from .spec_model import (
     BenchmarkSpec,
@@ -231,14 +231,20 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path) -> TrialSummary | None:
     return TrialSummary(len(outcomes), total_cpu, max_rss, 0.0, 0.0, outcomes)
 
 
-def _code_regions(ref: BinaryRef, aggregate_libs: bool) -> list[gadget_analyzer.CodeRegion] | None:
-    """The binary's code regions; None if it cannot be read as an x86-64 ELF."""
-    from . import gadget_analyzer
-    from .elf import ElfParseError
+def _cell(compute, *args):
+    """compute(*args), or None where the metric is undefined: the one place a
+    metrics cell is made null, and so where a reason for an N/A would attach.
+
+    Undefined: a binary missing, unreadable, not an ELF or of the wrong machine
+    (OSError, InputError), or a zero baseline (NotComparableError). A host errno
+    is raised. Trials stay outside, as a run's SandboxError or OSError exits 2.
+    """
     try:
-        return gadget_analyzer.extract_code_regions(ref, aggregate_libs)
-    except (ElfParseError, OSError):
-        return None
+        return compute(*args)
+    except (OSError, InputError, NotComparableError) as exc:
+        if isinstance(exc, OSError) and exc.errno in _HOST_ERRNOS:
+            raise
+    return None
 
 
 @main.command()
@@ -256,16 +262,15 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
     original_perf = None if no_perf else _perf_totals(spec, spec.original.exe_path)
     perfs = {v.label: _perf_totals(spec, v.exe_path) for v in spec.variants} if original_perf else {}
     from . import binary_metrics, gadget_analyzer
-    from .elf import ElfParseError
 
     # Every side's code is read before any is scanned, so the gadget sets
     # are composed in one pass that sweeps each distinct region once.
-    original_regions = _code_regions(spec.original, aggregate_libs)
+    original_regions = _cell(gadget_analyzer.extract_code_regions, spec.original, aggregate_libs)
     gadget_rows: dict[str, tuple[gadget_analyzer.GadgetSummary, float]] = {}
     if original_regions is not None:
         variant_regions = {
             v.label: regions for v in spec.variants
-            if (regions := _code_regions(v, aggregate_libs)) is not None
+            if (regions := _cell(gadget_analyzer.extract_code_regions, v, aggregate_libs)) is not None
         }
         original_gadgets, variant_results = gadget_analyzer.compare_regions(
             original_regions, list(variant_regions.values())
@@ -275,25 +280,14 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
     rows: dict[str, _VariantMetrics] = {}
     for variant in sorted(spec.variants, key=lambda v: v.label):
         row = _VariantMetrics()
-        try:
-            size = binary_metrics.size_change(spec.original, variant)
-            row.size_pct = size.pct
-            row.size_aggregate = size.aggregate_mode
-        except (OSError, NotComparableError):
-            pass
-        try:
-            libs = binary_metrics.lib_delta(spec.original, variant)
-            row.libs_introduced = sorted(libs.introduced)
-            row.libs_eliminated = sorted(libs.eliminated)
-        except ElfParseError:
-            pass
+        if size := _cell(binary_metrics.size_change, spec.original, variant):
+            row.size_pct, row.size_aggregate = size.pct, size.aggregate_mode
+        if libs := _cell(binary_metrics.lib_delta, spec.original, variant):
+            row.libs_introduced, row.libs_eliminated = sorted(libs.introduced), sorted(libs.eliminated)
         if (variant_perf := perfs.get(variant.label)) is not None:
             from .exec_harness import perf_delta
-            try:
-                perf = perf_delta(original_perf, variant_perf)
+            if perf := _cell(perf_delta, original_perf, variant_perf):
                 row.runtime_pct, row.memory_pct = perf.runtime_pct, perf.memory_pct
-            except NotComparableError:
-                pass
         if variant.label in gadget_rows:
             variant_gadgets, row.locality_pct = gadget_rows[variant.label]
             delta = gadget_analyzer.compare_sets(original_gadgets, variant_gadgets)

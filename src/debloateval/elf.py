@@ -117,11 +117,7 @@ def executable_segments(path: Path) -> list[tuple[int, bytes]]:
 
 def needed_libraries(path: Path) -> list[str]:
     """Ordered DT_NEEDED sonames; empty for statically linked binaries."""
-    try:
-        file = open(path, "rb")
-    except OSError as exc:
-        raise ElfParseError(f"{path}: {exc}") from exc
-    with file:
+    with open(path, "rb") as file:
         fd = file.fileno()
         _, headers = _read_headers(fd, os.fstat(fd).st_size, path)
         dynamic = next((ph for ph in headers if ph.p_type == PT_DYNAMIC), None)

@@ -48,15 +48,15 @@ sandbox: its path is opened one component at a time without following a
 symlink, and a symlink, directory, FIFO or anything else counts as absent.
 
 A run is blamed on its program (SpawnError) only if its exec fails with
-an errno outside _HOST_ERRNOS. Any other failure, a host limit met while a
-run starts or while a captured file is opened included, is raised as it is.
+an errno outside ``debloateval._HOST_ERRNOS``. Any other failure is raised
+as it is, a host limit met while a run starts or a captured file is opened
+included.
 """
 
 from __future__ import annotations
 
 import atexit
 import enum
-import errno
 import math
 import os
 import select
@@ -72,7 +72,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import InputError, NotComparableError
+from . import _HOST_ERRNOS, InputError, NotComparableError
 from .digest import Hash, sha256
 
 SCRATCH_ENV_VAR = "DV_SCRATCH"
@@ -84,9 +84,6 @@ _READ_CHUNK = 65536
 
 # How long descendants may hold the pipes of a child that has exited.
 EXIT_GRACE_SECONDS = 0.05
-
-# Errnos that say the host ran out of a resource: no program is at fault.
-_HOST_ERRNOS = frozenset({errno.EAGAIN, errno.EMFILE, errno.ENFILE, errno.ENOMEM})
 
 
 class SpawnError(InputError):

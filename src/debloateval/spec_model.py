@@ -400,16 +400,16 @@ def validate_spec_against_binaries(spec: BenchmarkSpec) -> list[str]:
 
     def check_ref(ref: BinaryRef, path: str) -> None:
         if not ref.exe_path.is_file():
-            warnings.append(f"{path}.exe_path not found: {ref.exe_path}")
+            warnings.append(f"{path}.exe not found: {ref.exe_path}")
         elif not os.access(ref.exe_path, os.X_OK):
-            warnings.append(f"{path}.exe_path not executable: {ref.exe_path}")
+            warnings.append(f"{path}.exe not executable: {ref.exe_path}")
         for i, lib in enumerate(ref.lib_paths):
             if not lib.is_file():
-                warnings.append(f"{path}.lib_paths[{i}] not found: {lib}")
+                warnings.append(f"{path}.libs[{i}] not found: {lib}")
 
     check_ref(spec.original, "original")
     for i, variant in enumerate(spec.variants):
         check_ref(variant, f"variants[{i}]")
-        if variant.exe_path == spec.original.exe_path:
+        if variant.exe_path.resolve() == spec.original.exe_path.resolve():
             warnings.append(f"variants[{i}] aliases original: {variant.exe_path}")
     return warnings

@@ -43,8 +43,10 @@ def test_rejects_truncated_elf(tmp_path):
 
 
 def test_rejects_missing_file(tmp_path):
-    with pytest.raises(ElfParseError):
-        needed_libraries(tmp_path / "absent")
+    # An unopenable file is no parse fault: each reader raises the open's OSError.
+    for parse in (executable_segments, needed_libraries):
+        with pytest.raises(FileNotFoundError):
+            parse(tmp_path / "absent")
 
 
 _DYNAMIC_ELF = build_elf(b"\x5f\xc3", needed=["libc.so.6", "libm.so.6"])

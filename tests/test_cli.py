@@ -556,6 +556,63 @@ def test_metrics_with_perf_on_scripts(runner, tmp_path, toy_pair):
     assert row["locality_pct"] is None
 
 
+def _host_out_of_descriptors(monkeypatch, owner, name: str, real, path: Path) -> None:
+    """Make owner.name fail on path as on a host out of file descriptors (EMFILE)."""
+
+    def call(target, *rest, **kwargs):
+        if str(target) == str(path):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE), str(target))
+        return real(target, *rest, **kwargs)
+
+    monkeypatch.setattr(owner, name, call, raising=False)
+
+
+def _foreign_machine(path: Path) -> None:
+    """Mark the ELF at path as AArch64: its libraries can be read, its code not scanned."""
+    image = bytearray(path.read_bytes())
+    image[18:20] = (183).to_bytes(2, "little")
+    path.write_bytes(bytes(image))
+
+
+_SIZE = ["size_pct"]
+_LIBS = ["libs_introduced", "libs_eliminated"]
+_GADGETS = ["expressivity_delta", "quality_delta", "sp_types_delta", "syscall_event", "locality_pct"]
+
+# (case, change to the spec's original and variant, the cells left null, or
+# None where the command must exit 2 naming the errno and the variant).
+_CELL_CASES = [
+    ("variant missing", lambda mp, orig, var: var.unlink(), _SIZE + _LIBS + _GADGETS),
+    ("variant a directory", lambda mp, orig, var: (var.unlink(), var.mkdir()), _LIBS + _GADGETS),
+    ("variant not an ELF", lambda mp, orig, var: var.write_bytes(b"#!/bin/sh\n"), _LIBS + _GADGETS),
+    ("original empty", lambda mp, orig, var: orig.write_bytes(b""), _SIZE + _LIBS + _GADGETS),
+    ("original of another machine", lambda mp, orig, var: _foreign_machine(orig), _GADGETS),
+    ("host limit at the size stat",
+     lambda mp, orig, var: _host_out_of_descriptors(mp, Path, "stat", Path.stat, var), None),
+    ("host limit at the gadget reader",
+     lambda mp, orig, var: _host_out_of_descriptors(mp, elf, "open", open, var), None),
+    # The original's code cannot be scanned, so only the library reader opens the variant.
+    ("host limit at the library reader",
+     lambda mp, orig, var: (_foreign_machine(orig), _host_out_of_descriptors(mp, elf, "open", open, var)), None),
+]
+
+
+@pytest.mark.parametrize("change, null", [case[1:] for case in _CELL_CASES], ids=[case[0] for case in _CELL_CASES])
+def test_a_metrics_cell_is_null_only_where_its_metric_is_undefined(runner, tmp_path, monkeypatch, change, null):
+    spec = elf_spec(tmp_path)
+    out = tmp_path / "out"
+    variant = tmp_path / "var.elf"
+    change(monkeypatch, tmp_path / "orig.elf", variant)
+    result = invoke(runner, "metrics", "--spec", spec, "--out", out, "--no-perf")
+    if null is None:
+        assert result.exit_code == EXIT_ERROR
+        assert f"error: [Errno {errno.EMFILE}] Too many open files: '{variant}'" in result.output
+        assert not (out / "metrics.json").exists()
+        return
+    assert result.exit_code == EXIT_OK, result.output
+    row = json.loads((out / "metrics.json").read_text())["variants"]["slim"]
+    assert {cell for cell in _SIZE + _LIBS + _GADGETS if row[cell] is None} == set(null)
+
+
 @pytest.mark.skipif(not Path("/bin/cat").is_file(), reason="/bin/cat unavailable")
 def test_a_relative_exe_names_the_same_file_for_every_command(runner, tmp_path, monkeypatch):
     # Relative to the working directory, never to a run's sandbox: the

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,16 +279,34 @@ def test_validate_reports_missing_and_aliased(tmp_path):
     missing = tmp_path / "missing"
     spec = parse_spec(
         doc(
-            original={"label": "o", "exe": "/bin/true"},
+            original={"label": "o", "exe": "/bin/true", "libs": [str(tmp_path / "libgone.so")]},
             variants=[
                 {"label": "gone", "exe": str(missing)},
                 {"label": "alias", "exe": "/bin/true"},
             ],
         )
     )
-    warnings = validate_spec_against_binaries(spec)
-    assert any("variants[0].exe_path not found" in w for w in warnings)
-    assert any("aliases original" in w for w in warnings)
+    # Each warning names the spec's JSON key, as a SpecError does.
+    assert validate_spec_against_binaries(spec) == [
+        f"original.libs[0] not found: {tmp_path / 'libgone.so'}",
+        f"variants[0].exe not found: {missing}",
+        "variants[1] aliases original: /bin/true",
+    ]
+
+
+def test_validate_reports_an_alias_through_a_symlinked_directory(tmp_path):
+    (tmp_path / "usr" / "bin").mkdir(parents=True)
+    shutil.copy("/bin/true", tmp_path / "usr" / "bin" / "true")
+    (tmp_path / "bin").symlink_to("usr/bin")
+    spec = parse_spec(
+        doc(
+            original={"label": "o", "exe": str(tmp_path / "bin" / "true")},
+            variants=[{"label": "v", "exe": str(tmp_path / "usr" / "bin" / "true")}],
+        )
+    )
+    assert validate_spec_against_binaries(spec) == [
+        f"variants[0] aliases original: {tmp_path / 'usr' / 'bin' / 'true'}"
+    ]
 
 
 def test_validate_clean_spec_is_quiet():
