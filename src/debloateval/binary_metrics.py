@@ -9,8 +9,9 @@ string, not a resolved path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from stat import S_ISREG
 
-from . import NotComparableError, elf
+from . import InputError, NotComparableError, elf
 from .spec_model import BinaryRef
 
 
@@ -31,9 +32,13 @@ class LibReport:
 
 
 def _total_size(ref: BinaryRef, aggregate: bool) -> int:
-    total = ref.exe_path.stat().st_size
-    if aggregate:
-        total += sum(lib.stat().st_size for lib in ref.lib_paths)
+    """Bytes on disk; a path that is not a regular file, such as a directory, has no size."""
+    total = 0
+    for path in (ref.exe_path, *ref.lib_paths) if aggregate else (ref.exe_path,):
+        info = path.stat()
+        if not S_ISREG(info.st_mode):
+            raise InputError(f"{path}: not a regular file")
+        total += info.st_size
     return total
 
 

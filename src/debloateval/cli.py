@@ -235,9 +235,10 @@ def _cell(compute, *args):
     """compute(*args), or None where the metric is undefined: the one place a
     metrics cell is made null, and so where a reason for an N/A would attach.
 
-    Undefined: a binary missing, unreadable, not an ELF or of the wrong machine
-    (OSError, InputError), or a zero baseline (NotComparableError). A host errno
-    is raised. Trials stay outside, as a run's SandboxError or OSError exits 2.
+    Undefined: a binary missing, unreadable, not a regular file, not an ELF or
+    of the wrong machine (OSError, InputError), or a zero baseline
+    (NotComparableError). A host errno is raised. Trials stay outside, as a
+    run's SandboxError or OSError exits 2.
     """
     try:
         return compute(*args)

@@ -7,28 +7,31 @@ int 0x80, and short/near conditional branches. An offset whose bytes do
 not decode under this subset cannot be part of a gadget. One optional REX
 prefix is recognized; other prefixes are treated as undecodable.
 Registers always get their 64-bit names, with or without REX.W: ``89 c8``
-decodes as ``mov rax, rcx`` where objdump prints ``mov eax,ecx``.
+decodes as ``mov rax, rcx`` where objdump prints ``mov eax,ecx``. A byte
+register is named for the register it is part of: without REX, ``0f b6 c4``
+(objdump's ``movzx eax,ah``) decodes as ``movzx rax, rax``.
 
 Each opcode group is one row of a 256-entry table; the ``0F`` and ``CD``
 escapes index a second table by the next byte. A row holds the layout of
 the bytes after the opcode and a semantic column, ``_Sem``.
 
-The length pass, ``instruction_bounds``, is the one definition of what
-decodes and how long it is: it reads the optional REX byte and the opcode,
-looks up the row, and from its layout reads the ModRM byte, a SIB byte
-where ModRM asks for one, the displacement and the immediate. Truncated
-bytes, ModRM forms outside the subset and unknown opcodes are rejected
-there and nowhere else. The pass returns the length and the length of the
-header: REX, opcode, second opcode byte and ModRM. Every field of the
-decoded instruction but its offset, length, text, immediate value and
-memory base follows from the header, so a caller can key facts that read
-only those fields on it.
+The length pass, ``instruction_bounds``, is the one walk from bytes to a
+row, and so the one definition of what decodes and how long it is: it
+reads the optional REX byte and the opcode, looks up the row, and from its
+layout reads the ModRM byte, a SIB byte where ModRM asks for one, the
+displacement and the immediate. Truncated bytes, ModRM forms outside the
+subset and unknown opcodes are rejected there and nowhere else. The pass
+returns the length, the length of the header (REX, opcode, second opcode
+byte and ModRM) and the row. Every field of the decoded instruction but
+its offset, length, text, immediate value and memory base follows from
+the header, so a caller can key facts that read only those fields on it.
 
-``decode`` runs the length pass, finds the same row through the same
-tables, and builds the ``DecodedInstruction`` from the row's semantic
-column with one generic builder; only ``xchg``, ``leave``, ``ret imm16``
-and ``int`` have builders of their own. No builder rejects: every byte it
-reads is known to be there.
+``decode`` runs the length pass and builds the ``DecodedInstruction`` from
+the row it returns: REX is the first byte, the header's last byte is the
+ModRM byte (or the opcode of a row without one), and the SIB byte follows
+it. One generic builder reads the row's semantic column; only ``xchg``,
+``leave``, ``ret imm16`` and ``int`` have builders of their own. No builder
+rejects: every byte it reads is known to be there.
 """
 
 from __future__ import annotations
@@ -101,9 +104,10 @@ class _Sem(NamedTuple):
     operands lists the operand kinds, first to last: "r" is the ModRM reg
     field's register, "rm" the ModRM r/m operand (a register or memory),
     "o" the register in the opcode's low three bits, "imm" the immediate
-    and "rel" a conditional branch's displacement. mem says how a memory
-    operand is accessed: read "r", written "w", both "rw", or "" when only
-    its address is taken (lea).
+    and "rel" a conditional branch's displacement; "rm8" is a byte r/m
+    operand, whose fields 4-7 without REX are ah..bh, named rax..rbx. mem
+    says how a memory operand is accessed: read "r", written "w", both
+    "rw", or "" when only its address is taken (lea).
     """
 
     mnemonic: str
@@ -125,12 +129,13 @@ class _Form(NamedTuple):
     sem: _Sem | tuple | Callable | None = None
 
 
-def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
-    """(length, header length) of the instruction at offset, or None.
+def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int, _Form] | None:
+    """(length, header length, row) of the instruction at offset, or None.
 
     None means the subset cannot decode the bytes there (or offset is not
     in buf), exactly when decode returns None. The header is the REX byte,
-    the opcode bytes and the ModRM byte, without SIB, displacement or immediate.
+    the opcode bytes and the ModRM byte, without SIB, displacement or
+    immediate; the row is the _Form the opcode bytes select, after any escape.
     """
     try:
         op = buf[offset]
@@ -162,7 +167,7 @@ def instruction_bounds(buf: bytes, offset: int) -> tuple[int, int] | None:
             end = i + tail + imm
     except IndexError:  # the bytes end inside the instruction
         return None
-    return None if end > len(buf) or offset < 0 else (end - offset, i - offset)
+    return None if end > len(buf) or offset < 0 else (end - offset, i - offset, form)
 
 
 # --- Decoding ------------------------------------------------------------
@@ -172,25 +177,12 @@ def decode(buf: bytes, offset: int) -> DecodedInstruction | None:
     bounds = instruction_bounds(buf, offset)
     if bounds is None:
         return None
-    length = bounds[0]
-    i = offset
-    rex = 0
-    forms = _FORMS
-    if 0x40 <= buf[i] <= 0x4F:
-        rex = buf[i]
-        forms = _REX_W_FORMS if rex & 8 else _REX_FORMS
-        i += 1
-    op = buf[i]
-    escape, modrm, imm, sem = forms[op]
-    i += 1
-    if escape is not None:
-        op = buf[i]
-        escape, modrm, imm, sem = escape[op]
-        i += 1
+    length, header, (_, modrm, imm, sem) = bounds
+    rex = buf[offset] if 0x40 <= buf[offset] <= 0x4F else 0
+    m = buf[offset + header - 1]  # the ModRM byte, or the opcode if the row has none
     reg = rm = base = None
     is_mem = False
     if modrm is not None:
-        m = buf[i]
         mod, rm_bits = m >> 6, m & 7
         if type(sem) is tuple:  # a group: the reg field picks the semantics
             sem = sem[(m >> 3) & 7]
@@ -200,7 +192,7 @@ def decode(buf: bytes, offset: int) -> DecodedInstruction | None:
         else:
             is_mem = True
             if rm_bits == 4:  # SIB byte; base 5 under mod 0 means none
-                rm_bits = buf[i + 1] & 7
+                rm_bits = buf[offset + header] & 7
                 if rm_bits != 5 or mod != 0:
                     base = REGS[rm_bits + 8 * (rex & 1)]
             elif rm_bits == 5 and mod == 0:
@@ -219,29 +211,28 @@ def decode(buf: bytes, offset: int) -> DecodedInstruction | None:
     mnemonic, operands, writes, mem, flags, term = sem
     dest = src = None
     text = mnemonic
-    if operands:
-        last = len(operands) - 1
-        for pos, kind in enumerate(operands):
-            if kind == "imm":
-                operand = f"{value:#x}"
-            elif kind == "rel":
-                operand = f"{value:+#x}"
+    last = len(operands) - 1
+    for pos, kind in enumerate(operands):
+        if kind == "imm":
+            operand = f"{value:#x}"
+        elif kind == "rel":
+            operand = f"{value:+#x}"
+        else:
+            name = reg if kind == "r" else REGS[(m & 7) + 8 * (rex & 1)] if kind == "o" else rm
+            if kind == "rm8" and rm is not None and not rex:
+                name = REGS[m & 3]  # al..bl, and ah..bh, which are bytes of rax..rbx
+            if name is None:
+                operand = f"[{base or 'disp'}]"
             else:
-                name = reg if kind == "r" else rm if kind == "rm" else REGS[(op & 7) + 8 * (rex & 1)]
-                if name is None:
-                    operand = f"[{base or 'disp'}]"
-                else:
-                    operand = name
-                    if pos == 0 and writes:
-                        dest = name
-                    elif pos == last:
-                        src = name
-            text += (", " if pos else " ") + operand
-    if not is_mem:
-        mem = ""
+                operand = name
+                if pos == 0 and writes:
+                    dest = name
+                elif pos == last:
+                    src = name
+        text += (", " if pos else " ") + operand
     return DecodedInstruction(
         offset, length, mnemonic, text, dest,
-        None if term else src, value, "r" in mem, "w" in mem, base, flags,
+        None if term else src, value, is_mem and "r" in mem, is_mem and "w" in mem, base, flags,
         term, src if term else None, is_mem and term is not None, operands == ("rel",),
     )
 
@@ -329,8 +320,10 @@ _GROUP5 = (
 _TWO_BYTE_FORMS = _table(
     ((0x05,), _Form(sem=_Sem("syscall", terminator=SYSCALL))),
     *_jcc(0x80, imm=4),
-    ((0xB6, 0xB7), _Form(modrm=_ANY_MODRM, sem=_Sem("movzx", ("r", "rm"), writes=True))),
-    ((0xBE, 0xBF), _Form(modrm=_ANY_MODRM, sem=_Sem("movsx", ("r", "rm"), writes=True))),
+    ((0xB6,), _Form(modrm=_ANY_MODRM, sem=_Sem("movzx", ("r", "rm8"), writes=True))),
+    ((0xB7,), _Form(modrm=_ANY_MODRM, sem=_Sem("movzx", ("r", "rm"), writes=True))),
+    ((0xBE,), _Form(modrm=_ANY_MODRM, sem=_Sem("movsx", ("r", "rm8"), writes=True))),
+    ((0xBF,), _Form(modrm=_ANY_MODRM, sem=_Sem("movsx", ("r", "rm"), writes=True))),
 )
 
 _INT_VECTORS = _table(((0x80,), _Form(sem=_int)))  # int takes only the 0x80 vector

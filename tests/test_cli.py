@@ -582,7 +582,7 @@ _GADGETS = ["expressivity_delta", "quality_delta", "sp_types_delta", "syscall_ev
 # None where the command must exit 2 naming the errno and the variant).
 _CELL_CASES = [
     ("variant missing", lambda mp, orig, var: var.unlink(), _SIZE + _LIBS + _GADGETS),
-    ("variant a directory", lambda mp, orig, var: (var.unlink(), var.mkdir()), _LIBS + _GADGETS),
+    ("variant a directory", lambda mp, orig, var: (var.unlink(), var.mkdir()), _SIZE + _LIBS + _GADGETS),
     ("variant not an ELF", lambda mp, orig, var: var.write_bytes(b"#!/bin/sh\n"), _LIBS + _GADGETS),
     ("original empty", lambda mp, orig, var: orig.write_bytes(b""), _SIZE + _LIBS + _GADGETS),
     ("original of another machine", lambda mp, orig, var: _foreign_machine(orig), _GADGETS),

@@ -161,6 +161,12 @@ def test_decode_subset(raw, text):
         ("fff0", dict(mnemonic="push", text="push rax", src="rax")),
         ("ff30", dict(mnemonic="push", text="push [rax]", reads_mem=True, mem_base="rax")),
         ("0fb6c3", dict(mnemonic="movzx", text="movzx rax, rbx", dest="rax", src="rbx")),
+        # Byte registers without REX: 4-7 are ah, ch, dh and bh, so objdump's
+        # movzx eax,ah and movsx edi,ch; with REX, spl; a word source, sp.
+        ("0fb6c4", dict(mnemonic="movzx", text="movzx rax, rax", dest="rax", src="rax")),
+        ("0fbefd", dict(mnemonic="movsx", text="movsx rdi, rcx", dest="rdi", src="rcx")),
+        ("400fb6c4", dict(mnemonic="movzx", text="movzx rax, rsp", dest="rax", src="rsp")),
+        ("0fb7c4", dict(mnemonic="movzx", text="movzx rax, rsp", dest="rax", src="rsp")),
         ("0fbe00", dict(mnemonic="movsx", text="movsx rax, [rax]", dest="rax", reads_mem=True,
                         mem_base="rax")),
     ],
@@ -793,6 +799,20 @@ def test_terminator_offsets_in_libc_equal_the_alternation():
     (_, data), = executable_segments(LIBC)
     for lo, hi in ((0, len(data)), (1, len(data) // 3), (len(data) // 3, len(data) - 1000)):
         assert gadget_analyzer._terminator_offsets(data, lo, hi) == _oracle_terminator_offsets(data, lo, hi)
+
+
+def test_the_terminator_scan_finds_exactly_what_decode_calls_a_terminator():
+    # The bytes that end a gadget are written twice: in the decoder's rows
+    # and in the scan's patterns. A terminator the decoder learns must be
+    # taught to the scan too, or the sweep never reaches its gadgets.
+    filler = bytes(range(0x11, 0x1A))  # no byte here is a terminator's first byte
+    for prefix in (b"", b"\x48", b"\x44", b"\x41"):
+        for a in range(256):
+            for b in range(256):
+                buf = prefix + bytes([a, b]) + filler
+                ins = decode(buf, 0)
+                is_terminator = ins is not None and ins.terminator is not None
+                assert is_terminator == (0 in gadget_analyzer._terminator_offsets(buf, 0, 1)), buf.hex()
 
 
 @given(st.lists(st.sampled_from(_DENSE_PIECES + [_LONGEST]), min_size=1, max_size=48).map(b"".join), st.data())

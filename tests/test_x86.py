@@ -1,8 +1,9 @@
 """The length pass against an independent case analysis, across the subset, and against objdump;
-decode's fields against a recorded digest."""
+decode's fields against objdump's operand text and a recorded digest."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import shutil
@@ -14,6 +15,7 @@ import pytest
 from debloateval.elf import executable_segments
 from debloateval.x86 import FIRST_BYTES, decode, instruction_bounds
 
+from conftest import LIBC
 from oracles import reference_bounds
 
 # No REX, then REX.W, REX.R and REX.B.
@@ -32,8 +34,11 @@ def _full_buffer(prefix: bytes, escape: bytes, op: int, modrm: int) -> bytes:
 
 
 def _check(buf: bytes, offset: int = 0) -> tuple[int, int] | None:
-    """Assert that the length pass, decode and the reference agree at offset."""
+    """Assert that the length pass, decode and the reference agree at offset;
+    return the length pass's (length, header length)."""
     bounds = instruction_bounds(buf, offset)
+    if bounds is not None:
+        bounds = bounds[:2]
     assert bounds == reference_bounds(buf, offset), (buf.hex(), offset)
     ins = decode(buf, offset)
     assert (ins is None) == (bounds is None), (buf.hex(), offset)
@@ -85,11 +90,12 @@ def test_every_opcode_and_modrm_at_every_truncation(prefix, escape):
                 _check(full[:length])
 
 
-# sha256 of every repr(decode(buf, 0)) over _field_corpus(), one per line,
-# taken from the decoder before its semantics became table rows. It pins
-# every field of DecodedInstruction; a change that means to move a decoded
-# field changes this digest and says why.
-_FIELD_DIGEST = "1b991a52cb76f427b1b61ccd3ebb62d44ff4d3781f1f957325a0e9b59d5b45b7"
+# sha256 of every repr(decode(buf, 0)) over _field_corpus(), one per line.
+# It pins every field of DecodedInstruction; a change that means to move a
+# decoded field changes this digest and says why. Last moved when 0F B6 and
+# 0F BE without REX, ModRM mod 3 and rm 4-7 (the 64 buffers of movzx or
+# movsx from ah, ch, dh or bh) came to name rax..rbx, not rsp..rdi.
+_FIELD_DIGEST = "23e56b4ea6a8cbcad46f2681b03be642f47c2072d0e72adfe69e5d282601b486"
 
 
 def _field_corpus():
@@ -125,16 +131,17 @@ def test_every_offset_of_system_binaries(path):
 
 # --- objdump, an independent disassembler --------------------------------
 
-_LIBC_CANDIDATES = ("/lib/x86_64-linux-gnu/libc.so.6", "/usr/lib/x86_64-linux-gnu/libc.so.6", "/lib64/libc.so.6")
 _LIBC_WINDOW = (0x20000, 0x50000)  # offsets into libc's .text: 192 KB of its code
-_INSTRUCTION_LINE = re.compile(r"^ *([0-9a-f]+):\t((?:[0-9a-f]{2} )+)", re.M)
+_INSTRUCTION_LINE = re.compile(r"^ *([0-9a-f]+):\t((?:[0-9a-f]{2} )+) *\t?([^\n]*)", re.M)
 
 
-def _objdump_sweep(path: Path, window: tuple[int, int] | None = None) -> tuple[int, bytes, list[int]]:
-    """(first address, code bytes, instruction lengths) of objdump's linear sweep of .text.
+@functools.cache
+def _objdump_sweep(path: Path, window: tuple[int, int] | None) -> tuple[int, bytes, list[tuple[int, str]]]:
+    """(first address, code bytes, (length, text) of each instruction) of objdump's linear sweep of .text.
 
     The bytes are the ones objdump prints, so the decoder sees exactly what
-    objdump decoded, laid end to end.
+    objdump decoded, laid end to end. Each binary is disassembled once for
+    every test that reads it.
     """
     args = ["objdump", "-d", "-w", "-z", "-M", "intel", "--section=.text"]
     if window is not None:
@@ -144,34 +151,36 @@ def _objdump_sweep(path: Path, window: tuple[int, int] | None = None) -> tuple[i
     listing = subprocess.run(args + [str(path)], capture_output=True, text=True, check=True).stdout
     first = None
     code = bytearray()
-    lengths = []
+    instructions = []
     for match in _INSTRUCTION_LINE.finditer(listing):
         address, data = int(match.group(1), 16), bytes.fromhex(match.group(2))
         first = address if first is None else first
         assert address == first + len(code), (path, hex(address))  # one gapless sweep
         code += data
-        lengths.append(len(data))
-    return first, bytes(code), lengths
+        instructions.append((len(data), match.group(3)))
+    return first, bytes(code), instructions
 
 
-def _binary(name: str) -> Path:
+def _sweep_of(name: str) -> tuple[int, bytes, list[tuple[int, str]]]:
     if shutil.which("objdump") is None:
         pytest.skip("objdump not installed")
-    candidates = _LIBC_CANDIDATES if name == "libc" else (name,)
-    found = next((Path(p) for p in candidates if Path(p).is_file()), None)
-    if found is None:
+    path = LIBC if name == "libc" else Path(name)
+    if path is None or not path.is_file():
         pytest.skip(f"{name} not present")
-    return found
+    return _objdump_sweep(path, _LIBC_WINDOW if name == "libc" else None)
 
 
-@pytest.mark.parametrize("name", ["/usr/bin/gzip", "/bin/ls", "libc"])
+_SWEPT = ["/usr/bin/gzip", "/bin/ls", "libc"]
+
+
+@pytest.mark.parametrize("name", _SWEPT)
 def test_every_accepted_instruction_has_objdumps_length(name):
-    first, code, lengths = _objdump_sweep(_binary(name), _LIBC_WINDOW if name == "libc" else None)
-    assert len(lengths) > 10_000
+    first, code, instructions = _sweep_of(name)
+    assert len(instructions) > 10_000
     offset = 0
     accepted = 0
     mismatches = []
-    for length in lengths:
+    for length, _ in instructions:
         bounds = instruction_bounds(code, offset)
         if bounds is not None:
             accepted += 1
@@ -179,4 +188,77 @@ def test_every_accepted_instruction_has_objdumps_length(name):
                 mismatches.append((hex(first + offset), code[offset : offset + length].hex(), bounds[0]))
         offset += length
     assert mismatches == []
-    assert accepted > len(lengths) // 2
+    assert accepted > len(instructions) // 2
+
+
+# How objdump's operand text maps onto the decoder's fields:
+# - A register has its 64-bit name: objdump's 8-, 16- and 32-bit names map
+#   to the 64-bit register, and ah, ch, dh and bh to rax, rcx, rdx and rbx.
+# - objdump's movabs is the decoder's mov.
+# - A [...] operand, or an absolute ds:0x... one, is memory; any other
+#   operand that names no register is an immediate or a branch target.
+# - The mnemonics in _WRITES_FIRST write their first operand; xchg writes
+#   both. dest is the first written operand that is a register, and src
+#   the last operand if it is a register other than dest; for call and
+#   jmp, that register is branch_reg instead, and a memory operand sets
+#   branch_mem.
+# - A memory operand is read, except by lea, which takes only its address,
+#   and as mov's first operand, which mov only writes. It is written if it
+#   is a written operand.
+# - leave has no operand in objdump's text; it writes rsp.
+_REG64 = {
+    name: names[0]
+    for names in zip(
+        ("rax", "rcx", "rdx", "rbx", "rsp", "rbp", "rsi", "rdi"),
+        ("eax", "ecx", "edx", "ebx", "esp", "ebp", "esi", "edi"),
+        ("ax", "cx", "dx", "bx", "sp", "bp", "si", "di"),
+        ("al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil"),
+    )
+    for name in names
+}
+_REG64.update({f"r{n}{size}": f"r{n}" for n in range(8, 16) for size in ("", "d", "w", "b")})
+_REG64.update(ah="rax", ch="rcx", dh="rdx", bh="rbx")
+_WRITES_FIRST = frozenset({"mov", "movzx", "movsx", "lea", "pop", "add", "or", "and", "sub", "xor", "inc", "dec", "xchg"})
+_MEMORY_OPERAND = re.compile(r"\[.*\]|\bds:0x[0-9a-f]+$")
+
+
+def _objdump_fields(text: str) -> dict:
+    """The decoder's operand fields, derived from objdump's text of one instruction by the rules above."""
+    text = re.sub(r"\s*(#.*|<[^>]*>)$", "", text)  # objdump's comment, or a branch target's symbol
+    mnemonic, _, rest = text.partition(" ")
+    mnemonic = "mov" if mnemonic == "movabs" else mnemonic
+    operands = [op.strip() for op in rest.split(",")] if rest.strip() else []
+    written = range(len(operands)) if mnemonic == "xchg" else [0] if mnemonic in _WRITES_FIRST else []
+    registers = [_REG64.get(op) for op in operands]
+    memory = [i for i, op in enumerate(operands) if _MEMORY_OPERAND.search(op)]
+    dest_at = next((i for i in written if registers[i] is not None), None)
+    src = registers[-1] if operands and len(operands) - 1 != dest_at else None
+    branch = mnemonic in ("call", "jmp")
+    return {
+        "mnemonic": mnemonic,
+        "dest": "rsp" if mnemonic == "leave" else None if dest_at is None else registers[dest_at],
+        "src": None if branch else src,
+        "reads_mem": bool(memory) and mnemonic != "lea" and not (memory == [0] and mnemonic == "mov"),
+        "writes_mem": any(i in written for i in memory),
+        "branch_reg": src if branch else None,
+        "branch_mem": branch and bool(memory),
+    }
+
+
+@pytest.mark.parametrize("name", _SWEPT)
+def test_every_accepted_instruction_has_objdumps_operands(name):
+    first, code, instructions = _sweep_of(name)
+    offset = 0
+    accepted = 0
+    mismatches = []
+    for length, text in instructions:
+        ins = decode(code, offset)
+        if ins is not None:
+            accepted += 1
+            wrong = {field: (getattr(ins, field), value) for field, value in _objdump_fields(text).items()
+                     if getattr(ins, field) != value}
+            if wrong:  # each wrong field as (decoded, objdump's)
+                mismatches.append((hex(first + offset), text, wrong))
+        offset += length
+    assert mismatches == []
+    assert accepted > len(instructions) // 2
