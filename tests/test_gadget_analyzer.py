@@ -161,14 +161,14 @@ def test_decode_subset(raw, text):
         ("fff0", dict(mnemonic="push", text="push rax", src="rax")),
         ("ff30", dict(mnemonic="push", text="push [rax]", reads_mem=True, mem_base="rax")),
         ("0fb6c3", dict(mnemonic="movzx", text="movzx rax, rbx", dest="rax", src="rbx")),
+        ("0fbe00", dict(mnemonic="movsx", text="movsx rax, [rax]", dest="rax", reads_mem=True,
+                        mem_base="rax")),
         # Byte registers without REX: 4-7 are ah, ch, dh and bh, so objdump's
         # movzx eax,ah and movsx edi,ch; with REX, spl; a word source, sp.
         ("0fb6c4", dict(mnemonic="movzx", text="movzx rax, rax", dest="rax", src="rax")),
         ("0fbefd", dict(mnemonic="movsx", text="movsx rdi, rcx", dest="rdi", src="rcx")),
         ("400fb6c4", dict(mnemonic="movzx", text="movzx rax, rsp", dest="rax", src="rsp")),
         ("0fb7c4", dict(mnemonic="movzx", text="movzx rax, rsp", dest="rax", src="rsp")),
-        ("0fbe00", dict(mnemonic="movsx", text="movsx rax, [rax]", dest="rax", reads_mem=True,
-                        mem_base="rax")),
     ],
 )
 def test_decode_every_field(hex_bytes, fields):
