@@ -8,13 +8,12 @@ summary.json, metrics.json, and report.md. Exit codes: 0 all pass,
 
 from __future__ import annotations
 
-import datetime
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -178,20 +177,13 @@ def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive)
 
 # --- metrics -----------------------------------------------------------
 
-@dataclass
-class _VariantMetrics:
-    size_pct: float | None = None
-    size_aggregate: bool = False
-    libs_introduced: list[str] | None = None
-    libs_eliminated: list[str] | None = None
-    runtime_pct: float | None = None
-    memory_pct: float | None = None
-    expressivity_delta: int | None = None
-    quality_delta: float | None = None
-    quality_significant: bool | None = None
-    sp_types_delta: int | None = None
-    syscall_event: str | None = None
-    locality_pct: float | None = None
+# A metrics.json row before any metric is computed. The run-time, memory and
+# gadget cells are named as the fields of PerfDelta and SecurityDelta.
+_EMPTY_ROW = {
+    "size_pct": None, "size_aggregate": False, "libs_introduced": None, "libs_eliminated": None,
+    "runtime_pct": None, "memory_pct": None, "expressivity_delta": None, "quality_delta": None,
+    "quality_significant": None, "sp_types_delta": None, "syscall_event": None, "locality_pct": None,
+}
 
 
 def _seed_requests(spec: BenchmarkSpec, exe_path: Path) -> list[ExecRequest]:
@@ -209,12 +201,12 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path) -> TrialSummary | None:
     """All trials of the retained seed commands as one summary.
 
     Its mean CPU is the sum of the per-command means and its mean peak RSS
-    the largest per-command mean; its standard deviations are left at 0.
+    the largest per-command mean; its standard deviations are left at 0 and
+    it keeps no outcome, so no trial's output outlives its command's trials.
     """
     from .exec_harness import SpawnError, TerminationKind, TrialSummary, run_trials
     total_cpu = 0.0
     max_rss = 0.0
-    outcomes = []
     requests = _seed_requests(spec, exe_path)
     if not requests:
         return None
@@ -225,10 +217,9 @@ def _perf_totals(spec: BenchmarkSpec, exe_path: Path) -> TrialSummary | None:
                 return None
             total_cpu += summary.mean_cpu_seconds
             max_rss = max(max_rss, summary.mean_peak_rss_bytes)
-            outcomes += summary.outcomes
     except SpawnError:
         return None
-    return TrialSummary(len(outcomes), total_cpu, max_rss, 0.0, 0.0, outcomes)
+    return TrialSummary(len(requests) * spec.trials, total_cpu, max_rss, 0.0, 0.0, [])
 
 
 def _cell(compute, *args):
@@ -278,34 +269,28 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
         )
         gadget_rows = dict(zip(variant_regions, variant_results))
 
-    rows: dict[str, _VariantMetrics] = {}
+    rows: dict[str, dict] = {}
     for variant in sorted(spec.variants, key=lambda v: v.label):
-        row = _VariantMetrics()
+        row = rows[variant.label] = dict(_EMPTY_ROW)
         if size := _cell(binary_metrics.size_change, spec.original, variant):
-            row.size_pct, row.size_aggregate = size.pct, size.aggregate_mode
+            row.update(size_pct=size.pct, size_aggregate=size.aggregate_mode)
         if libs := _cell(binary_metrics.lib_delta, spec.original, variant):
-            row.libs_introduced, row.libs_eliminated = sorted(libs.introduced), sorted(libs.eliminated)
+            row.update(libs_introduced=sorted(libs.introduced), libs_eliminated=sorted(libs.eliminated))
         if (variant_perf := perfs.get(variant.label)) is not None:
             from .exec_harness import perf_delta
             if perf := _cell(perf_delta, original_perf, variant_perf):
-                row.runtime_pct, row.memory_pct = perf.runtime_pct, perf.memory_pct
+                row.update(asdict(perf))
         if variant.label in gadget_rows:
-            variant_gadgets, row.locality_pct = gadget_rows[variant.label]
+            variant_gadgets, row["locality_pct"] = gadget_rows[variant.label]
             delta = gadget_analyzer.compare_sets(original_gadgets, variant_gadgets)
-            row.expressivity_delta = delta.expressivity_delta
-            row.quality_delta = delta.quality_delta
-            row.quality_significant = delta.quality_significant
-            row.sp_types_delta = delta.sp_types_delta
-            row.syscall_event = delta.syscall_event.value
-        rows[variant.label] = row
+            row.update(asdict(delta), syscall_event=delta.syscall_event.value)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "spec_id": spec.id,
         "toolkit_version": __version__,
         "seed": seed,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "variants": {label: asdict(row) for label, row in rows.items()},
+        "variants": rows,
     }
     _write_json(out_dir / "metrics.json", doc)
     render_report(out_dir)
@@ -358,14 +343,6 @@ def gadgets_compare(original_path: Path, variant_path: Path):
 
 # --- tool-wrap ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ToolPerfRecord:
-    cpu_minutes: float
-    peak_mb: float
-    succeeded: bool
-    termination: str
-
-
 def _file_identity(path: Path) -> tuple[int, int, int] | None:
     """Inode, size and mtime of the file at path; None if there is none."""
     try:
@@ -411,19 +388,19 @@ def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     exited_ok = outcome.termination.kind is TerminationKind.EXITED and outcome.termination.code == 0
     # A file the tool left as it found it is stale, not produced.
     produced = output_path.is_file() and _file_identity(output_path) != before
-    record = ToolPerfRecord(
-        cpu_minutes=outcome.cpu_seconds / 60.0,
-        peak_mb=outcome.peak_rss_bytes / (1024.0 * 1024.0),
-        succeeded=exited_ok and produced,
-        termination=outcome.termination.describe(),
-    )
+    record = {
+        "cpu_minutes": outcome.cpu_seconds / 60.0,
+        "peak_mb": outcome.peak_rss_bytes / (1024.0 * 1024.0),
+        "succeeded": exited_ok and produced,
+        "termination": outcome.termination.describe(),
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "tool_perf.json", asdict(record))
+    _write_json(out_dir / "tool_perf.json", record)
     if produced:
         (out_dir / "spec.updated.json").write_bytes(updated)
     click.echo(
-        f"succeeded={record.succeeded} cpu_minutes={record.cpu_minutes:.3f} "
-        f"peak_mb={record.peak_mb:.1f} termination={record.termination}"
+        f"succeeded={record['succeeded']} cpu_minutes={record['cpu_minutes']:.3f} "
+        f"peak_mb={record['peak_mb']:.1f} termination={record['termination']}"
     )
     return EXIT_OK
 

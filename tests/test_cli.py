@@ -577,6 +577,9 @@ def _foreign_machine(path: Path) -> None:
 _SIZE = ["size_pct"]
 _LIBS = ["libs_introduced", "libs_eliminated"]
 _GADGETS = ["expressivity_delta", "quality_delta", "sp_types_delta", "syscall_event", "locality_pct"]
+# Every cell of a metrics.json row, named here and not taken from the records
+# that fill them, so a renamed PerfDelta or SecurityDelta field fails.
+_ROW = {*_SIZE, "size_aggregate", *_LIBS, "runtime_pct", "memory_pct", *_GADGETS, "quality_significant"}
 
 # (case, change to the spec's original and variant, the cells left null, or
 # None where the command must exit 2 naming the errno and the variant).
@@ -610,7 +613,18 @@ def test_a_metrics_cell_is_null_only_where_its_metric_is_undefined(runner, tmp_p
         return
     assert result.exit_code == EXIT_OK, result.output
     row = json.loads((out / "metrics.json").read_text())["variants"]["slim"]
+    assert set(row) == _ROW
     assert {cell for cell in _SIZE + _LIBS + _GADGETS if row[cell] is None} == set(null)
+
+
+def test_two_metrics_runs_of_one_spec_write_the_same_bytes(runner, tmp_path):
+    # metrics.json carries no clock: it is a function of the spec, the binaries and the flags.
+    spec = elf_spec(tmp_path)
+    outs = [tmp_path / "out1", tmp_path / "out2"]
+    for out in outs:
+        assert invoke(runner, "metrics", "--spec", spec, "--out", out, "--no-perf").exit_code == EXIT_OK
+    for name in ("metrics.json", "report.md"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.skipif(not Path("/bin/cat").is_file(), reason="/bin/cat unavailable")
@@ -666,6 +680,7 @@ def test_a_variant_identical_to_its_original_peaks_at_the_same_memory(tmp_path, 
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     row = json.loads((out / "metrics.json").read_text())["variants"]["same"]
+    assert set(row) == _ROW
     assert row["memory_pct"] == pytest.approx(100.0, abs=1.0)
 
 
@@ -829,6 +844,9 @@ def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):
     assert result.exit_code == EXIT_OK
     assert "succeeded=True" in result.output
     perf = json.loads((out / "tool_perf.json").read_text())
+    assert {key: type(value) for key, value in perf.items()} == {
+        "cpu_minutes": float, "peak_mb": float, "succeeded": bool, "termination": str,
+    }
     assert perf["succeeded"] is True
     assert perf["cpu_minutes"] >= 0.0
     # The input's own document, in its key order, with the one new variant appended.
