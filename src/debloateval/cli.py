@@ -54,9 +54,11 @@ def run_campaign(spec: BenchmarkSpec, plan: MutationPlan, budget: Budget, jobs: 
     return verdict_engine.run_campaign(spec, plan, budget, jobs=jobs)
 
 
-def report_to_jsonl(report: CampaignReport) -> bytes:
+def report_to_jsonl(report: CampaignReport, path: Path) -> None:
+    """Write verdicts.jsonl to path a piece at a time, holding no copy of it."""
     from . import verdict_engine
-    return verdict_engine.report_to_jsonl(report)
+    with open(path, "wb") as out:
+        out.writelines(verdict_engine.jsonl_pieces(report))
 
 
 def summary_to_json(report: CampaignReport, seed: int) -> dict:
@@ -95,7 +97,7 @@ def _read_spec(spec_path: Path) -> BenchmarkSpec:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _fmt_pct(value: float | None) -> str:
@@ -169,7 +171,7 @@ def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive)
     report = run_campaign(spec, MutationPlan(seed=seed), budget, jobs=jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "verdicts.jsonl").write_bytes(report_to_jsonl(report))
+    report_to_jsonl(report, out_dir / "verdicts.jsonl")
     _write_json(out_dir / "summary.json", summary_to_json(report, seed))
     render_report(out_dir)
     return EXIT_OK if all(report.variant_passed(label) for label in report.per_variant) else EXIT_ANOMALIES
@@ -417,12 +419,12 @@ def render_report(out_dir: Path) -> Path:
         path = out_dir / name
         if path.is_file():
             try:
-                sections += section(json.loads(path.read_text()))
+                sections += section(json.loads(path.read_text(encoding="utf-8")))
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise ArtifactError(f"{path}: not a usable {name}: {exc!r}") from exc
 
     path = out_dir / "report.md"
-    path.write_text("\n".join(sections))
+    path.write_text("\n".join(sections), encoding="utf-8")
     return path
 
 

@@ -21,6 +21,7 @@ import io
 import json
 import time
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -246,36 +247,42 @@ def _run_task(spec: BenchmarkSpec, task, deadline: float | None) -> tuple[list[T
 
 # --- Report serialization ----------------------------------------------
 
-def verdict_to_json(v: TestVerdict) -> dict:
-    return {
-        "variant": v.variant_label,
-        "feature": v.feature_name,
-        "disposition": v.disposition.value,
-        "command_index": v.command_index,
-        "mutant_index": v.input_used.mutant_index,
-        "is_fuzzed": v.input_used.is_fuzzed,
-        "verdict": v.value.value,
-        "argv": list(v.input_used.argv),
-        "stdin_b64": base64.b64encode(v.input_used.stdin).decode("ascii"),
-        "comparators": [
-            {"comparator": r.config.describe(), "matched": r.matched, "evidence": r.evidence}
-            for r in v.evidence.per_comparator
-        ],
-        "all_matched": v.evidence.all_matched,
-    }
+def jsonl_pieces(report: CampaignReport) -> Iterator[bytes]:
+    """verdicts.jsonl in pieces: one verdict per line, canonically ordered.
+
+    The keys are sorted and stdin_b64 sorts between mutant_index and variant,
+    so each line is three pieces: the fields before it, its base64 spliced in
+    as bytes (JSON never escapes that alphabet), and the fields after it.
+    """
+    for label in sorted(report.per_variant):
+        for v in report.per_variant[label]:
+            head = {
+                "all_matched": v.evidence.all_matched,
+                "argv": list(v.input_used.argv),
+                "command_index": v.command_index,
+                "comparators": [
+                    {"comparator": r.config.describe(), "matched": r.matched, "evidence": r.evidence}
+                    for r in v.evidence.per_comparator
+                ],
+                "disposition": v.disposition.value,
+                "feature": v.feature_name,
+                "is_fuzzed": v.input_used.is_fuzzed,
+                "mutant_index": v.input_used.mutant_index,
+            }
+            tail = {"variant": v.variant_label, "verdict": v.value.value}
+            yield json.dumps(head, sort_keys=True)[:-1].encode() + b', "stdin_b64": "'
+            yield base64.b64encode(v.input_used.stdin)
+            yield b'", ' + json.dumps(tail, sort_keys=True)[1:].encode() + b"\n"
 
 
 def report_to_jsonl(report: CampaignReport) -> bytes:
-    """One verdict per line, canonically ordered; byte-stable across runs.
+    """verdicts.jsonl as one bytes object, byte-stable across runs.
 
-    Each line is encoded once and appended to one buffer, whose getvalue()
-    hands that buffer over without a copy, so the artifact is held once.
+    The pieces are appended to one buffer, whose getvalue() hands that buffer
+    over without a copy, so the artifact is held once.
     """
     out = io.BytesIO()
-    for label in sorted(report.per_variant):
-        for v in report.per_variant[label]:
-            out.write(json.dumps(verdict_to_json(v), sort_keys=True).encode("utf-8"))
-            out.write(b"\n")
+    out.writelines(jsonl_pieces(report))
     return out.getvalue()
 
 

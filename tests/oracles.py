@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 from debloateval.comparator import _CONTEXT, EVIDENCE_LIMIT, _hex_escape
@@ -18,7 +19,7 @@ from debloateval.gadget_analyzer import (
     _is_major,
     _terminator_special_types,
 )
-from debloateval.verdict_engine import CampaignReport, TestVerdict, Verdict, verdict_to_json
+from debloateval.verdict_engine import CampaignReport, TestVerdict, Verdict
 from debloateval.x86 import decode
 
 
@@ -157,12 +158,33 @@ def reference_bounds(buf: bytes, offset: int = 0) -> tuple[int, int] | None:
     return found[0] - offset, found[1] - offset
 
 
+def reference_verdict(v: TestVerdict) -> dict:
+    """A verdicts.jsonl line's fields as first defined, the stdin's base64 among them."""
+    return {
+        "variant": v.variant_label,
+        "feature": v.feature_name,
+        "disposition": v.disposition.value,
+        "command_index": v.command_index,
+        "mutant_index": v.input_used.mutant_index,
+        "is_fuzzed": v.input_used.is_fuzzed,
+        "verdict": v.value.value,
+        "argv": list(v.input_used.argv),
+        "stdin_b64": base64.b64encode(v.input_used.stdin).decode("ascii"),
+        "comparators": [
+            {"comparator": r.config.describe(), "matched": r.matched, "evidence": r.evidence}
+            for r in v.evidence.per_comparator
+        ],
+        "all_matched": v.evidence.all_matched,
+    }
+
+
 def reference_jsonl(report: CampaignReport) -> bytes:
-    """verdicts.jsonl as first defined: a list of lines, their join, its encode."""
+    """verdicts.jsonl as first defined: each line one json.dumps of its whole
+    field dict, a list of lines, their join, its encode."""
     lines = []
     for label in sorted(report.per_variant):
         for v in report.per_variant[label]:
-            lines.append(json.dumps(verdict_to_json(v), sort_keys=True))
+            lines.append(json.dumps(reference_verdict(v), sort_keys=True))
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 

@@ -18,12 +18,16 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from debloateval import cli, elf, gadget_analyzer
+from debloateval import cli, elf, gadget_analyzer, verdict_engine
 from debloateval.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+from debloateval.comparator import ComparatorConfig, ComparatorKind, ComparatorResult, CompareReport
 from debloateval.elf import executable_segments
-from debloateval.spec_model import BinaryRef, parse_spec
+from debloateval.fuzz_engine import DerivedInput
+from debloateval.spec_model import BinaryRef, Disposition, parse_spec
+from debloateval.verdict_engine import CampaignReport, TestVerdict, Verdict
 
 from conftest import LIBC, make_script, toy_spec_doc, write_elf, write_spec
+from oracles import reference_jsonl
 from test_spec_format import _pipeline, _relative, _template, _text
 
 
@@ -443,6 +447,60 @@ def test_differ_seed_is_recorded_and_output_stable(runner, tmp_path, toy_pair):
     invoke(runner, "differ", "--spec", spec, "--out", out2, "--seed", 7)
     assert (out1 / "verdicts.jsonl").read_bytes() == (out2 / "verdicts.jsonl").read_bytes()
     assert json.loads((out1 / "summary.json").read_text())["seed"] == 7
+
+
+def _one_verdict(label: str, stdin: bytes = b"x", argv=("-",), evidence: str = "first difference at byte 0") -> TestVerdict:
+    inp = DerivedInput(tuple(argv), stdin, False, 0)
+    result = ComparatorResult(ComparatorConfig(ComparatorKind.STDOUT_EXACT), False, evidence)
+    return TestVerdict(Verdict.UNEXPECTED_DIFFERENCE, CompareReport((result,), False), inp, label, "feature-a",
+                       Disposition.RETAIN, 0)
+
+
+@pytest.mark.parametrize("per_variant", [
+    {"v": [_one_verdict("v", stdin=b"")]},
+    {"v": [_one_verdict("v", stdin=bytes(range(256)))]},
+    {"v": [_one_verdict("v", argv=('say "hi"', "back\\slash", "two\nlines", "naïve ☃ \x7f"),
+                        evidence='"quoted" \\ line\nbreak — é \x00')]},
+    {"zeta": [_one_verdict("zeta", stdin=b"z")], "alpha": [_one_verdict("alpha", stdin=b"a" * 100)]},
+    {"v0": [], "v1": []},
+], ids=["empty-stdin", "every-byte", "escapes", "labels-against-spec-order", "no-verdicts"])
+def test_differ_writes_the_jsonl_of_both_definitions(runner, tmp_path, toy_pair, monkeypatch, per_variant):
+    # The line is spliced around its stdin's base64: every character JSON
+    # escapes must still come out as one json.dumps of the whole line writes it.
+    report = CampaignReport("toy", per_variant)
+    monkeypatch.setattr(cli, "run_campaign", lambda *args, **kwargs: report)
+    spec = write_spec(tmp_path, toy_spec_doc(toy_pair, ["no_b"]))
+    out = tmp_path / "out"
+    assert invoke(runner, "differ", "--spec", spec, "--out", out).exit_code in (EXIT_OK, EXIT_ANOMALIES)
+    blob = (out / "verdicts.jsonl").read_bytes()
+    assert blob == verdict_engine.report_to_jsonl(report) == reference_jsonl(report)
+    assert blob.count(b"\n") == sum(map(len, per_variant.values()))
+
+
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path, toy_pair):
+    # A non-ASCII label or spec id, and the dash report.md always has, must
+    # not depend on the locale's encoding.
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    doc["id"] = "toy-ü"
+    doc["variants"][0]["label"] = "sans-b-é"
+    spec = write_spec(tmp_path, doc)
+    src = Path(gadget_analyzer.__file__).parents[1]
+    base = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONUTF8", "PYTHONIOENCODING"))}
+    locales = {
+        "utf8": {"LC_ALL": "C.UTF-8"},
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    }
+    for name, env in locales.items():
+        for command in ("metrics", "differ"):
+            args = [command, "--spec", spec, "--out", tmp_path / name] + (["--no-perf"] if command == "metrics" else [])
+            proc = subprocess.run(
+                [sys.executable, "-c", "from debloateval.cli import main; main()", *map(str, args)],
+                capture_output=True, env={**base, **env, "PYTHONPATH": str(src)}, timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, (name, command, proc.stderr)
+    for artifact in ("metrics.json", "summary.json", "verdicts.jsonl", "report.md"):
+        assert (tmp_path / "ascii" / artifact).read_bytes() == (tmp_path / "utf8" / artifact).read_bytes(), artifact
+    assert "sans-b-é" in (tmp_path / "ascii" / "report.md").read_text(encoding="utf-8")
 
 
 def test_differ_aggressive_without_anchor_is_exit_2(runner, tmp_path, toy_pair):

@@ -20,7 +20,7 @@ from debloateval.comparator import (
 )
 from debloateval.exec_harness import ExecOutcome, SpawnError, Termination
 from debloateval.fuzz_engine import DerivedInput, MutationPlan
-from debloateval import verdict_engine
+from debloateval import cli, verdict_engine
 from debloateval.spec_model import Disposition, parse_spec
 from debloateval.verdict_engine import (
     Budget,
@@ -424,3 +424,17 @@ def test_jsonl_is_held_about_once_while_serialising():
         tracemalloc.stop()
     # A list of lines, their join and its encode hold the artifact three times.
     assert peak < 1.5 * len(blob)
+
+
+def test_writing_jsonl_holds_no_copy_of_it(tmp_path):
+    report = _bulk_report(100, 64 * 1024)
+    path = tmp_path / "verdicts.jsonl"
+    tracemalloc.start()
+    try:
+        cli.report_to_jsonl(report, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A line's pieces are written before the next line is made.
+    assert path.read_bytes() == reference_jsonl(report)
+    assert peak < 0.1 * path.stat().st_size
