@@ -86,11 +86,11 @@ def _exits(command):
     return run
 
 
-def _read_spec(spec_path: Path) -> BenchmarkSpec:
-    """The spec in spec_path; a SpecError's message ends by naming the file."""
-    data = spec_path.read_bytes()
+def _read_spec(spec_path: Path, data: bytes | None = None) -> BenchmarkSpec:
+    """The spec in spec_path, or in data if its bytes were read already; a
+    SpecError's message ends by naming the file."""
     try:
-        return parse_spec(data)
+        return parse_spec(spec_path.read_bytes() if data is None else data)
     except SpecError as exc:
         exc.args = (f"{exc} (in {spec_path})",)
         raise
@@ -369,8 +369,9 @@ def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     import shutil
 
     from .exec_harness import ExecRequest, SpawnError, TerminationKind
-    _read_spec(spec_path)
-    doc = json.loads(spec_path.read_bytes())
+    data = spec_path.read_bytes()
+    _read_spec(spec_path, data)
+    doc = json.loads(data)
     doc["variants"].append({"label": f"tool-wrap-{output_path.name}", "exe": str(output_path)})
     updated = json.dumps(doc, indent=2).encode("utf-8")
     # Parsed before the tool runs, so a spec that cannot take the new variant

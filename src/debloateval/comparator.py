@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .exec_harness import ExecOutcome
 
 EVIDENCE_LIMIT = 1024
+# A captured file that is not there: what a run digests for it, and what
+# an outcome that lacks the path (a run that never started) stands for.
+ABSENT_FILE = (False, bytes(32))
 _CONTEXT = 32
 _BLOCK = 64 * 1024
 
@@ -48,6 +51,8 @@ _NORMALIZED_KINDS = {ComparatorKind.STDOUT_NORMALIZED, ComparatorKind.STDERR_NOR
 class Normalizer:
     pattern: str
     replacement: str
+    _regex: re.Pattern = field(init=False, repr=False, compare=False)
+    _replacement: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Checked as apply uses them: a bad escape may be valid in a str
@@ -57,17 +62,16 @@ class Normalizer:
             regex = re.compile(self.pattern.encode("utf-8", "surrogateescape"))
         except re.error as exc:
             raise FieldError("pattern", f"invalid regex: {exc}") from exc
+        replacement = self.replacement.encode("utf-8", "surrogateescape")
         try:
-            regex.sub(self.replacement.encode("utf-8", "surrogateescape"), b"")
+            regex.sub(replacement, b"")
         except re.error as exc:
             raise FieldError("replacement", f"invalid replacement: {exc}") from exc
+        object.__setattr__(self, "_regex", regex)
+        object.__setattr__(self, "_replacement", replacement)
 
     def apply(self, data: bytes) -> bytes:
-        return re.sub(
-            self.pattern.encode("utf-8", "surrogateescape"),
-            self.replacement.encode("utf-8", "surrogateescape"),
-            data,
-        )
+        return self._regex.sub(self._replacement, data)
 
 
 @dataclass(frozen=True)
@@ -122,14 +126,12 @@ def default_pipeline() -> ComparatorPipeline:
     )
 
 
+# Printable ASCII but the backslash stands for itself; every other byte is \xNN.
+_HEX_ESCAPES = [chr(b) if 0x20 <= b <= 0x7E and b != 0x5C else f"\\x{b:02x}" for b in range(256)]
+
+
 def _hex_escape(data: bytes) -> str:
-    out = []
-    for b in data:
-        if 0x20 <= b <= 0x7E and b != 0x5C:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+    return data.decode("latin-1").translate(_HEX_ESCAPES)
 
 
 def _first_difference_excerpt(a: bytes, b: bytes) -> str:
@@ -150,11 +152,10 @@ def _first_difference_excerpt(a: bytes, b: bytes) -> str:
             end = mid
     lo = max(0, idx - _CONTEXT)
     hi = idx + _CONTEXT
-    text = (
+    return (
         f"first difference at byte {idx}: "
         f"{_hex_escape(a[lo:hi])!r} vs {_hex_escape(b[lo:hi])!r}"
     )
-    return text[:EVIDENCE_LIMIT]
 
 
 def _streams(outcome: ExecOutcome, kind: ComparatorKind) -> tuple[bytes, bytes | None]:
@@ -169,46 +170,39 @@ def _digest_text(digest: bytes | None) -> str:
 
 
 def _evaluate(cfg: ComparatorConfig, a: ExecOutcome, b: ExecOutcome) -> ComparatorResult:
+    """Each kind finds matched and its evidence; the evidence is kept, cut
+    to EVIDENCE_LIMIT characters, only when they do not match."""
     if cfg.kind is ComparatorKind.EXIT_STATUS:
         matched = a.termination == b.termination
-        evidence = "" if matched else f"{a.termination.describe()} vs {b.termination.describe()}"
-        return ComparatorResult(cfg, matched, evidence)
-
-    if cfg.kind is ComparatorKind.FILE_DIGEST:
-        left = a.file_digests.get(cfg.path, (False, b""))
-        right = b.file_digests.get(cfg.path, (False, b""))
+        evidence = f"{a.termination.describe()} vs {b.termination.describe()}"
+    elif cfg.kind is ComparatorKind.FILE_DIGEST:
+        left = a.file_digests.get(cfg.path, ABSENT_FILE)
+        right = b.file_digests.get(cfg.path, ABSENT_FILE)
         matched = left == right
-        if matched:
-            evidence = ""
-        else:
-            evidence = (
-                f"{cfg.path}: exists={left[0]} sha256={left[1].hex()[:16]} vs "
-                f"exists={right[0]} sha256={right[1].hex()[:16]}"
-            )
-        return ComparatorResult(cfg, matched, evidence[:EVIDENCE_LIMIT])
-
-    if cfg.kind is ComparatorKind.FILE_SET:
+        evidence = (
+            f"{cfg.path}: exists={left[0]} sha256={left[1].hex()[:16]} vs "
+            f"exists={right[0]} sha256={right[1].hex()[:16]}"
+        )
+    elif cfg.kind is ComparatorKind.FILE_SET:
         left = {p for p, (exists, _) in a.file_digests.items() if exists}
         right = {p for p, (exists, _) in b.file_digests.items() if exists}
         matched = left == right
-        evidence = "" if matched else f"present {sorted(left)} vs {sorted(right)}"
-        return ComparatorResult(cfg, matched, evidence[:EVIDENCE_LIMIT])
-
-    left, left_overflow = _streams(a, cfg.kind)
-    right, right_overflow = _streams(b, cfg.kind)
-    if cfg.kind in _NORMALIZED_KINDS:
+        evidence = f"present {sorted(left)} vs {sorted(right)}"
+    else:
+        left, left_overflow = _streams(a, cfg.kind)
+        right, right_overflow = _streams(b, cfg.kind)
         for norm in cfg.normalizers:
             left = norm.apply(left)
             right = norm.apply(right)
-    if left != right:
-        return ComparatorResult(cfg, False, _first_difference_excerpt(left, right))
-    if left_overflow != right_overflow:
-        evidence = (
-            f"differs after the capture cap: sha256 of the whole stream "
-            f"{_digest_text(left_overflow)} vs {_digest_text(right_overflow)}"
-        )
-        return ComparatorResult(cfg, False, evidence)
-    return ComparatorResult(cfg, True, "")
+        if left != right:
+            matched, evidence = False, _first_difference_excerpt(left, right)
+        else:
+            matched = left_overflow == right_overflow
+            evidence = (
+                f"differs after the capture cap: sha256 of the whole stream "
+                f"{_digest_text(left_overflow)} vs {_digest_text(right_overflow)}"
+            )
+    return ComparatorResult(cfg, matched, "" if matched else evidence[:EVIDENCE_LIMIT])
 
 
 def compare(a: ExecOutcome, b: ExecOutcome, pipeline: ComparatorPipeline) -> CompareReport:

@@ -73,6 +73,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import _HOST_ERRNOS, InputError, NotComparableError
+from .comparator import ABSENT_FILE
 from .digest import Hash, sha256
 
 SCRATCH_ENV_VAR = "DV_SCRATCH"
@@ -190,7 +191,6 @@ class _Capture:
         self.data += chunk[:room]
 
 
-_ABSENT = (False, b"\x00" * 32)
 _OPEN_DIR = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 # O_NONBLOCK: opening a FIFO for reading must not wait for a writer.
 _OPEN_LEAF = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
@@ -198,7 +198,7 @@ _OPEN_LEAF = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
 
 def _digest_file(sandbox: str, rel: str) -> tuple[bool, bytes]:
     """(True, sha256 of its bytes) for a regular file at rel inside sandbox,
-    otherwise _ABSENT; a host errno is raised. Each component is opened from
+    otherwise ABSENT_FILE; a host errno is raised. Each component is opened from
     the one before without following a symlink, so no path leaves the sandbox."""
     *dirs, name = [part for part in rel.split("/") if part] or ["."]
     fd = None
@@ -209,7 +209,7 @@ def _digest_file(sandbox: str, rel: str) -> tuple[bool, bytes]:
             fd = os.open(part, flags, dir_fd=parent)
             os.close(parent)
         if not stat.S_ISREG(os.fstat(fd).st_mode):
-            return _ABSENT
+            return ABSENT_FILE
         digest = sha256()
         while chunk := os.read(fd, _READ_CHUNK):
             digest.update(chunk)
@@ -217,7 +217,7 @@ def _digest_file(sandbox: str, rel: str) -> tuple[bool, bytes]:
     except OSError as exc:
         if exc.errno in _HOST_ERRNOS:
             raise
-        return _ABSENT
+        return ABSENT_FILE
     finally:
         if fd is not None:
             os.close(fd)

@@ -309,7 +309,8 @@ def matches_skeleton(template: Template, data: bytes) -> bool:
         elif token.kind is HoleKind.DICT:
             parts.append(b"(?:" + b"|".join(re.escape(w.encode("utf-8")) for w in token.words) + b")")
         elif token.kind is HoleKind.INT:
-            parts.append(rb"-?\d{1,20}")
+            digits = max(len(str(abs(token.min_len))), len(str(abs(token.max_len))))
+            parts.append(rb"-?\d{1,%d}" % digits)
         elif token.kind is HoleKind.ASCII:
             parts.append(b"[\\x20-\\x7e]{%d,%d}" % (token.min_len, token.max_len))
         else:

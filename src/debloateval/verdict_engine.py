@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import base64
 import enum
-import io
 import json
 import time
 from collections import Counter
@@ -276,14 +275,8 @@ def jsonl_pieces(report: CampaignReport) -> Iterator[bytes]:
 
 
 def report_to_jsonl(report: CampaignReport) -> bytes:
-    """verdicts.jsonl as one bytes object, byte-stable across runs.
-
-    The pieces are appended to one buffer, whose getvalue() hands that buffer
-    over without a copy, so the artifact is held once.
-    """
-    out = io.BytesIO()
-    out.writelines(jsonl_pieces(report))
-    return out.getvalue()
+    """verdicts.jsonl as one bytes object, byte-stable across runs."""
+    return b"".join(jsonl_pieces(report))
 
 
 def summary_to_json(report: CampaignReport, seed: int) -> dict:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import base64
 import json
 
-from debloateval.comparator import _CONTEXT, EVIDENCE_LIMIT, _hex_escape
+from debloateval.comparator import _CONTEXT, EVIDENCE_LIMIT
 from debloateval.gadget_analyzer import (
     EXPRESSIVITY_CLASSES,
     MAJOR_CONSTRAINT,
@@ -212,6 +212,17 @@ def reference_summary(per_variant: dict[str, list[TestVerdict]]) -> dict:
     }
 
 
+def reference_hex_escape(data: bytes) -> str:
+    """Evidence's escaping as first computed: one byte at a time."""
+    out = []
+    for b in data:
+        if 0x20 <= b <= 0x7E and b != 0x5C:
+            out.append(chr(b))
+        else:
+            out.append(f"\\x{b:02x}")
+    return "".join(out)
+
+
 def reference_first_difference_excerpt(a: bytes, b: bytes) -> str:
     """The stream comparators' evidence as first computed: a loop over the bytes."""
     limit = min(len(a), len(b))
@@ -224,6 +235,6 @@ def reference_first_difference_excerpt(a: bytes, b: bytes) -> str:
     hi = idx + _CONTEXT
     text = (
         f"first difference at byte {idx}: "
-        f"{_hex_escape(a[lo:hi])!r} vs {_hex_escape(b[lo:hi])!r}"
+        f"{reference_hex_escape(a[lo:hi])!r} vs {reference_hex_escape(b[lo:hi])!r}"
     )
     return text[:EVIDENCE_LIMIT]

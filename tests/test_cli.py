@@ -915,6 +915,27 @@ def test_tool_wrap_successful_tool(runner, tmp_path, toy_pair):
     assert parse_spec(updated) == replace(before, variants=(*before.variants, BinaryRef(variant["label"], produced)))
 
 
+def test_tool_wrap_builds_the_updated_spec_from_the_bytes_it_validated(runner, tmp_path, toy_pair, monkeypatch):
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    spec = write_spec(tmp_path, doc)
+    produced = tmp_path / "debloated"
+    tool = make_script(tmp_path, "debloater", f'cp "{toy_pair["original"]}" "{produced}"\n')
+    parse = cli.parse_spec
+
+    def parse_then_rewrite(data):
+        parsed = parse(data)
+        spec.write_text("rewritten once validated")
+        return parsed
+
+    monkeypatch.setattr(cli, "parse_spec", parse_then_rewrite)
+    out = tmp_path / "out"
+    result = invoke(runner, "tool-wrap", "--spec", spec, "--out", out, "--output", produced, tool)
+    assert result.exit_code == EXIT_OK, result.output
+    variant = {"label": f"tool-wrap-{produced.name}", "exe": str(produced)}
+    updated = (out / "spec.updated.json").read_bytes()
+    assert updated == json.dumps({**doc, "variants": [*doc["variants"], variant]}, indent=2).encode()
+
+
 def test_tool_wrap_duplicate_variant_label_is_exit_2(runner, tmp_path, toy_pair):
     produced = tmp_path / "debloated"
     marker = tmp_path / "tool-ran"

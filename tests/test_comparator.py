@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,19 +9,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from debloateval.comparator import (
+    ABSENT_FILE,
     ComparatorConfig,
     ComparatorKind,
     ComparatorPipeline,
+    ComparatorResult,
     EVIDENCE_LIMIT,
     FieldError,
     Normalizer,
     _first_difference_excerpt,
+    _hex_escape,
     compare,
     default_pipeline,
 )
 from debloateval.exec_harness import ExecOutcome, Termination
 
-from oracles import reference_first_difference_excerpt
+from oracles import reference_first_difference_excerpt, reference_hex_escape
 
 
 def outcome(stdout=b"", stderr=b"", termination=None, files=None) -> ExecOutcome:
@@ -160,6 +165,58 @@ def test_first_difference_excerpt_across_blocks(at):
         assert excerpt == reference_first_difference_excerpt(a, b)
 
 
+_LONG_PATH = "d/" * 600 + "out.bin"
+_STREAM = bytes(range(256)) * 400
+
+
+@pytest.mark.parametrize(
+    "cfg, a, b",
+    [
+        (ComparatorConfig(ComparatorKind.EXIT_STATUS),
+         outcome(termination=Termination.exited(0)), outcome(termination=Termination.signaled(11))),
+        (ComparatorConfig(ComparatorKind.STDOUT_EXACT), outcome(_STREAM + b"a"), outcome(_STREAM + b"b")),
+        (ComparatorConfig(ComparatorKind.STDOUT_NORMALIZED, normalizers=(Normalizer(r"\d", "N"),)),
+         outcome(b"\\" * 70_000), outcome(b"\\" * 35_000 + b"\x00" * 35_000)),
+        (ComparatorConfig(ComparatorKind.STDERR_EXACT),
+         replace(outcome(stderr=_STREAM), stderr_overflow_sha256=b"\x01" * 32), outcome(stderr=_STREAM)),
+        (ComparatorConfig(ComparatorKind.STDERR_NORMALIZED, normalizers=(Normalizer("a", "b"),)),
+         outcome(stderr=_STREAM[::-1]), outcome(stderr=_STREAM)),
+        (ComparatorConfig(ComparatorKind.FILE_DIGEST, path=_LONG_PATH),
+         outcome(files={_LONG_PATH: (True, b"\x01" * 32)}), outcome(files={_LONG_PATH: ABSENT_FILE})),
+        (ComparatorConfig(ComparatorKind.FILE_SET),
+         outcome(files={f"{_LONG_PATH}.{i}": (True, b"\x01" * 32) for i in range(3)}), outcome()),
+    ],
+    ids=[kind.value for kind in ComparatorKind],
+)
+def test_evidence_is_empty_on_a_match_and_cut_to_the_limit_otherwise(cfg, a, b):
+    for left, right in ((a, a), (b, b)):
+        assert compare(left, right, pipeline(cfg)).per_comparator[0] == ComparatorResult(cfg, True, "")
+    result = compare(a, b, pipeline(cfg)).per_comparator[0]
+    assert not result.matched
+    assert 0 < len(result.evidence) <= EVIDENCE_LIMIT
+    if cfg.kind in (ComparatorKind.FILE_DIGEST, ComparatorKind.FILE_SET):
+        assert len(result.evidence) == EVIDENCE_LIMIT
+        assert _LONG_PATH[:100] in result.evidence
+
+
+def test_hex_escape_equals_the_byte_loop():
+    rng = random.Random(0)
+    buffers = [bytes(range(256)), b""] + [rng.randbytes(rng.randrange(200)) for _ in range(2000)]
+    for data in buffers:
+        assert _hex_escape(data) == reference_hex_escape(data)
+
+
+def test_normalizer_applies_the_pattern_it_compiled(monkeypatch):
+    norm = Normalizer(r"pid (\d+)", r"pid <\1>")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pattern was compiled again")
+
+    monkeypatch.setattr(re, "sub", refuse)
+    monkeypatch.setattr(re, "compile", refuse)
+    assert norm.apply(b"pid 41 ok, pid 7") == b"pid <41> ok, pid <7>"
+
+
 def test_normalizer_absorbs_expected_difference():
     cfg = ComparatorConfig(
         ComparatorKind.STDOUT_NORMALIZED,
@@ -213,6 +270,18 @@ def test_file_digest_existence_mismatch():
     a = outcome(files={"out.bin": (True, b"\xaa" * 32)})
     b = outcome(files={"out.bin": (False, b"")})
     assert not compare(a, b, pipeline(cfg)).all_matched
+
+
+def test_a_path_an_outcome_lacks_is_an_absent_file():
+    # A run that never started records no file digests.
+    cfg = ComparatorConfig(ComparatorKind.FILE_DIGEST, path="out.txt")
+    report = compare(outcome(files={"out.txt": ABSENT_FILE}), outcome(), pipeline(cfg))
+    assert report.per_comparator[0].matched
+    assert report.per_comparator[0].evidence == ""
+    written = compare(outcome(files={"out.txt": (True, b"\xaa" * 32)}), outcome(), pipeline(cfg))
+    assert written.per_comparator[0].evidence == (
+        "out.txt: exists=True sha256=aaaaaaaaaaaaaaaa vs exists=False sha256=0000000000000000"
+    )
 
 
 def test_file_set_ignores_content_and_absent_entries():

@@ -203,12 +203,26 @@ def test_generate_zero_count():
 
 
 def test_mutants_preserve_literal_skeleton():
-    template = parse_template("--level={{int:1..9}} --name={{ascii:1..12}}")
+    template = parse_template(
+        "--level={{int:1..9}} --name={{ascii:1..12}} --id={{int:100000000000000000000..100000000000000000009}}"
+    )
     mutants = generate(template, default_seed_values(template), MutationPlan(seed=7, count=100))
     for mutant in mutants:
         assert matches_skeleton(template, mutant)
         assert mutant.startswith(b"--level=")
         assert b" --name=" in mutant
+        assert b" --id=1000000000000000000" in mutant
+
+
+def test_an_int_hole_matches_as_many_digits_as_its_bounds_have():
+    wide = parse_template("{{int:100000000000000000000..100000000000000000009}}")
+    assert matches_skeleton(wide, render(wide, default_seed_values(wide)))
+    assert not matches_skeleton(wide, b"1" * 22)
+    narrow = parse_template("{{int:-100..100}}")
+    assert matches_skeleton(narrow, b"-100")
+    assert matches_skeleton(narrow, b"7")
+    assert not matches_skeleton(narrow, b"1000")
+    assert not matches_skeleton(narrow, b"-1000")
 
 
 def test_dict_substitute_only_yields_dictionary_words():
