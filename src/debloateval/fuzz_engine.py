@@ -11,8 +11,10 @@ bit-identical across runs and platforms and independent across commands.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 from .digest import sha256
@@ -194,10 +196,9 @@ def check_bounds(template: Template, values: list[bytes]) -> None:
             if value.decode("utf-8", "replace") not in hole.words:
                 raise BoundsError(f"hole {idx}: {value!r} is not a dictionary word")
         elif hole.kind is HoleKind.INT:
-            try:
-                number = int(value)
-            except ValueError:
-                raise BoundsError(f"hole {idx}: {value!r} is not an integer") from None
+            if re.fullmatch(_int_pattern(hole), value) is None:
+                raise BoundsError(f"hole {idx}: {value!r} is not an integer the hole can spell")
+            number = int(value)
             if not hole.min_len <= number <= hole.max_len:
                 raise BoundsError(f"hole {idx}: {number} outside {hole.min_len}..{hole.max_len}")
         else:
@@ -207,6 +208,12 @@ def check_bounds(template: Template, values: list[bytes]) -> None:
                 )
             if hole.kind is HoleKind.ASCII and any(b < ASCII_LO or b > ASCII_HI for b in value):
                 raise BoundsError(f"hole {idx}: non-printable byte in ascii hole")
+
+
+def _int_pattern(hole: Hole) -> bytes:
+    """ASCII digits, no more than the bounds have, signed only if the minimum is negative."""
+    digits = max(len(str(abs(hole.min_len))), len(str(abs(hole.max_len))))
+    return (b"-?" if hole.min_len < 0 else b"") + b"[0-9]{1,%d}" % digits
 
 
 def render(template: Template, values: Iterable[bytes]) -> bytes:
@@ -270,16 +277,18 @@ def _mutate_value(rng: SplitMix64, hole: Hole, value: bytes, op: str) -> bytes:
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _mutate_values(rng: SplitMix64, holes: tuple[Hole, ...], seed_values: list[bytes]) -> list[bytes]:
-    values = list(seed_values)
-    candidates = [i for i, h in enumerate(holes) if _mutable_ops(h)]
-    if not candidates:
-        return values
-    for _ in range(1 + rng.below(_MAX_OPS_PER_MUTANT)):
-        idx = rng.choice(candidates)
-        op = rng.choice(_mutable_ops(holes[idx]))
-        values[idx] = _mutate_value(rng, holes[idx], values[idx], op)
-    return values
+def _mutants(seed: int, holes: tuple[Hole, ...], seed_values: list[bytes]) -> Iterator[list[bytes]]:
+    """Each mutant's hole values, without end: the seed values with 1-3 operators, each
+    on a mutable hole picked uniformly, with one of its operators picked uniformly."""
+    rng = SplitMix64(seed)
+    ops = [_mutable_ops(h) for h in holes]
+    candidates = [i for i, hole_ops in enumerate(ops) if hole_ops]
+    while True:
+        values = list(seed_values)
+        for _ in range(1 + rng.below(_MAX_OPS_PER_MUTANT) if candidates else 0):
+            idx = rng.choice(candidates)
+            values[idx] = _mutate_value(rng, holes[idx], values[idx], rng.choice(ops[idx]))
+        yield values
 
 
 def generate(template: Template, seed_values: list[bytes], plan: MutationPlan) -> list[bytes]:
@@ -289,19 +298,12 @@ def generate(template: Template, seed_values: list[bytes], plan: MutationPlan) -
     returns identical lists. Literal regions are never touched.
     """
     check_bounds(template, seed_values)
-    rng = SplitMix64(plan.seed)
-    holes = template.holes
-    mutants = []
-    for _ in range(plan.count):
-        values = _mutate_values(rng, holes, seed_values)
-        mutants.append(render(template, values))
-    return mutants
+    stream = _mutants(plan.seed, template.holes, seed_values)
+    return [render(template, values) for values in islice(stream, plan.count)]
 
 
 def matches_skeleton(template: Template, data: bytes) -> bool:
     """True iff data re-parses against the template's literal skeleton."""
-    import re
-
     parts = []
     for token in template.tokens:
         if isinstance(token, Literal):
@@ -309,8 +311,7 @@ def matches_skeleton(template: Template, data: bytes) -> bool:
         elif token.kind is HoleKind.DICT:
             parts.append(b"(?:" + b"|".join(re.escape(w.encode("utf-8")) for w in token.words) + b")")
         elif token.kind is HoleKind.INT:
-            digits = max(len(str(abs(token.min_len))), len(str(abs(token.max_len))))
-            parts.append(rb"-?\d{1,%d}" % digits)
+            parts.append(_int_pattern(token))
         elif token.kind is HoleKind.ASCII:
             parts.append(b"[\\x20-\\x7e]{%d,%d}" % (token.min_len, token.max_len))
         else:
@@ -358,8 +359,6 @@ def derive_commands(
         return DerivedInput(argv, stdin, index > 0, index)
 
     count = cmd.fuzz_count + 1 if limit is None else min(limit, cmd.fuzz_count + 1)
-    rng = SplitMix64(stream_seed(plan.seed, feature_name, command_index))
-    return [
-        materialize(_mutate_values(rng, holes, seed_values) if index else seed_values, index)
-        for index in range(count)
-    ]
+    seed = stream_seed(plan.seed, feature_name, command_index)
+    inputs = chain([seed_values], _mutants(seed, holes, seed_values))
+    return [materialize(values, index) for index, values in enumerate(islice(inputs, count))]

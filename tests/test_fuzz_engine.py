@@ -112,6 +112,11 @@ def test_render_reassembles_in_order():
         ("{{int:0..9}}", [b"12"]),  # out of range
         ("{{int:0..9}}", [b"zz"]),  # not a number
         ("{{dict:a|b}}", [b"c"]),  # not a word
+        ("{{int:0..20}}", [b"+5"]),  # int() takes a plus sign; the skeleton does not
+        ("{{int:0..20}}", [b" 5"]),  # nor white space
+        ("{{int:0..20}}", [b"1_0"]),  # nor an underscore
+        ("{{int:0..20}}", [b"-0"]),  # a sign where the minimum is not negative
+        ("{{int:0..20}}", [b"005"]),  # more digits than the bounds have
     ],
 )
 def test_check_bounds_rejects(text, bad):
@@ -223,6 +228,19 @@ def test_an_int_hole_matches_as_many_digits_as_its_bounds_have():
     assert matches_skeleton(narrow, b"7")
     assert not matches_skeleton(narrow, b"1000")
     assert not matches_skeleton(narrow, b"-1000")
+    assert not matches_skeleton(parse_template("{{int:0..9}}"), b"-5")
+    assert not matches_skeleton(parse_template("{{int:0..9}}"), b"-0")
+
+
+@pytest.mark.parametrize("bounds", ["0..9", "0..20", "-100..100"])
+@pytest.mark.parametrize("text", [b"5", b"+5", b" 5", b"1_0", b"-0", b"-5", b"05", b"005"])
+def test_an_int_text_that_check_bounds_accepts_matches_the_skeleton(bounds, text):
+    template = parse_template("{{int:%s}}" % bounds)
+    try:
+        check_bounds(template, [text])
+    except BoundsError:
+        return
+    assert matches_skeleton(template, text)
 
 
 def test_dict_substitute_only_yields_dictionary_words():
@@ -314,6 +332,50 @@ def test_derive_mutants_match_per_argument_skeletons():
     for derived in derive_commands(cmd, MutationPlan(seed=4), "f", 0):
         for template, arg in zip(templates, derived.argv):
             assert matches_skeleton(template, arg.encode("utf-8", "surrogateescape"))
+
+
+# --- The recorded mutant streams ------------------------------------------
+
+# sha256 of every mutant that criterion 5's templates and the benchmark's
+# command shapes yield. A change to the mutation stage that moves a mutant
+# moves this digest and says why.
+_STREAM_DIGEST = "e32990e773cd003cda1c196be793bdaf0a4ca23f9e7bb66438430da4b18cfc4e"
+
+_CRITERION_5_TEMPLATES = (
+    "--mode={{dict:fast|slow|safe}}",
+    "-n {{int:0..65535}}",
+    "{{ascii:1..16}}.dat",
+    "{{bytes:0..32}}",
+    "a={{int:-100..100}},b={{ascii:0..8}},c={{dict:x|y}}",
+)
+
+_BENCH_COMMANDS = (  # (feature name, command) of differ-fanout, then differ-bulk
+    ("passthru", TestCommand(("-",), stdin="{{bytes:0..32}}", fuzz_count=49)),
+    ("number_lines", TestCommand(("-n",), stdin="{{bytes:0..32}}", fuzz_count=49)),
+    ("encode", TestCommand(("-",), stdin="{{bytes:65536..65600}}", fuzz_count=99)),
+    ("decode", TestCommand(("-d",), stdin="{{ascii:65536..65600}}", fuzz_count=99)),
+    ("wrap", TestCommand(("-w", "{{int:0..200}}"), stdin="{{bytes:65536..65600}}", fuzz_count=49)),
+)
+
+
+def test_mutant_streams_match_the_recorded_digest():
+    hashed = hashlib.sha256()
+
+    def put(data: bytes) -> None:
+        hashed.update(len(data).to_bytes(4, "little") + data)
+
+    for ti, text in enumerate(_CRITERION_5_TEMPLATES):
+        template = parse_template(text)
+        plan = MutationPlan(seed=1000 + ti, count=2000)
+        for mutant in generate(template, default_seed_values(template), plan):
+            put(mutant)
+    for seed in range(3):
+        for name, cmd in _BENCH_COMMANDS:
+            for derived in derive_commands(cmd, MutationPlan(seed=seed), name, 0):
+                for arg in derived.argv:
+                    put(arg.encode("utf-8", "surrogateescape"))
+                put(derived.stdin)
+    assert hashed.hexdigest() == _STREAM_DIGEST
 
 
 # --- Properties ----------------------------------------------------------

@@ -121,7 +121,7 @@ def test_failing_verdict_set():
 def run_toy(tmp_path, toy_pair, variants, fuzz_count=0, **kwargs):
     doc = toy_spec_doc(toy_pair, variants, fuzz_count=fuzz_count)
     spec = parse_spec(write_spec(tmp_path, doc).read_bytes())
-    return run_campaign(spec, MutationPlan(seed=0, count=fuzz_count), **kwargs)
+    return run_campaign(spec, MutationPlan(seed=0), **kwargs)
 
 
 def test_good_variant_passes(tmp_path, toy_pair):
