@@ -168,9 +168,8 @@ def differ(spec_path, seed, out_dir, jobs, max_seconds, max_mutants, aggressive)
     spec = _read_spec(spec_path)
     if aggressive:
         spec = winnow_to_aggressive(spec)
-    report = run_campaign(spec, MutationPlan(seed=seed), budget, jobs=jobs)
-
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = run_campaign(spec, MutationPlan(seed=seed), budget, jobs=jobs)
     report_to_jsonl(report, out_dir / "verdicts.jsonl")
     _write_json(out_dir / "summary.json", summary_to_json(report, seed))
     render_report(out_dir)
@@ -251,6 +250,7 @@ def _cell(compute, *args):
 def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
     """Compute size, library, performance, and security metrics."""
     spec = _read_spec(spec_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # Every side's trials run before any code is read or the gadget layers are
     # loaded: a child's peak memory starts at this process's high-water mark.
     original_perf = None if no_perf else _perf_totals(spec, spec.original.exe_path)
@@ -287,7 +287,6 @@ def metrics(spec_path, seed, out_dir, aggregate_libs, no_perf):
             delta = gadget_analyzer.compare_sets(original_gadgets, variant_gadgets)
             row.update(asdict(delta), syscall_event=delta.syscall_event.value)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "spec_id": spec.id,
         "toolkit_version": __version__,
@@ -384,6 +383,7 @@ def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
     tool = name if "/" in name else shutil.which(name)
     if tool is None:
         raise SpawnError(f"cannot exec {name}: not found on PATH")
+    out_dir.mkdir(parents=True, exist_ok=True)
     req = ExecRequest(exe_path=Path(tool).absolute(), argv=list(tool_cmdline[1:]),
                       timeout_seconds=max_seconds)
     before = _file_identity(output_path)
@@ -397,7 +397,6 @@ def tool_wrap(spec_path, out_dir, output_path, max_seconds, tool_cmdline):
         "succeeded": exited_ok and produced,
         "termination": outcome.termination.describe(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "tool_perf.json", record)
     if produced:
         (out_dir / "spec.updated.json").write_bytes(updated)

@@ -26,6 +26,7 @@ _U64 = (1 << 64) - 1
 
 ASCII_LO = 0x20
 ASCII_HI = 0x7E
+MAX_HOLE_LEN = 1 << 20  # AFL's MAX_FILE; the most an ascii or bytes hole may hold
 
 _MAX_OPS_PER_MUTANT = 3
 _ARITH_STEPS = (1, 2, 4, 8, 16)
@@ -163,8 +164,8 @@ def _parse_hole(body: str, offset: int) -> Hole:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise TemplateSyntaxError(offset, f"bounds must be integers, got {rest!r}") from None
-    if kind is not HoleKind.INT and lo < 0:
-        raise TemplateSyntaxError(offset, "length bounds must be non-negative")
+    if kind is not HoleKind.INT and (lo < 0 or hi > MAX_HOLE_LEN):
+        raise TemplateSyntaxError(offset, f"length bounds must lie in 0..{MAX_HOLE_LEN}")
     if lo > hi:
         raise TemplateSyntaxError(offset, "min bound exceeds max bound")
     return Hole(kind, lo, hi)
@@ -192,28 +193,24 @@ def check_bounds(template: Template, values: list[bytes]) -> None:
     if len(values) != len(holes):
         raise BoundsError(f"expected {len(holes)} hole values, got {len(values)}")
     for idx, (hole, value) in enumerate(zip(holes, values)):
-        if hole.kind is HoleKind.DICT:
-            if value.decode("utf-8", "replace") not in hole.words:
-                raise BoundsError(f"hole {idx}: {value!r} is not a dictionary word")
-        elif hole.kind is HoleKind.INT:
-            if re.fullmatch(_int_pattern(hole), value) is None:
-                raise BoundsError(f"hole {idx}: {value!r} is not an integer the hole can spell")
-            number = int(value)
-            if not hole.min_len <= number <= hole.max_len:
-                raise BoundsError(f"hole {idx}: {number} outside {hole.min_len}..{hole.max_len}")
-        else:
-            if not hole.min_len <= len(value) <= hole.max_len:
-                raise BoundsError(
-                    f"hole {idx}: length {len(value)} outside {hole.min_len}..{hole.max_len}"
-                )
-            if hole.kind is HoleKind.ASCII and any(b < ASCII_LO or b > ASCII_HI for b in value):
-                raise BoundsError(f"hole {idx}: non-printable byte in ascii hole")
+        if re.fullmatch(_hole_pattern(hole), value) is None:
+            raise BoundsError(f"hole {idx}: {value[:40]!r} is not a text its {hole.kind.value} hole may hold")
+        if hole.kind is HoleKind.INT and not hole.min_len <= int(value) <= hole.max_len:
+            raise BoundsError(f"hole {idx}: {int(value)} outside {hole.min_len}..{hole.max_len}")
 
 
-def _int_pattern(hole: Hole) -> bytes:
-    """ASCII digits, no more than the bounds have, signed only if the minimum is negative."""
-    digits = max(len(str(abs(hole.min_len))), len(str(abs(hole.max_len))))
-    return (b"-?" if hole.min_len < 0 else b"") + b"[0-9]{1,%d}" % digits
+def _hole_pattern(hole: Hole) -> bytes:
+    """The one statement of the text a hole may hold: a dict hole one of its
+    words, an int hole ASCII digits, no more than its bounds have, signed only
+    if its minimum is negative, and an ascii or bytes hole min..max printable
+    or arbitrary bytes. An int hole's range is checked on its number."""
+    if hole.kind is HoleKind.DICT:
+        return b"(?:" + b"|".join(re.escape(w.encode("utf-8")) for w in hole.words) + b")"
+    if hole.kind is HoleKind.INT:
+        digits = max(len(str(abs(hole.min_len))), len(str(abs(hole.max_len))))
+        return (b"-?" if hole.min_len < 0 else b"") + b"[0-9]{1,%d}" % digits
+    byte = b"[\\x%02x-\\x%02x]" % (ASCII_LO, ASCII_HI) if hole.kind is HoleKind.ASCII else b"(?s:.)"
+    return byte + b"{%d,%d}" % (hole.min_len, hole.max_len)
 
 
 def render(template: Template, values: Iterable[bytes]) -> bytes:
@@ -304,18 +301,7 @@ def generate(template: Template, seed_values: list[bytes], plan: MutationPlan) -
 
 def matches_skeleton(template: Template, data: bytes) -> bool:
     """True iff data re-parses against the template's literal skeleton."""
-    parts = []
-    for token in template.tokens:
-        if isinstance(token, Literal):
-            parts.append(re.escape(token.data))
-        elif token.kind is HoleKind.DICT:
-            parts.append(b"(?:" + b"|".join(re.escape(w.encode("utf-8")) for w in token.words) + b")")
-        elif token.kind is HoleKind.INT:
-            parts.append(_int_pattern(token))
-        elif token.kind is HoleKind.ASCII:
-            parts.append(b"[\\x20-\\x7e]{%d,%d}" % (token.min_len, token.max_len))
-        else:
-            parts.append(b"(?s:.){%d,%d}" % (token.min_len, token.max_len))
+    parts = (re.escape(t.data) if isinstance(t, Literal) else _hole_pattern(t) for t in template.tokens)
     return re.fullmatch(b"".join(parts), data) is not None
 
 

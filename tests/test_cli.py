@@ -135,6 +135,37 @@ def test_a_bytes_hole_in_an_argv_template_is_exit_2_naming_its_path_and_nothing_
 
 
 @pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_a_hole_longer_than_the_cap_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
+    # Rejected at parse: no seed value of four billion bytes is ever made.
+    doc = toy_spec_doc(toy_pair, ["no_b"])
+    doc["features"][0]["commands"][0]["stdin"] = "{{ascii:4000000000..4000000000}}"
+    result = invoke(runner, *_spec_command(command, write_spec(tmp_path, doc), tmp_path))
+    assert result.exit_code == EXIT_ERROR
+    assert "error: features[0].commands[0].stdin: bad template: " in result.output
+
+
+@pytest.mark.parametrize("command", ["differ", "metrics", "tool-wrap"])
+def test_an_out_that_is_a_file_is_exit_2_before_anything_runs(runner, tmp_path, monkeypatch, command):
+    marker = tmp_path / "ran"
+    exe = make_script(tmp_path, "prog", f'echo ran >> "{marker}"\n')
+    doc = {
+        "id": "t", "original": {"label": "o", "exe": str(exe)}, "variants": [{"label": "v", "exe": str(exe)}],
+        "features": [{"name": "f", "disposition": "retain", "commands": [{"argv": ["-"], "fuzz_count": 3}]}],
+    }
+    campaigns = []
+    monkeypatch.setattr(cli, "run_campaign", lambda *args, **kwargs: campaigns.append(args))
+    args = _spec_command(command, write_spec(tmp_path, doc), tmp_path)
+    if command == "tool-wrap":
+        args[-1] = exe
+    (tmp_path / "out").write_text("a file, not a directory")
+    result = invoke(runner, *args)
+    assert result.exit_code == EXIT_ERROR
+    assert "error: " in result.output
+    assert campaigns == []
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
 def test_lone_surrogate_in_a_spec_string_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
     places = {
         "id": lambda doc: doc.update(id="toy\ud800"),

@@ -15,6 +15,7 @@ from debloateval import digest
 from debloateval.fuzz_engine import (
     ASCII_HI,
     ASCII_LO,
+    MAX_HOLE_LEN,
     BoundsError,
     Hole,
     HoleKind,
@@ -77,6 +78,8 @@ def test_unterminated_hole_reports_offset():
         "{{ascii:-1..2}}",
         "{{dict:}}",
         "{{dict:a||b}}",
+        "{{ascii:4000000000..4000000000}}",  # past MAX_HOLE_LEN
+        "{{bytes:0..%d}}" % (MAX_HOLE_LEN + 1),
     ],
 )
 def test_malformed_holes_rejected(text):
@@ -117,6 +120,7 @@ def test_render_reassembles_in_order():
         ("{{int:0..20}}", [b"1_0"]),  # nor an underscore
         ("{{int:0..20}}", [b"-0"]),  # a sign where the minimum is not negative
         ("{{int:0..20}}", [b"005"]),  # more digits than the bounds have
+        ("{{dict:\ufffd|b}}", [b"\xff"]),  # decodes to a word, but is not its UTF-8
     ],
 )
 def test_check_bounds_rejects(text, bad):
@@ -232,15 +236,31 @@ def test_an_int_hole_matches_as_many_digits_as_its_bounds_have():
     assert not matches_skeleton(parse_template("{{int:0..9}}"), b"-0")
 
 
-@pytest.mark.parametrize("bounds", ["0..9", "0..20", "-100..100"])
-@pytest.mark.parametrize("text", [b"5", b"+5", b" 5", b"1_0", b"-0", b"-5", b"05", b"005"])
-def test_an_int_text_that_check_bounds_accepts_matches_the_skeleton(bounds, text):
-    template = parse_template("{{int:%s}}" % bounds)
+@pytest.mark.parametrize(
+    "hole",
+    ["int:0..9", "int:0..20", "int:-100..100", "ascii:1..4", "bytes:0..4", "dict:\ufffd|b"],
+    ids=lambda hole: hole.removeprefix("int:"),
+)
+@pytest.mark.parametrize(
+    "text",
+    [b"5", b"+5", b" 5", b"1_0", b"-0", b"-5", b"05", b"005",
+     b"", b"a", b"\x00", b"\x7f", b"\xff", "\ufffd".encode(), b"5" * 25],
+)
+def test_an_int_text_that_check_bounds_accepts_matches_the_skeleton(hole, text):
+    """For every hole kind, not only int: check_bounds accepts a text exactly
+    when the skeleton matches it, save an int whose number is out of range."""
+    template = parse_template("{{%s}}" % hole)
     try:
         check_bounds(template, [text])
+        accepted = True
     except BoundsError:
-        return
-    assert matches_skeleton(template, text)
+        accepted = False
+    matched = matches_skeleton(template, text)
+    bounds = template.holes[0]
+    if matched and bounds.kind is HoleKind.INT and not bounds.min_len <= int(text) <= bounds.max_len:
+        assert not accepted
+    else:
+        assert accepted == matched
 
 
 def test_dict_substitute_only_yields_dictionary_words():
