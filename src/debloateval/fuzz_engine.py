@@ -28,6 +28,7 @@ ASCII_LO = 0x20
 ASCII_HI = 0x7E
 MAX_HOLE_LEN = 1 << 20  # AFL's MAX_FILE; the most an ascii or bytes hole may hold
 
+_ECHO_CHARS = 40  # the most of a hole's body that an error repeats
 _MAX_OPS_PER_MUTANT = 3
 _ARITH_STEPS = (1, 2, 4, 8, 16)
 
@@ -144,12 +145,17 @@ def parse_template(s: str) -> Template:
     return Template(tuple(tokens))
 
 
+def _clip(text: str) -> str:
+    """text, cut to the most of a hole's body that an error repeats."""
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+
+
 def _parse_hole(body: str, offset: int) -> Hole:
     kind_name, sep, rest = body.partition(":")
     try:
         kind = HoleKind(kind_name)
     except ValueError:
-        raise TemplateSyntaxError(offset, f"unknown hole kind {kind_name!r}") from None
+        raise TemplateSyntaxError(offset, f"unknown hole kind {_clip(kind_name)!r}") from None
     if not sep:
         raise TemplateSyntaxError(offset, "hole needs a ':' and a body")
     if kind is HoleKind.DICT:
@@ -163,7 +169,9 @@ def _parse_hole(body: str, offset: int) -> Hole:
     try:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise TemplateSyntaxError(offset, f"bounds must be integers, got {rest!r}") from None
+        if all(bound.removeprefix("-").isdecimal() for bound in (lo_s, hi_s)):  # past int's digit limit
+            raise TemplateSyntaxError(offset, f"a bound is too long ({max(len(lo_s), len(hi_s))} characters)") from None
+        raise TemplateSyntaxError(offset, f"bounds must be integers, got {_clip(rest)!r}") from None
     if kind is not HoleKind.INT and (lo < 0 or hi > MAX_HOLE_LEN):
         raise TemplateSyntaxError(offset, f"length bounds must lie in 0..{MAX_HOLE_LEN}")
     if lo > hi:

@@ -17,10 +17,13 @@ once and keys the summaries of its gadgets by a mask of the regions that
 hold each gadget's bytes at its address. The mask decides both whether a
 side's union already counts a gadget and whether the gadget is local.
 
-A sweep can be bounded to the gadgets that start in [lo, hi): no gadget
-spans more than MAX_GADGET_LEN * _MAX_INSTR_BYTES = 150 bytes, so the bytes
-below hi + 150 decide them all. So the regions are swept end to end, cut
-into one span per CPU the process may run on, each but the first in a child.
+The sweep reads where gadgets may end from x86.terminator_starts, whose
+patterns x86 derives from its decoding rows: this module holds no opcode
+byte. A sweep can be bounded to the gadgets that start in [lo, hi): no
+gadget spans more than MAX_GADGET_LEN * x86.MAX_INSTRUCTION_BYTES = 150
+bytes, so the bytes below hi + 150 decide them all. So the regions are
+swept end to end, cut into one span per CPU the process may run on, each
+but the first in a child.
 
 The expressivity class table, special-purpose patterns, and constraint
 taxonomy are this implementation's own; deltas are comparable only between
@@ -36,7 +39,6 @@ import itertools
 import marshal
 import operator
 import os
-import re
 import signal
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -44,13 +46,14 @@ from typing import BinaryIO, NamedTuple
 
 from . import elf
 from .spec_model import BinaryRef
-from .x86 import (CALL_INDIRECT, FIRST_BYTES, JMP_INDIRECT, RET, SYSCALL, DecodedInstruction, decode,
-                  instruction_bounds)
+from .x86 import (CALL_INDIRECT, FIRST_BYTES, JMP_INDIRECT, MAX_INSTRUCTION_BYTES, RET, SYSCALL,
+                  DecodedInstruction, decode, instruction_bounds, terminator_starts)
 
 MAX_GADGET_LEN = 10  # instructions, terminator included
-_MAX_INSTR_BYTES = 15
 # No gadget spans more bytes: one that starts below hi ends before hi + _REACH.
-_REACH = MAX_GADGET_LEN * _MAX_INSTR_BYTES
+_REACH = MAX_GADGET_LEN * MAX_INSTRUCTION_BYTES
+# The slots of _sweep's ring of growable chains: a power of two above MAX_INSTRUCTION_BYTES.
+_SLOTS = 1 << MAX_INSTRUCTION_BYTES.bit_length()
 
 MINOR_CONSTRAINT = 0.5
 MAJOR_CONSTRAINT = 3.0
@@ -244,24 +247,6 @@ def _body_special_types(ins: DecodedInstruction, term: DecodedInstruction) -> se
 
 # --- Discovery ---------------------------------------------------------
 
-# The opcodes of every terminator the decoder knows: ret, ret imm16,
-# int 0x80, syscall, and FF /2 (call) or FF /4 (jmp) by the ModRM reg field.
-# One pattern each, so each scan looks for its literal first byte. A match
-# consumes its second byte, which never starts a match of its own pattern.
-_TERMINATORS = [re.compile(pattern) for pattern in (rb"\xc3", rb"\xc2", rb"\xcd\x80", rb"\x0f\x05",
-                 rb"\xff[\x10-\x17\x20-\x27\x50-\x57\x60-\x67\x90-\x97\xa0-\xa7\xd0-\xd7\xe0-\xe7]")]
-
-
-def _terminator_offsets(data: bytes, lo: int, hi: int) -> list[int]:
-    """The offsets in [lo, hi + _REACH) that hold a terminator's bytes, ascending.
-
-    These are the patterns' matches and each REX byte just before one: an
-    optional REX byte would cost a pattern its literal first byte. Every
-    gadget that starts in [lo, hi) ends at one of these offsets.
-    """
-    starts = [m.start() for t in _TERMINATORS for m in t.finditer(data, lo, hi + _REACH)]
-    return sorted(starts + [p - 1 for p in starts if p > lo and 0x40 <= data[p - 1] <= 0x4F])
-
 # What one body instruction adds to a gadget: class bits, its own cost,
 # the cost it carries once it is no longer first, and special-type bits.
 _BodyFacts = tuple[int, float, float, int]
@@ -314,7 +299,8 @@ def _body_facts(ins: DecodedInstruction, term: DecodedInstruction) -> _BodyFacts
 
 def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
     """Each gadget that starts in [lo, hi), as its start offset and chain, top down."""
-    terminators = _terminator_offsets(data, lo, hi)
+    # Every gadget that starts in [lo, hi) ends at one of these offsets.
+    terminators = terminator_starts(data, lo, hi + _REACH)
 
     # Sweep down from the highest terminator. Decoding at an offset is a
     # function, so an offset starts a gadget iff it holds a terminator or
@@ -332,10 +318,12 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
     # offset that holds them, and only its offset-free fields are read.
     terminator_chains: dict[bytes, _Chain] = {}
     # The chains shorter than MAX_GADGET_LEN that start in reach of p, in a
-    # ring by start: slot s & 15 holds the one at s, for p < s <= p + 15,
-    # or None. An offset overwrites its slot when the sweep leaves it.
-    growable: list[_Chain | None] = [None] * 16
-    lowest = len(data) + _MAX_INSTR_BYTES  # lowest growable start
+    # ring by start: slot s & mask holds the one at s, for
+    # p < s <= p + MAX_INSTRUCTION_BYTES, or None. An offset overwrites its
+    # slot when the sweep leaves it.
+    growable: list[_Chain | None] = [None] * _SLOTS
+    mask = _SLOTS - 1
+    lowest = len(data) + MAX_INSTRUCTION_BYTES  # lowest growable start
     k = len(terminators) - 1  # terminators[k]: the highest at or below p
     next_term = p = terminators[k] if k >= 0 else -1
     while p >= lo:
@@ -355,7 +343,7 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
                 else:  # the same chain, ending past this offset's terminator
                     chain = tuple.__new__(_Chain, (1, end, *chain[2:]))
         else:
-            tail = None if bounds is None else growable[(p + bounds[0]) & 15]
+            tail = None if bounds is None else growable[(p + bounds[0]) & mask]
             if tail is not None:
                 depth, end, term, class_mask, quality, _, inherited, tail_cost, by_header = tail
                 header = data[p : p + bounds[1]]
@@ -376,10 +364,10 @@ def _sweep(data: bytes, lo: int, hi: int) -> Iterator[tuple[int, _Chain]]:
                 lowest = p
             else:
                 chain = None  # full length: nothing extends it
-        growable[p & 15] = chain
+        growable[p & mask] = chain
         p -= 1
-        if p + _MAX_INSTR_BYTES < lowest:
-            growable = [None] * 16
+        if p + MAX_INSTRUCTION_BYTES < lowest:
+            growable = [None] * _SLOTS
             k = bisect.bisect_right(terminators, p) - 1
             next_term = p = terminators[k] if k >= 0 else -1
 

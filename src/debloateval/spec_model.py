@@ -26,10 +26,12 @@ from .comparator import (
     Normalizer,
     default_pipeline,
 )
-from .fuzz_engine import HoleKind, TemplateSyntaxError, parse_template
+from .fuzz_engine import HoleKind, Literal, Template, TemplateSyntaxError, parse_template
 
 DEFAULT_TRIALS = 10
 DEFAULT_TIMEOUT_SECONDS = 30.0
+# Linux's MAX_ARG_STRLEN (32 pages) holds one argument and its NUL; exec fails with E2BIG past it.
+MAX_ARG_BYTES = 131071
 
 
 class SpecError(InputError):
@@ -138,11 +140,17 @@ class BenchmarkSpec:
                 for where, text in templates.items():
                     path = f"features[{i}].commands[{j}].{where}"
                     try:
-                        holes = parse_template(text).holes
+                        template = parse_template(text)
+                        least = _least_bytes(template)
                     except (TemplateSyntaxError, UnicodeEncodeError) as exc:  # a lone surrogate
                         raise SchemaError(path, f"bad template: {exc}") from exc
-                    if where != "stdin" and any(hole.kind is HoleKind.BYTES for hole in holes):
+                    if where == "stdin":
+                        continue
+                    if any(hole.kind is HoleKind.BYTES for hole in template.holes):
                         raise SchemaError(path, "a bytes hole can draw NUL, which no argument can carry; use ascii")
+                    if least > MAX_ARG_BYTES:
+                        message = f"renders to at least {least} bytes; an argument holds at most {MAX_ARG_BYTES}"
+                        raise SchemaError(path, message)
         labels_seen: set[str] = set()
         for i, v in enumerate(self.variants):
             if v.label in labels_seen:
@@ -162,6 +170,18 @@ class BenchmarkSpec:
 
     def pipeline_for(self, feature: Feature) -> ComparatorPipeline:
         return feature.comparator_override or self.default_comparators
+
+
+def _least_bytes(template: Template) -> int:
+    """The fewest bytes any rendering of template has: its literals, each
+    hole's minimum length, each dict hole's shortest word and a digit per int hole."""
+    return sum(
+        len(token.data) if isinstance(token, Literal)
+        else min(len(word.encode("utf-8")) for word in token.words) if token.kind is HoleKind.DICT
+        else 1 if token.kind is HoleKind.INT
+        else token.min_len
+        for token in template.tokens
+    )
 
 
 # --- JSON format -------------------------------------------------------

@@ -32,10 +32,17 @@ ModRM byte (or the opcode of a row without one), and the SIB byte follows
 it. One generic builder reads the row's semantic column; only ``xchg``,
 ``leave``, ``ret imm16`` and ``int`` have builders of their own. No builder
 rejects: every byte it reads is known to be there.
+
+The gadget scan's terminator patterns are derived from the same rows at
+import: ``terminator_starts`` finds the offsets where a terminator's bytes
+start, each REX byte just before one included. A row that gains or loses a
+terminator changes the scan with it. ``MAX_INSTRUCTION_BYTES`` is the
+architecture's limit on an instruction's length, which bounds a gadget's span.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Callable, NamedTuple
 
 REGS = (
@@ -360,3 +367,56 @@ _REX_FORMS = _table(((0x90,), None), base=_FORMS)
 _REX_W_FORMS = _table((range(0xB8, 0xC0), _FORMS[0xB8]._replace(imm=8)), base=_REX_FORMS)
 # FIRST_BYTES[b] is 1 iff an instruction can start with byte b: a REX prefix or an opcode with a row.
 FIRST_BYTES = bytes(0x40 <= op <= 0x4F or form is not None for op, form in enumerate(_FORMS))
+
+
+# --- Terminator scan -----------------------------------------------------
+
+MAX_INSTRUCTION_BYTES = 15  # the architecture's limit; no form of the subset is longer
+
+
+def _terminator_patterns(forms: tuple) -> tuple[re.Pattern, ...]:
+    """The bytes of each terminator that forms decode: one pattern per first byte.
+
+    A row ends a gadget where its semantics has a terminator: a _Sem row
+    for each ModRM byte it accepts, a group row for those whose reg field
+    picks one, a builder row if the builder, called once, returns one.
+    """
+    tails: dict[int, list[bytes]] = {}  # by first byte: a pattern of the rest of each terminator
+
+    def visit(table: tuple, prefix: bytes) -> None:
+        for op, form in enumerate(table):
+            if form is None:
+                continue
+            escape, modrm, _, sem = form
+            opcode = prefix + bytes((op,))
+            if escape is not None:
+                visit(escape, opcode)
+                continue
+            if type(sem) is not tuple:  # the same semantics for each reg field
+                sem = (sem if type(sem) is _Sem else sem(0, 1, REGS[0], REGS[0], None, 0),) * 8
+            ends = [s is not None and s.terminator is not None for s in sem]
+            if any(ends):
+                accepted = b"" if modrm is None else b"[" + re.escape(bytes(
+                    m for m, after in enumerate(modrm) if after is not None and ends[(m >> 3) & 7])) + b"]"
+                tails.setdefault(opcode[0], []).append(re.escape(opcode[1:]) + accepted)
+
+    visit(forms, b"")
+    # A match consumes its later bytes. That hides no other match while no
+    # terminator's later bytes hold its first byte, as holds for every row.
+    # An empty tail: the first byte alone is a terminator.
+    return tuple(re.compile(re.escape(bytes((first,))) + (b"" if b"" in rests else b"(?:" + b"|".join(rests) + b")"))
+                 for first, rests in tails.items())
+
+
+_TERMINATOR_PATTERNS = _terminator_patterns(_FORMS)
+
+
+def terminator_starts(buf: bytes, lo: int, end: int) -> list[int]:
+    """The offsets in [lo, end) where a terminator's bytes start, ascending.
+
+    These are the patterns' matches and each REX byte just before one, at
+    an offset above lo: an optional REX byte would cost a pattern its
+    literal first byte. A match lies wholly below end.
+    """
+    starts = [m.start() for t in _TERMINATOR_PATTERNS for m in t.finditer(buf, lo, end)]
+    return sorted(starts + [p - 1 for p in starts if p > lo and 0x40 <= buf[p - 1] <= 0x4F])

@@ -135,6 +135,24 @@ def test_a_bytes_hole_in_an_argv_template_is_exit_2_naming_its_path_and_nothing_
 
 
 @pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
+def test_an_argument_longer_than_exec_takes_is_exit_2_naming_its_path_and_nothing_runs(runner, tmp_path, command):
+    # 200,000 bytes pass the hole cap, but exec fails with E2BIG past 131,071.
+    marker = tmp_path / "ran"
+    exe = make_script(tmp_path, "prog", f'echo ran >> "{marker}"\n')
+    doc = {
+        "id": "t", "original": {"label": "o", "exe": str(exe)}, "variants": [{"label": "v", "exe": str(exe)}],
+        "features": [{"name": "f", "disposition": "retain", "commands": [{"argv": ["{{ascii:200000..200000}}"]}]}],
+    }
+    args = _spec_command(command, write_spec(tmp_path, doc), tmp_path)
+    if command == "tool-wrap":
+        args[-1] = exe
+    result = invoke(runner, *args)
+    assert result.exit_code == EXIT_ERROR
+    assert "error: features[0].commands[0].argv[0]: renders to at least 200000 bytes" in result.output
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "differ", "metrics", "tool-wrap"])
 def test_a_hole_longer_than_the_cap_is_exit_2_naming_its_path(runner, tmp_path, toy_pair, command):
     # Rejected at parse: no seed value of four billion bytes is ever made.
     doc = toy_spec_doc(toy_pair, ["no_b"])

@@ -87,6 +87,18 @@ def test_malformed_holes_rejected(text):
         parse_template(text)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("int:0..1" + "0" * 5000, "a bound is too long (5001 characters)"),  # past int()'s digit limit
+    ("int:-" + "9" * 5000 + "..1", "a bound is too long (5001 characters)"),
+    ("int:0..x" + "0" * 5000, "bounds must be integers, got '0..x" + "0" * 33 + "...'"),
+    ("k" * 5000 + ":1..2", "unknown hole kind '" + "k" * 37 + "...'"),
+], ids=["digits", "negative-digits", "not-digits", "kind"])
+def test_a_long_hole_body_is_not_echoed_whole(body, message):
+    with pytest.raises(TemplateSyntaxError) as exc:
+        parse_template("{{" + body + "}}")
+    assert str(exc.value) == f"offset 0: {message}"
+
+
 def test_int_hole_allows_negative_bounds():
     hole = parse_template("{{int:-10..-2}}").holes[0]
     assert (hole.min_len, hole.max_len) == (-10, -2)

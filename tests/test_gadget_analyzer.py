@@ -761,7 +761,8 @@ def test_a_sweep_cut_anywhere_finds_the_gadgets_of_the_whole_sweep():
 
 
 # The terminator scan as one zero-width alternation: a lookahead hides no
-# match behind another. The reference for the literal scans.
+# match behind another. The reference for the scan's patterns, which
+# x86.terminator_starts derives from the decoder's rows.
 _TERMINATOR_ORACLE = re.compile(
     rb"(?=[\xc2\xc3]|\xcd\x80|\x0f\x05"
     rb"|\xff[\x10-\x17\x20-\x27\x50-\x57\x60-\x67\x90-\x97\xa0-\xa7\xd0-\xd7\xe0-\xe7])"
@@ -791,20 +792,19 @@ def test_terminator_offsets_equal_the_alternation(data, draw):
     after_rex = [p + 1 for p, byte in enumerate(data) if 0x40 <= byte <= 0x4F]
     lo = draw.draw(st.integers(0, len(data)) | (st.sampled_from(after_rex) if after_rex else st.nothing()))
     hi = draw.draw(st.integers(lo, len(data)))
-    assert gadget_analyzer._terminator_offsets(data, lo, hi) == _oracle_terminator_offsets(data, lo, hi)
+    assert x86.terminator_starts(data, lo, hi + gadget_analyzer._REACH) == _oracle_terminator_offsets(data, lo, hi)
 
 
 @pytest.mark.skipif(LIBC is None, reason="libc.so.6 unavailable")
 def test_terminator_offsets_in_libc_equal_the_alternation():
     (_, data), = executable_segments(LIBC)
     for lo, hi in ((0, len(data)), (1, len(data) // 3), (len(data) // 3, len(data) - 1000)):
-        assert gadget_analyzer._terminator_offsets(data, lo, hi) == _oracle_terminator_offsets(data, lo, hi)
+        assert x86.terminator_starts(data, lo, hi + gadget_analyzer._REACH) == _oracle_terminator_offsets(data, lo, hi)
 
 
 def test_the_terminator_scan_finds_exactly_what_decode_calls_a_terminator():
-    # The bytes that end a gadget are written twice: in the decoder's rows
-    # and in the scan's patterns. A terminator the decoder learns must be
-    # taught to the scan too, or the sweep never reaches its gadgets.
+    # The scan's patterns are derived from the decoder's rows, so a
+    # terminator the decoder learns is one the sweep reaches as well.
     filler = bytes(range(0x11, 0x1A))  # no byte here is a terminator's first byte
     for prefix in (b"", b"\x48", b"\x44", b"\x41"):
         for a in range(256):
@@ -812,7 +812,7 @@ def test_the_terminator_scan_finds_exactly_what_decode_calls_a_terminator():
                 buf = prefix + bytes([a, b]) + filler
                 ins = decode(buf, 0)
                 is_terminator = ins is not None and ins.terminator is not None
-                assert is_terminator == (0 in gadget_analyzer._terminator_offsets(buf, 0, 1)), buf.hex()
+                assert is_terminator == (0 in x86.terminator_starts(buf, 0, len(buf))), buf.hex()
 
 
 @given(st.lists(st.sampled_from(_DENSE_PIECES + [_LONGEST]), min_size=1, max_size=48).map(b"".join), st.data())

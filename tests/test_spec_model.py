@@ -223,6 +223,22 @@ def test_template_that_is_not_utf8_is_schema_error():
     assert exc.value.path == "features[0].commands[0].argv[1]"
 
 
+def test_an_argument_that_exec_cannot_carry_is_rejected_at_its_path():
+    # An argument holds at most 131,071 bytes; an ascii hole's minimum, a
+    # dict hole's shortest word and a digit per int hole count toward it.
+    # stdin has no such limit.
+    def spec(command: dict) -> bytes:
+        return doc(features=[{"name": "f", "disposition": "retain", "commands": [command]}])
+
+    fits = "b{{dict:xyz|12}}{{int:500..900}}{{ascii:%d..200000}}" % (131071 - 4)
+    parse_spec(spec({"argv": ["ok", fits]}))
+    parse_spec(spec({"argv": ["ok"], "stdin": "{{ascii:200000..200000}}"}))
+    with pytest.raises(SchemaError) as exc:
+        parse_spec(spec({"argv": ["ok", "a" + fits]}))
+    assert exc.value.path == "features[0].commands[0].argv[1]"
+    assert str(exc.value).endswith("renders to at least 131072 bytes; an argument holds at most 131071")
+
+
 def winnowable_document() -> bytes:
     features = [
         {

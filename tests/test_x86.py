@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from debloateval import x86
 from debloateval.elf import executable_segments
 from debloateval.x86 import FIRST_BYTES, decode, instruction_bounds
 
@@ -61,6 +62,22 @@ def test_first_bytes_are_the_bytes_an_instruction_can_start_with():
     for a in range(256):
         decodes = any(instruction_bounds(bytes([a]) + tail, 0) is not None for tail in tails)
         assert FIRST_BYTES[a] == decodes, hex(a)
+
+
+def _scan_matches(patterns: tuple, buf: bytes) -> bool:
+    return any(pattern.match(buf) for pattern in patterns)
+
+
+def test_the_terminator_patterns_follow_the_rows():
+    # A table without jmp in group 5, or without the C3 row, drops those
+    # bytes from the scan and keeps the rest.
+    patterns = x86._terminator_patterns(x86._FORMS)
+    assert all(_scan_matches(patterns, buf) for buf in (b"\xff\xe0", b"\xff\xd0", b"\xc3"))
+    group5 = x86._GROUP5[:4] + (None,) + x86._GROUP5[5:]
+    no_jmp = x86._terminator_patterns(x86._table(((0xFF,), x86._group(group5)), base=x86._FORMS))
+    assert not _scan_matches(no_jmp, b"\xff\xe0") and _scan_matches(no_jmp, b"\xff\xd0")
+    no_ret = x86._terminator_patterns(x86._table(((0xC3,), None), base=x86._FORMS))
+    assert not _scan_matches(no_ret, b"\xc3") and _scan_matches(no_ret, b"\xc2\x08\x00")
 
 
 @pytest.mark.parametrize("buf", [b"\x5f\xc3", b"\xc3", b"\x48\x89\xc3\xc3"], ids=bytes.hex)
